@@ -32,7 +32,6 @@ TRAIN_DEFAULTS = {
     "epochs": 150,
     "lambda": None,  # None = embeddings-only training; a value selects joint LM training
     "seed": 0,
-    "threads": 1,
     "out": None,
     "checkpoint_every": 0,
     "min_count": 1,
@@ -125,16 +124,22 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str
     )
 
 
-def _model_metrics(table: EmbeddingTable, bias, split, spec: KernelSpec, cfg: dict) -> dict:
+def _lm_metrics(table: EmbeddingTable, bias, split) -> dict:
     model = lm.BigramModel(table=table, bias=bias if bias is not None else np.zeros(len(table)))
     return {
         "perplexity_train": lm.corpus_perplexity(model, split.train),
         "perplexity_heldout": lm.corpus_perplexity(model, split.test),
         "accuracy": lm.classification_accuracy(model, lm.corpus_pairs(split.test)),
-        "coherence_score": coherence.evaluate_coherence(
-            table, split.train, spec, int(cfg["batch"]), int(cfg["seed"])
-        ),
     }
+
+
+def _model_metrics(table: EmbeddingTable, bias, split, spec: KernelSpec, cfg: dict) -> dict:
+    """The LM metrics plus the coherence score that `sca eval` reports."""
+    metrics = _lm_metrics(table, bias, split)
+    metrics["coherence_score"] = coherence.evaluate_coherence(
+        table, split.train, spec, int(cfg["batch"]), int(cfg["seed"])
+    )
+    return metrics
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -186,15 +191,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     bias = None
     if joint:
         model, logs = lm.train_joint(
-            lm.make_model(initial), split.train, spec, config,
-            threads=int(cfg["threads"]), on_batch=collect, on_epoch=checkpoint,
+            lm.make_model(initial), split.train, spec, config, on_batch=collect, on_epoch=checkpoint
         )
         trained = model.table
         bias = model.bias
     else:
         trained, logs = trainer.train_sca(
-            initial, split.train, spec, config,
-            threads=int(cfg["threads"]), on_batch=collect, on_epoch=checkpoint,
+            initial, split.train, spec, config, on_batch=collect, on_epoch=checkpoint
         )
 
     embedding.save_model(trained, out / "model.json", bias=bias)
@@ -218,31 +221,24 @@ def cmd_train(args: argparse.Namespace) -> int:
         ),
         "coherence_score_note": report.COHERENCE_SCORE_NOTE,
     }
-    summary.update(
-        {
-            k: v
-            for k, v in _model_metrics(trained, bias, split, spec, cfg).items()
-            if k != "coherence_score"
-        }
+    summary.update(_lm_metrics(trained, bias, split))
+    artifacts = report.RunArtifacts(
+        epoch_logs=logs,
+        batch_scores=batch_scores,
+        table_before=initial,
+        table_after=trained,
+        vocab=vocab,
+        summary=summary,
     )
+    report.emit_reports(artifacts, out / "reports")
 
     artifact_paths = {
         "model": "model.json",
         "initial_model": "initial_model.json",
         "vocab": "vocab.json",
         "epoch_log": "loss_curve.csv",
+        "reports": "reports",
     }
-    if batch_scores:
-        artifacts = report.RunArtifacts(
-            epoch_logs=logs,
-            batch_scores=batch_scores,
-            table_before=initial,
-            table_after=trained,
-            vocab=vocab,
-            summary=summary,
-        )
-        report.emit_reports(artifacts, out / "reports")
-        artifact_paths["reports"] = "reports"
     cfg_frozen = dict(cfg)
     cfg_frozen["bandwidth_resolved"] = spec.bandwidth
     _write_manifest(out, "train", cfg_frozen, artifact_paths)
@@ -354,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lambda", type=float, dest="lam",
                        help="joint LM training weight; omit for embeddings-only training")
     train.add_argument("--seed", type=int)
-    train.add_argument("--threads", type=int)
     train.add_argument("--out", help="output directory")
     train.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
     train.set_defaults(func=cmd_train)

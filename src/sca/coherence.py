@@ -10,7 +10,6 @@ everything per perturbation exists as a diagnostic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +27,12 @@ class BatchState:
     """Everything derived from one batch against an embedding snapshot."""
 
     token_ids: np.ndarray  # (m,)
-    kernel_rows: np.ndarray  # (m, m), row i = K(e_i, e_j) over the batch
     lefts: np.ndarray  # (m, d) embeddings
     rights: np.ndarray  # (m, d) context vectors
     scales: np.ndarray  # (m,) spectral clip factors
     mean: np.ndarray  # (d, d) mean field
     loss: float
-    gradients: np.ndarray | None = None
+    gradients: np.ndarray  # (m, d) detached update directions
 
     @property
     def size(self) -> int:
@@ -51,24 +49,7 @@ class BatchState:
         ]
 
 
-def _kernel_square(spec: KernelSpec, E: np.ndarray, threads: int) -> np.ndarray:
-    m = E.shape[0]
-    if threads <= 1 or m < 2 * threads:
-        return kernel.kernel_block(spec, E, E)
-    K = np.empty((m, m))
-    chunks = [c for c in np.array_split(np.arange(m), threads) if c.size]
-
-    def fill(rows: np.ndarray) -> None:
-        K[rows] = kernel.kernel_block(spec, E[rows], E)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, chunks))
-    return K
-
-
-def compute_batch_state(
-    spec: KernelSpec, table: EmbeddingTable, token_ids: np.ndarray, threads: int = 1
-) -> BatchState:
+def compute_batch_state(spec: KernelSpec, table: EmbeddingTable, token_ids: np.ndarray) -> BatchState:
     """Run the batch pipeline: kernel rows, contexts, fields, mean, loss, gradients."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
@@ -77,7 +58,7 @@ def compute_batch_state(
         raise ValueError("token id outside the embedding table")
     m = ids.size
     E = table.vectors[ids]
-    K = _kernel_square(spec, E, threads)
+    K = kernel.kernel_block(spec, E, E)
     C = (K[:, :, None] * E[None, :, :]).sum(axis=1) / m
     stack = E[:, :, None] * C[:, None, :]
     M = field.dense_mean(stack)
@@ -86,7 +67,6 @@ def compute_batch_state(
     gradients = 2.0 * np.einsum("ijk,ik->ij", D, C)
     return BatchState(
         token_ids=ids,
-        kernel_rows=K,
         lefts=E,
         rights=C,
         scales=np.ones(m),
@@ -113,9 +93,6 @@ def sca_gradient(state: BatchState) -> np.ndarray:
     Kernel weights, context vectors, and the mean field are held fixed;
     compare fd_gradient_full for the fully coupled derivative.
     """
-    if state.gradients is None:
-        D = state.dense_stack() - state.mean
-        state.gradients = 2.0 * np.einsum("ijk,ik->ij", D, state.rights)
     return state.gradients
 
 

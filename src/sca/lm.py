@@ -10,14 +10,13 @@ is bit-identical to the plain baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import time
 
 import numpy as np
 
-from . import coherence, corpus, trainer
+from . import corpus, trainer
 from .embedding import EmbeddingTable
 from .kernel import KernelSpec
-from .trainer import EpochLog, TrainConfig, TrainingError
+from .trainer import EpochLog, TrainConfig
 
 
 @dataclass
@@ -113,12 +112,17 @@ def ce_batch_gradients(
     tgt = pairs[:, 1]
     E = model.table.vectors
     W = E[src]
-    Z = W @ E.T + model.bias
-    zmax = Z.max(axis=1, keepdims=True)
-    expz = np.exp(Z - zmax)
-    totals = expz.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(totals[:, 0]) + zmax[:, 0] - Z[np.arange(B), tgt]))
-    delta = expz / totals
+    # one (B, n) buffer holds the logits, their exponentials and then delta,
+    # so a step allocates one vocabulary-wide array instead of four
+    delta = W @ E.T
+    delta += model.bias
+    zmax = delta.max(axis=1, keepdims=True)
+    target_logits = delta[np.arange(B), tgt]
+    delta -= zmax
+    np.exp(delta, out=delta)
+    totals = delta.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(totals[:, 0]) + zmax[:, 0] - target_logits))
+    delta /= totals
     delta[np.arange(B), tgt] -= 1.0
     delta /= B
     bias_grad = delta.sum(axis=0)
@@ -127,72 +131,34 @@ def ce_batch_gradients(
     return loss, emb_grad, bias_grad
 
 
-def _run(
+def _train(
     model: BigramModel,
     documents: list[corpus.Document],
     config: TrainConfig,
     spec: KernelSpec | None,
-    threads: int,
     on_batch,
     on_epoch,
 ) -> tuple[BigramModel, list[EpochLog]]:
-    config.validate()
     use_sca = spec is not None and config.lam != 0.0
-    if use_sca and spec.family == "rbf" and spec.bandwidth is None:
-        raise ValueError("resolve the rbf bandwidth before training (median_bandwidth)")
-    pools = corpus.bigram_pools(documents)
-    total_pairs = int(pools.masses.sum())
-    if config.batch_size > total_pairs:
-        raise TrainingError(
-            f"batch size {config.batch_size} exceeds corpus pair count {total_pairs}"
-        )
-    steps_per_epoch = max(1, total_pairs // config.batch_size)
-
     table = EmbeddingTable(
         vectors=model.table.vectors.copy(), vocab=model.table.vocab, seed=model.table.seed
     )
     work = BigramModel(table=table, bias=model.bias.copy())
-    logs: list[EpochLog] = []
-    lr = config.lr
-    for epoch in range(1, config.max_epochs + 1):
-        started = time.perf_counter()
-        losses = np.empty(steps_per_epoch)
-        scores = np.full(steps_per_epoch, np.nan)
-        for b in range(steps_per_epoch):
-            pairs = corpus.sample_from_pools(pools, config.batch_size, config.seed, b)
-            ce_loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs)
-            if not np.isfinite(ce_loss) or not np.all(np.isfinite(emb_grad)):
-                raise TrainingError(f"non-finite loss or gradient at epoch {epoch}, batch {b}")
-            loss = ce_loss
-            if use_sca:
-                sca_ids = np.unique(pairs[:, 0])
-                state = coherence.compute_batch_state(spec, work.table, sca_ids, threads=threads)
-                gradients = coherence.sca_gradient(state)
-                trainer._check_finite(state, gradients, epoch, b)
-                scores[b] = coherence.batch_coherence(state)
-                trainer._project_scales(state, config.rho, config.spectral_mode)
-                emb_grad[sca_ids] += config.lam * gradients
-                loss = ce_loss + config.lam * state.loss
-            work.table.vectors -= lr * emb_grad
-            work.bias -= lr * bias_grad
-            losses[b] = loss
-            if on_batch is not None:
-                on_batch(epoch, b, loss, float(scores[b]))
-        epoch_score = float(np.mean(scores)) if use_sca else float("nan")
-        logs.append(
-            EpochLog(
-                epoch=epoch,
-                loss=float(losses.mean()),
-                coherence=epoch_score,
-                lr=lr,
-                seconds=time.perf_counter() - started,
-            )
-        )
-        if on_epoch is not None:
-            on_epoch(epoch, work, logs[-1])
-        if trainer.check_convergence(logs, config.window, config.tol):
-            break
-        lr = trainer.adapt_learning_rate(logs, lr)
+
+    def step(pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
+        loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs)
+        trainer.check_finite(loss, emb_grad, epoch, b)
+        score = float("nan")
+        if use_sca:
+            sca_ids = np.unique(pairs[:, 0])
+            state, score = trainer.coherence_step(spec, work.table, sca_ids, config, epoch, b)
+            emb_grad[sca_ids] += config.lam * state.gradients
+            loss += config.lam * state.loss
+        work.table.vectors -= lr * emb_grad
+        work.bias -= lr * bias_grad
+        return loss, score
+
+    logs = trainer.run_epochs(work, corpus.bigram_pools(documents), config, step, on_batch, on_epoch)
     return work, logs
 
 
@@ -204,7 +170,7 @@ def train_baseline(
     on_epoch=None,
 ) -> tuple[BigramModel, list[EpochLog]]:
     """Pure cross-entropy training; the reference the joint run is pinned to."""
-    return _run(model, documents, config, spec=None, threads=1, on_batch=on_batch, on_epoch=on_epoch)
+    return _train(model, documents, config, None, on_batch, on_epoch)
 
 
 def train_joint(
@@ -212,7 +178,6 @@ def train_joint(
     documents: list[corpus.Document],
     spec: KernelSpec,
     config: TrainConfig,
-    threads: int = 1,
     on_batch=None,
     on_epoch=None,
 ) -> tuple[BigramModel, list[EpochLog]]:
@@ -222,4 +187,4 @@ def train_joint(
     tokens and added to their rows; with lam = 0 the coherence code path is
     skipped and the trajectory matches train_baseline exactly.
     """
-    return _run(model, documents, config, spec=spec, threads=threads, on_batch=on_batch, on_epoch=on_epoch)
+    return _train(model, documents, config, spec, on_batch, on_epoch)

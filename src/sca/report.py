@@ -276,23 +276,25 @@ def write_pca(result: PCAResult, vocab: Vocabulary, path: Path) -> None:
 
 
 def emit_reports(artifacts: RunArtifacts, out_dir: str | Path) -> dict[str, Path]:
-    """Write the five report files for a completed run.
+    """Write the report files for a completed run.
 
     loss_curve.csv, coherence_hist.csv, rare_words.csv, pca.csv, and
-    summary.json; emission is a pure function of the artifacts, so
-    re-emitting yields byte-identical files.
+    summary.json; coherence_hist.csv only when some batch was scored (a
+    lam = 0 joint run scores none). Emission is a pure function of the
+    artifacts, so re-emitting yields byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
         "loss_curve": out / "loss_curve.csv",
-        "coherence_hist": out / "coherence_hist.csv",
         "rare_words": out / "rare_words.csv",
         "pca": out / "pca.csv",
         "summary": out / "summary.json",
     }
     write_loss_curve(artifacts.epoch_logs, paths["loss_curve"])
-    write_coherence_histograms(coherence_histograms(artifacts.batch_scores), paths["coherence_hist"])
+    if artifacts.batch_scores:
+        paths["coherence_hist"] = out / "coherence_hist.csv"
+        write_coherence_histograms(coherence_histograms(artifacts.batch_scores), paths["coherence_hist"])
     write_rare_words(
         rare_word_report(artifacts.table_before, artifacts.table_after, artifacts.vocab),
         paths["rare_words"],

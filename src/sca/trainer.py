@@ -1,16 +1,18 @@
 """Mini-batch training loop for coherence alignment of an embedding table.
 
-Each batch runs the full pipeline (kernel rows, context vectors, fields,
-mean field, loss, gradients), applies the spectral constraint to the
-fields, then updates the batch tokens' embedding rows. Epoch-level
-machinery covers the adaptive learning rate and the windowed stopping
-rule; the single explicit-Euler step is exposed separately so the
-continuous-time view stays directly testable.
+run_epochs is the one epoch loop: it draws the batch schedule once and
+owns the adaptive learning rate, the windowed stopping rule and the
+observers; each trainer supplies a per-batch step. coherence_step is the
+coherence part those steps share: the batch pipeline (kernel rows,
+context vectors, fields, mean field, loss, gradients), the finite check,
+the score and the spectral constraint. The single explicit-Euler step is
+exposed separately so the continuous-time view stays directly testable.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +117,32 @@ def _project_scales(state: BatchState, rho: float, mode: str) -> None:
         state.scales /= np.maximum(sigma, rho)
 
 
-def _check_finite(state: BatchState, gradients: np.ndarray, epoch: int, batch: int) -> None:
-    if not np.isfinite(state.loss) or not np.all(np.isfinite(gradients)):
+def check_finite(loss: float, gradients: np.ndarray, epoch: int, batch: int) -> None:
+    """Raise TrainingError, naming the step, on a non-finite loss or gradient."""
+    if not np.isfinite(loss) or not np.all(np.isfinite(gradients)):
         raise TrainingError(f"non-finite loss or gradient at epoch {epoch}, batch {batch}")
+
+
+def coherence_step(
+    spec: KernelSpec,
+    table: EmbeddingTable,
+    ids: np.ndarray,
+    config: TrainConfig,
+    epoch: int,
+    batch: int,
+) -> tuple[BatchState, float]:
+    """The coherence part of one training step, shared by both trainers.
+
+    Computes the batch state, checks it is finite, records the coherence
+    score at the same snapshot as the loss, then applies the spectral
+    projection. Returns the state and the score; the caller applies the
+    update from state.gradients.
+    """
+    state = coherence.compute_batch_state(spec, table, ids)
+    check_finite(state.loss, state.gradients, epoch, batch)
+    score = coherence.batch_coherence(state)
+    _project_scales(state, config.rho, config.spectral_mode)
+    return state, score
 
 
 def gradient_flow_step(table: EmbeddingTable, state: BatchState, dt: float) -> EmbeddingTable:
@@ -132,64 +157,51 @@ def gradient_flow_step(table: EmbeddingTable, state: BatchState, dt: float) -> E
     return EmbeddingTable(vectors=vectors, vocab=table.vocab, seed=table.seed)
 
 
-def train_sca(
-    table: EmbeddingTable,
-    documents: list[corpus.Document],
-    spec: KernelSpec,
+def run_epochs(
+    work,
+    pools: corpus.Pools,
     config: TrainConfig,
-    threads: int = 1,
+    step: Callable[[np.ndarray, float, int, int], tuple[float, float]],
     on_batch=None,
     on_epoch=None,
-) -> tuple[EmbeddingTable, list[EpochLog]]:
-    """Train the embedding table against the coherence objective.
+) -> list[EpochLog]:
+    """The epoch loop that every trainer runs; returns the per-epoch logs.
 
-    Runs max(1, total_tokens // batch_size) stratified batches per epoch,
-    with the same seeded batch schedule every epoch so epoch losses stay
-    directly comparable, and stops at max_epochs or on the windowed
-    convergence rule. The input table is left untouched; a trained copy is
-    returned together with the per-epoch logs.
+    Draws the seeded batch schedule from the pools once, total // batch_size
+    stratified batches, and runs it every epoch, so epoch losses stay
+    directly comparable. step(batch, lr, epoch, b) updates work
+    in place and returns the batch loss and coherence score (NaN when no
+    coherence term is trained). Training stops at max_epochs or on the
+    windowed convergence rule; the learning rate halves after a loss uptick.
 
-    on_batch(epoch, step, loss, score) and on_epoch(epoch, table, log) are
-    optional observers; the coherence score is recorded before the
-    spectral projection, at the same snapshot as the loss.
+    on_batch(epoch, b, loss, score) and on_epoch(epoch, work, log) are
+    optional observers.
     """
     config.validate()
-    if spec.family == "rbf" and spec.bandwidth is None:
-        raise ValueError("resolve the rbf bandwidth before training (median_bandwidth)")
-    if table.vocab is not None and len(table.vocab) != len(table):
-        raise ValueError("embedding table size does not match its vocabulary")
-    pools = corpus.token_pools(documents)
-    total_tokens = int(pools.masses.sum())
-    if config.batch_size > total_tokens:
-        raise TrainingError(
-            f"batch size {config.batch_size} exceeds corpus token count {total_tokens}"
-        )
-    steps_per_epoch = max(1, total_tokens // config.batch_size)
-
-    work = EmbeddingTable(vectors=table.vectors.copy(), vocab=table.vocab, seed=table.seed)
+    total = int(pools.masses.sum())
+    if config.batch_size > total:
+        raise TrainingError(f"batch size {config.batch_size} exceeds corpus size {total}")
+    schedule = [
+        corpus.sample_from_pools(pools, config.batch_size, config.seed, b)
+        for b in range(total // config.batch_size)
+    ]
     logs: list[EpochLog] = []
     lr = config.lr
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
-        batch_losses = np.empty(steps_per_epoch)
-        batch_scores = np.empty(steps_per_epoch)
-        for b in range(steps_per_epoch):
-            ids = corpus.sample_from_pools(pools, config.batch_size, config.seed, b)
-            state = coherence.compute_batch_state(spec, work, ids, threads=threads)
-            gradients = coherence.sca_gradient(state)
-            _check_finite(state, gradients, epoch, b)
-            score = coherence.batch_coherence(state)
-            _project_scales(state, config.rho, config.spectral_mode)
-            np.add.at(work.vectors, ids, -lr * gradients)
-            batch_losses[b] = state.loss
-            batch_scores[b] = score
+        losses = np.empty(len(schedule))
+        scores = np.empty(len(schedule))
+        for b, batch in enumerate(schedule):
+            loss, score = step(batch, lr, epoch, b)
+            losses[b] = loss
+            scores[b] = score
             if on_batch is not None:
-                on_batch(epoch, b, state.loss, score)
+                on_batch(epoch, b, loss, score)
         logs.append(
             EpochLog(
                 epoch=epoch,
-                loss=float(batch_losses.mean()),
-                coherence=float(batch_scores.mean()),
+                loss=float(losses.mean()),
+                coherence=float(scores.mean()),
                 lr=lr,
                 seconds=time.perf_counter() - started,
             )
@@ -199,4 +211,34 @@ def train_sca(
         if check_convergence(logs, config.window, config.tol):
             break
         lr = adapt_learning_rate(logs, lr)
+    return logs
+
+
+def train_sca(
+    table: EmbeddingTable,
+    documents: list[corpus.Document],
+    spec: KernelSpec,
+    config: TrainConfig,
+    on_batch=None,
+    on_epoch=None,
+) -> tuple[EmbeddingTable, list[EpochLog]]:
+    """Train the embedding table against the coherence objective.
+
+    Runs the shared epoch loop (run_epochs) over stratified token batches;
+    each step moves the batch tokens' rows along their coherence gradients.
+    The input table is left untouched; a trained copy is returned together
+    with the per-epoch logs. The coherence score passed to on_batch is
+    recorded before the spectral projection, at the same snapshot as the
+    loss.
+    """
+    if table.vocab is not None and len(table.vocab) != len(table):
+        raise ValueError("embedding table size does not match its vocabulary")
+    work = EmbeddingTable(vectors=table.vectors.copy(), vocab=table.vocab, seed=table.seed)
+
+    def step(ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
+        state, score = coherence_step(spec, work, ids, config, epoch, b)
+        np.add.at(work.vectors, ids, -lr * state.gradients)
+        return state.loss, score
+
+    logs = run_epochs(work, corpus.token_pools(documents), config, step, on_batch, on_epoch)
     return work, logs

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import make_small_raw_docs, write_corpus_files
-from sca import cli, corpus, embedding
+from sca import cli, coherence, corpus, embedding
 
 TRAIN_ARGS = ["--dim", "6", "--epochs", "4", "--batch", "8", "--seed", "11"]
 
@@ -72,20 +72,26 @@ class TestTrain:
     def test_rerun_from_manifest_reproduces_model(self, corpus_dir, tmp_path):
         first = tmp_path / "first"
         assert _train(corpus_dir, first) == 0
-        second = tmp_path / "second"
-        code = cli.main(
-            [
-                "train",
-                "--config",
-                str(first / "manifest.json"),
-                "--corpus",
-                str(corpus_dir),
-                "--out",
-                str(second),
-            ]
-        )
-        assert code == 0
-        assert (first / "model.json").read_bytes() == (second / "model.json").read_bytes()
+        # a manifest from before --threads was removed still loads: unknown keys are ignored
+        old = json.loads((first / "manifest.json").read_text())
+        old["config"]["threads"] = 2
+        old_manifest = tmp_path / "old_manifest.json"
+        old_manifest.write_text(json.dumps(old))
+        for k, manifest in enumerate((first / "manifest.json", old_manifest)):
+            second = tmp_path / f"second{k}"
+            code = cli.main(
+                [
+                    "train",
+                    "--config",
+                    str(manifest),
+                    "--corpus",
+                    str(corpus_dir),
+                    "--out",
+                    str(second),
+                ]
+            )
+            assert code == 0
+            assert (first / "model.json").read_bytes() == (second / "model.json").read_bytes()
 
     def test_flags_override_config_file(self, corpus_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -125,11 +131,27 @@ class TestTrain:
         payload = json.loads((out / "model.json").read_text())
         assert "bias" in payload and len(payload["bias"]) == len(payload["tokens"])
 
-    def test_threads_flag_does_not_change_results(self, corpus_dir, tmp_path):
-        a, b = tmp_path / "t1", tmp_path / "t2"
-        assert _train(corpus_dir, a) == 0
-        assert _train(corpus_dir, b, extra=["--threads", "2"]) == 0
-        assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+    def test_lambda_zero_run_writes_reports(self, corpus_dir, tmp_path):
+        out = tmp_path / "baseline"
+        assert _train(corpus_dir, out, extra=["--lambda", "0"]) == 0
+        summary = json.loads((out / "reports" / "summary.json").read_text())
+        assert summary["lambda"] == 0.0
+        assert "loss_first" in summary and "perplexity_heldout" in summary
+        assert json.loads((out / "manifest.json").read_text())["artifacts"]["reports"] == "reports"
+        # no batch is coherence-scored at lambda 0, so there is nothing to histogram
+        assert not (out / "reports" / "coherence_hist.csv").exists()
+
+    def test_coherence_evaluated_twice(self, corpus_dir, tmp_path, monkeypatch):
+        calls = []
+        evaluate = coherence.evaluate_coherence
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(coherence, "evaluate_coherence", counted)
+        assert _train(corpus_dir, tmp_path / "count") == 0
+        assert len(calls) == 2  # coherence_initial and coherence_final
 
     def test_numeric_bandwidth_flag(self, corpus_dir, tmp_path):
         out = tmp_path / "bw"
@@ -253,9 +275,10 @@ class TestInterface:
         assert exc.value.code == 0
 
     def test_unknown_flag_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["train", "--bogus"])
-        assert exc.value.code == 2
+        for flag in (["--bogus"], ["--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["train", *flag])
+            assert exc.value.code == 2
 
     def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -38,15 +38,6 @@ class TestBatchState:
         np.testing.assert_allclose(state.mean, field.mean_field(fields), atol=1e-12)
         assert state.loss == pytest.approx(coherence.sca_loss(fields, state.mean), abs=1e-12)
 
-    def test_threaded_computation_is_bitwise_identical(self):
-        table, batch, state = _random_state(1, n=20, d=6, m=12)
-        for threads in (2, 3, 4):
-            threaded = compute_batch_state(RBF, table, batch, threads=threads)
-            assert np.array_equal(threaded.kernel_rows, state.kernel_rows)
-            assert np.array_equal(threaded.rights, state.rights)
-            assert threaded.loss == state.loss
-            assert np.array_equal(threaded.gradients, state.gradients)
-
     def test_rejects_bad_ids(self):
         table = EmbeddingTable(np.ones((3, 2)))
         with pytest.raises(ValueError):

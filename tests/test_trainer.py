@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sca import coherence, corpus, field, trainer
+from sca import coherence, corpus, field, lm, trainer
 from sca.coherence import compute_batch_state
 from sca.embedding import EmbeddingTable, init_embeddings
 from sca.kernel import KernelSpec
@@ -165,6 +165,27 @@ class TestTrainSca:
         table = init_embeddings(len(vocab), 6, seed=0, vocab=vocab)
         with pytest.raises(ValueError, match="bandwidth"):
             trainer.train_sca(table, docs, KernelSpec("rbf"), TrainConfig())
+
+    def test_batch_schedule_drawn_once_per_run(self, small_docs, monkeypatch):
+        docs, vocab = small_docs
+        config = TrainConfig(batch_size=8, max_epochs=3, seed=1, tol=None, lam=0.5)
+        calls = []
+        sample = corpus.sample_from_pools
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "sample_from_pools", counted)
+        runs = (
+            (corpus.token_pools, lambda table: trainer.train_sca(table, docs, RBF, config)),
+            (corpus.bigram_pools, lambda table: lm.train_joint(lm.make_model(table), docs, RBF, config)),
+        )
+        for pools, train in runs:
+            calls.clear()
+            _, logs = train(init_embeddings(len(vocab), 6, seed=1, vocab=vocab))
+            assert len(logs) == 3
+            assert len(calls) == int(pools(docs).masses.sum()) // config.batch_size
 
     def test_batch_larger_than_corpus_rejected(self):
         table = init_embeddings(3, 4, seed=0)
