@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, coherence, corpus, embedding, kernel, lm, report, trainer
+from . import __version__, coherence, corpus, embedding, field, kernel, lm, report, trainer
 from .corpus import CorpusError
 from .embedding import EmbeddingTable
 from .kernel import KernelSpec
@@ -223,7 +223,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     summary.update(_lm_metrics(trained, bias, split))
     artifacts = report.RunArtifacts(
-        epoch_logs=logs,
         batch_scores=batch_scores,
         table_before=initial,
         table_after=trained,
@@ -258,23 +257,30 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         ids = rng.integers(0, n, size=m)
         spec = KernelSpec("rbf", kernel.median_bandwidth(table, seed=args.seed))
         state = coherence.compute_batch_state(spec, table, ids)
-        grads = coherence.sca_gradient(state)
-        if args.perturb_gradient:
-            grads = grads + 1e-3
-        for p in range(m):
-            fd = coherence.fd_gradient_detached(table, int(ids[p]), state.rights[p], state.mean, eps)
-            # floor guards stationary instances where fd is rounding residue
-            rel = np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-6)
-            max_detached = max(max_detached, float(rel))
+        # also check with the fields bounded at the median field norm, where s_i != 1
+        rho = float(np.median([field.spectral_norm(f) for f in state.fields()]))
+        for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
+            checked = coherence.compute_batch_state(spec, table, ids, *bound)
+            grads = coherence.sca_gradient(checked)
+            if args.perturb_gradient:
+                grads = grads + 1e-3
+            for p in range(m):
+                fd = coherence.fd_gradient_detached(
+                    table, int(ids[p]), checked.rights[p], checked.mean, eps, checked.scales[p]
+                )
+                # floor guards stationary instances where fd is rounding residue
+                rel = np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-6)
+                max_detached = max(max_detached, float(rel))
         token = int(ids[0])
         fd_full = coherence.fd_gradient_full(spec, table, ids, token, eps)
-        semi = grads[ids == token].sum(axis=0)
+        semi = coherence.sca_gradient(state)[ids == token].sum(axis=0)
         gap = np.linalg.norm(semi - fd_full) / max(np.linalg.norm(fd_full), 1e-12)
         max_gap = max(max_gap, float(gap))
     print(f"gradcheck: max relative error vs detached finite differences = {max_detached:.3e}")
     print(f"gradcheck: diagnostic gap vs full-loss finite differences    = {max_gap:.3e}")
     if max_detached < 1e-5:
-        print(f"gradcheck: PASS ({args.trials} instances, d={d}, batch={m}, eps={eps:g})")
+        print(f"gradcheck: PASS ({args.trials} instances unbounded and bounded at the median "
+              f"field norm in clip and alg1, d={d}, batch={m}, eps={eps:g})")
         return 0
     print(f"gradcheck: FAIL (threshold 1e-05)")
     return 1

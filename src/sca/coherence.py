@@ -29,18 +29,15 @@ class BatchState:
     token_ids: np.ndarray  # (m,)
     lefts: np.ndarray  # (m, d) embeddings
     rights: np.ndarray  # (m, d) context vectors
-    scales: np.ndarray  # (m,) spectral clip factors
-    mean: np.ndarray  # (d, d) mean field
+    scales: np.ndarray  # (m,) spectral bound factors s_i
+    mean: np.ndarray  # (d, d) mean of the bounded fields
     loss: float
     gradients: np.ndarray  # (m, d) detached update directions
+    score: float  # coherence score of the bounded fields
 
     @property
     def size(self) -> int:
         return self.token_ids.shape[0]
-
-    def dense_stack(self) -> np.ndarray:
-        """Dense (m, d, d) stack of the fields, scales included."""
-        return self.scales[:, None, None] * (self.lefts[:, :, None] * self.rights[:, None, :])
 
     def fields(self) -> list[TensorField]:
         return [
@@ -49,8 +46,16 @@ class BatchState:
         ]
 
 
-def compute_batch_state(spec: KernelSpec, table: EmbeddingTable, token_ids: np.ndarray) -> BatchState:
-    """Run the batch pipeline: kernel rows, contexts, fields, mean, loss, gradients."""
+def compute_batch_state(
+    spec: KernelSpec, table: EmbeddingTable, token_ids: np.ndarray, rho: float | None = None,
+    mode: str = "clip",
+) -> BatchState:
+    """The one batch pass: kernel rows, contexts, bounded fields, mean, loss, gradients, score.
+
+    Field T_i = e_i c_i^T is bounded to s_i T_i, s_i = field.spectral_scales(|e_i||c_i|, rho,
+    mode) (1 when rho is None); the mean M, the loss sum |s_i T_i - M|^2, the detached
+    gradient g_i = 2 s_i (s_i T_i - M) c_i and the score all come from that one stack.
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("token_ids must be a non-empty 1-D array")
@@ -60,19 +65,23 @@ def compute_batch_state(spec: KernelSpec, table: EmbeddingTable, token_ids: np.n
     E = table.vectors[ids]
     K = kernel.kernel_block(spec, E, E)
     C = (K[:, :, None] * E[None, :, :]).sum(axis=1) / m
-    stack = E[:, :, None] * C[:, None, :]
+    sigma = np.linalg.norm(E, axis=1) * np.linalg.norm(C, axis=1)
+    scales = np.ones(m) if rho is None else field.spectral_scales(sigma, rho, mode)
+    stack = (scales[:, None] * E)[:, :, None] * C[:, None, :]
     M = field.dense_mean(stack)
+    score = _frobenius_cosine_mean(stack, M)
     D = stack - M
     loss = float(np.sum(D * D))
-    gradients = 2.0 * np.einsum("ijk,ik->ij", D, C)
+    gradients = (2.0 * scales)[:, None] * np.einsum("ijk,ik->ij", D, C)
     return BatchState(
         token_ids=ids,
         lefts=E,
         rights=C,
-        scales=np.ones(m),
+        scales=scales,
         mean=M,
         loss=loss,
         gradients=gradients,
+        score=score,
     )
 
 
@@ -88,7 +97,7 @@ def sca_loss(fields: list[TensorField], mean: np.ndarray) -> float:
 
 
 def sca_gradient(state: BatchState) -> np.ndarray:
-    """Per-token update directions g_i = 2 (T_i - M) c_i.
+    """Per-token update directions g_i = 2 s_i (s_i T_i - M) c_i.
 
     Kernel weights, context vectors, and the mean field are held fixed;
     compare fd_gradient_full for the fully coupled derivative.
@@ -97,9 +106,10 @@ def sca_gradient(state: BatchState) -> np.ndarray:
 
 
 def fd_gradient_detached(
-    table: EmbeddingTable, i: int, context: np.ndarray, mean: np.ndarray, eps: float = 1e-5
+    table: EmbeddingTable, i: int, context: np.ndarray, mean: np.ndarray, eps: float = 1e-5,
+    scale: float = 1.0,
 ) -> np.ndarray:
-    """Central differences of f(e) = |outer(e, context) - mean|_F^2 at row i."""
+    """Central differences of f(e) = |scale * outer(e, context) - mean|_F^2 at row i."""
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     context = np.asarray(context, dtype=float)
@@ -107,7 +117,7 @@ def fd_gradient_detached(
     e0 = np.array(table.vectors[i], dtype=float)
 
     def f(e: np.ndarray) -> float:
-        diff = np.outer(e, context) - mean
+        diff = scale * np.outer(e, context) - mean
         return float(np.sum(diff * diff))
 
     grad = np.zeros_like(e0)
@@ -168,11 +178,6 @@ def coherence_score(fields: list[TensorField], mean: np.ndarray) -> float:
     return _frobenius_cosine_mean(np.stack([f.dense() for f in fields]), np.asarray(mean, float))
 
 
-def batch_coherence(state: BatchState) -> float:
-    """Coherence score of a computed batch state."""
-    return _frobenius_cosine_mean(state.dense_stack(), state.mean)
-
-
 def evaluate_coherence(
     table: EmbeddingTable,
     documents: list,
@@ -186,5 +191,5 @@ def evaluate_coherence(
     scores = []
     for step in range(num_batches):
         ids = corpus.sample_from_pools(pools, batch_size, seed, step)
-        scores.append(batch_coherence(compute_batch_state(spec, table, ids)))
+        scores.append(compute_batch_state(spec, table, ids).score)
     return float(np.mean(scores))

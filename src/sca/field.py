@@ -76,21 +76,21 @@ def spectral_norm(f: TensorField) -> float:
     return abs(f.scale) * float(np.linalg.norm(f.left)) * float(np.linalg.norm(f.right))
 
 
-def spectral_project(f: TensorField, rho: float, mode: str = "clip") -> TensorField:
-    """Bound the field's spectral norm by rho.
+def spectral_scales(sigma, rho: float, mode: str = "clip") -> np.ndarray:
+    """Factors that bound fields of spectral norm sigma by rho; the one home of the rule.
 
-    clip: rescale only when sigma_max exceeds rho, so sigma_max <= rho and
-    fields already inside the ball are untouched. alg1: divide the whole
-    field by max(sigma_max, rho), which maps an out-of-bounds field to
-    norm 1 and shrinks in-bounds fields by rho.
+    clip: rho / max(sigma, rho), so sigma_max <= rho and fields inside the
+    ball keep scale exactly 1. alg1: 1 / max(sigma, rho), which maps an
+    out-of-bounds field to norm 1 and shrinks in-bounds fields by rho.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     if mode not in PROJECTION_MODES:
         raise ValueError(f"unknown projection mode {mode!r}; expected one of {PROJECTION_MODES}")
-    sigma = spectral_norm(f)
-    if mode == "clip":
-        if sigma <= rho:
-            return f
-        return TensorField(f.left, f.right, f.scale * (rho / sigma))
-    return TensorField(f.left, f.right, f.scale / max(sigma, rho))
+    return (rho if mode == "clip" else 1.0) / np.maximum(sigma, rho)
+
+
+def spectral_project(f: TensorField, rho: float, mode: str = "clip") -> TensorField:
+    """Bound the field's norm by rho; a field the rule leaves at scale 1 is returned as is."""
+    s = float(spectral_scales(spectral_norm(f), rho, mode))
+    return f if s == 1.0 else TensorField(f.left, f.right, f.scale * s)

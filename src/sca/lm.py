@@ -18,6 +18,8 @@ from .embedding import EmbeddingTable
 from .kernel import KernelSpec
 from .trainer import EpochLog, TrainConfig
 
+PAIR_BLOCK = 1024  # pairs scored per block of vocabulary-wide logits
+
 
 @dataclass
 class BigramModel:
@@ -48,13 +50,21 @@ def nll(model: BigramModel, pair: tuple[int, int]) -> float:
     return log_norm - float(shifted[nxt])
 
 
-def _pair_nlls(model: BigramModel, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _logit_blocks(model: BigramModel, sources: np.ndarray):
+    """Yield (rows, logits) for PAIR_BLOCK sources at a time, so memory stays bounded."""
     E = model.table.vectors
-    Z = E[sources] @ E.T + model.bias
-    zmax = Z.max(axis=1)
-    shifted = Z - zmax[:, None]
-    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-    return log_norm - shifted[np.arange(sources.shape[0]), targets]
+    for start in range(0, sources.shape[0], PAIR_BLOCK):
+        rows = slice(start, start + PAIR_BLOCK)
+        yield rows, E[sources[rows]] @ E.T + model.bias
+
+
+def _pair_nlls(model: BigramModel, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    nlls = np.empty(sources.shape[0])
+    for rows, Z in _logit_blocks(model, sources):
+        shifted = Z - Z.max(axis=1)[:, None]
+        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
+        nlls[rows] = log_norm - shifted[np.arange(Z.shape[0]), targets[rows]]
+    return nlls
 
 
 def perplexity(model: BigramModel, sequence: np.ndarray) -> float:
@@ -91,9 +101,9 @@ def classification_accuracy(model: BigramModel, pairs: np.ndarray) -> float:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.shape[0] == 0:
         raise ValueError("no pairs to score")
-    E = model.table.vectors
-    Z = E[pairs[:, 0]] @ E.T + model.bias
-    predicted = np.argmax(Z, axis=1)
+    predicted = np.empty(pairs.shape[0], dtype=np.int64)
+    for rows, Z in _logit_blocks(model, pairs[:, 0]):
+        predicted[rows] = np.argmax(Z, axis=1)
     return float(np.mean(predicted == pairs[:, 1]))
 
 
@@ -151,9 +161,10 @@ def _train(
         score = float("nan")
         if use_sca:
             sca_ids = np.unique(pairs[:, 0])
-            state, score = trainer.coherence_step(spec, work.table, sca_ids, config, epoch, b)
+            state = trainer.coherence_step(spec, work.table, sca_ids, config, epoch, b)
             emb_grad[sca_ids] += config.lam * state.gradients
             loss += config.lam * state.loss
+            score = state.score
         work.table.vectors -= lr * emb_grad
         work.bias -= lr * bias_grad
         return loss, score

@@ -1,5 +1,5 @@
-"""Report emitters: loss curves, coherence histograms, rare-word
-similarity tables, and 2-D principal-component projections.
+"""Report emitters: coherence histograms, rare-word similarity tables,
+and 2-D principal-component projections.
 
 Plots are out of scope; deterministic CSV/JSON files are the contract.
 Every float is written with repr precision so re-emission from the same
@@ -18,7 +18,6 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .embedding import EmbeddingTable, nearest_neighbor_similarity
-from .trainer import EpochLog
 
 HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 21)  # 0.05-wide bins over [0, 1]
 
@@ -68,7 +67,6 @@ class RareWordReport:
 class RunArtifacts:
     """Everything a completed training run leaves behind for reporting."""
 
-    epoch_logs: list[EpochLog]
     batch_scores: list[tuple[int, float]]  # (epoch, coherence score) per batch
     table_before: EmbeddingTable
     table_after: EmbeddingTable
@@ -245,10 +243,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_loss_curve(epoch_logs: list[EpochLog], path: Path) -> None:
-    _write_csv(path, ["epoch", "loss"], [[str(log.epoch), _fmt(log.loss)] for log in epoch_logs])
-
-
 def write_coherence_histograms(histograms: list[CoherenceHistogram], path: Path) -> None:
     rows = []
     for hist in histograms:
@@ -278,20 +272,19 @@ def write_pca(result: PCAResult, vocab: Vocabulary, path: Path) -> None:
 def emit_reports(artifacts: RunArtifacts, out_dir: str | Path) -> dict[str, Path]:
     """Write the report files for a completed run.
 
-    loss_curve.csv, coherence_hist.csv, rare_words.csv, pca.csv, and
-    summary.json; coherence_hist.csv only when some batch was scored (a
-    lam = 0 joint run scores none). Emission is a pure function of the
-    artifacts, so re-emitting yields byte-identical files.
+    coherence_hist.csv, rare_words.csv, pca.csv, and summary.json;
+    coherence_hist.csv only when some batch was scored (a lam = 0 joint
+    run scores none). The loss curve is the run's own loss_curve.csv,
+    outside these reports. Emission is a pure function of the artifacts,
+    so re-emitting yields byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
-        "loss_curve": out / "loss_curve.csv",
         "rare_words": out / "rare_words.csv",
         "pca": out / "pca.csv",
         "summary": out / "summary.json",
     }
-    write_loss_curve(artifacts.epoch_logs, paths["loss_curve"])
     if artifacts.batch_scores:
         paths["coherence_hist"] = out / "coherence_hist.csv"
         write_coherence_histograms(coherence_histograms(artifacts.batch_scores), paths["coherence_hist"])

@@ -3,9 +3,9 @@
 run_epochs is the one epoch loop: it draws the batch schedule once and
 owns the adaptive learning rate, the windowed stopping rule and the
 observers; each trainer supplies a per-batch step. coherence_step is the
-coherence part those steps share: the batch pipeline (kernel rows,
-context vectors, fields, mean field, loss, gradients), the finite check,
-the score and the spectral constraint. The single explicit-Euler step is
+coherence part those steps share: the one batch pass (kernel rows,
+context vectors, spectrally bounded fields, mean field, loss, gradients,
+score) and the finite check. The single explicit-Euler step is
 exposed separately so the continuous-time view stays directly testable.
 """
 
@@ -103,20 +103,6 @@ def adapt_learning_rate(history: list[EpochLog], lr: float) -> float:
     return lr
 
 
-def _project_scales(state: BatchState, rho: float, mode: str) -> None:
-    """Apply the spectral constraint to every field in the state."""
-    sigma = (
-        state.scales
-        * np.linalg.norm(state.lefts, axis=1)
-        * np.linalg.norm(state.rights, axis=1)
-    )
-    if mode == "clip":
-        over = sigma > rho
-        state.scales[over] *= rho / sigma[over]
-    else:
-        state.scales /= np.maximum(sigma, rho)
-
-
 def check_finite(loss: float, gradients: np.ndarray, epoch: int, batch: int) -> None:
     """Raise TrainingError, naming the step, on a non-finite loss or gradient."""
     if not np.isfinite(loss) or not np.all(np.isfinite(gradients)):
@@ -130,19 +116,16 @@ def coherence_step(
     config: TrainConfig,
     epoch: int,
     batch: int,
-) -> tuple[BatchState, float]:
+) -> BatchState:
     """The coherence part of one training step, shared by both trainers.
 
-    Computes the batch state, checks it is finite, records the coherence
-    score at the same snapshot as the loss, then applies the spectral
-    projection. Returns the state and the score; the caller applies the
-    update from state.gradients.
+    Computes the batch state with the fields bounded by config.rho under
+    config.spectral_mode and checks it is finite. The caller applies the
+    update from state.gradients; state.score is the batch coherence score.
     """
-    state = coherence.compute_batch_state(spec, table, ids)
+    state = coherence.compute_batch_state(spec, table, ids, config.rho, config.spectral_mode)
     check_finite(state.loss, state.gradients, epoch, batch)
-    score = coherence.batch_coherence(state)
-    _project_scales(state, config.rho, config.spectral_mode)
-    return state, score
+    return state
 
 
 def gradient_flow_step(table: EmbeddingTable, state: BatchState, dt: float) -> EmbeddingTable:
@@ -228,17 +211,16 @@ def train_sca(
     each step moves the batch tokens' rows along their coherence gradients.
     The input table is left untouched; a trained copy is returned together
     with the per-epoch logs. The coherence score passed to on_batch is
-    recorded before the spectral projection, at the same snapshot as the
-    loss.
+    that of the bounded fields, at the same snapshot as the loss.
     """
     if table.vocab is not None and len(table.vocab) != len(table):
         raise ValueError("embedding table size does not match its vocabulary")
     work = EmbeddingTable(vectors=table.vectors.copy(), vocab=table.vocab, seed=table.seed)
 
     def step(ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
-        state, score = coherence_step(spec, work, ids, config, epoch, b)
+        state = coherence_step(spec, work, ids, config, epoch, b)
         np.add.at(work.vectors, ids, -lr * state.gradients)
-        return state.loss, score
+        return state.loss, state.score
 
     logs = run_epochs(work, corpus.token_pools(documents), config, step, on_batch, on_epoch)
     return work, logs

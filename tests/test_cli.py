@@ -34,13 +34,13 @@ class TestTrain:
         ):
             assert (out / name).is_file()
         for name in (
-            "loss_curve.csv",
             "coherence_hist.csv",
             "rare_words.csv",
             "pca.csv",
             "summary.json",
         ):
             assert (out / "reports" / name).is_file()
+        assert not (out / "reports" / "loss_curve.csv").exists()
         rows = (out / "loss_curve.csv").read_text().splitlines()
         assert rows[0] == "epoch,loss,coherence,lr,seconds"
         assert len(rows) == 1 + 4
@@ -53,6 +53,21 @@ class TestTrain:
         assert (a / "reports" / "summary.json").read_bytes() == (
             b / "reports" / "summary.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["clip", "alg1"])
+    def test_spectral_flags_act(self, corpus_dir, tmp_path, mode):
+        # this corpus' fields have spectral norms of about 0.004 to 0.01:
+        # rho 1 never binds (alg1 then divides by exactly 1), rho 0.001 always does
+        runs = {}
+        for name, extra in (
+            ("default", []),
+            ("loose", ["--rho", "1", "--spectral-mode", mode]),
+            ("tight", ["--rho", "0.001", "--spectral-mode", mode]),
+        ):
+            assert _train(corpus_dir, tmp_path / name, extra) == 0
+            runs[name] = (tmp_path / name / "model.json").read_bytes()
+        assert runs["loose"] == runs["default"]
+        assert runs["tight"] != runs["default"]
 
     def test_missing_manifest_exits_one_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.manifest"

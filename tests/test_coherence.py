@@ -29,14 +29,23 @@ def _loss_oracle(dense_fields, mean):
 
 class TestBatchState:
     def test_pipeline_matches_per_token_operations(self):
-        table, batch, state = _random_state(0)
-        fields = []
-        for p in range(batch.size):
-            c = field.context_vector(RBF, table, int(batch[p]), batch)
-            np.testing.assert_allclose(state.rights[p], c, atol=1e-12)
-            fields.append(field.tensor_field(table, int(batch[p]), c))
-        np.testing.assert_allclose(state.mean, field.mean_field(fields), atol=1e-12)
-        assert state.loss == pytest.approx(coherence.sca_loss(fields, state.mean), abs=1e-12)
+        table, batch, _ = _random_state(0)
+        # rho 0.5 binds: the batch's field norms run from below 0.5 to about 0.8
+        for rho, mode in ((None, "clip"), (0.5, "clip"), (0.5, "alg1")):
+            state = compute_batch_state(RBF, table, batch, rho, mode)
+            fields = []
+            for p in range(batch.size):
+                c = field.context_vector(RBF, table, int(batch[p]), batch)
+                np.testing.assert_allclose(state.rights[p], c, atol=1e-12)
+                f = field.tensor_field(table, int(batch[p]), c)
+                fields.append(f if rho is None else field.spectral_project(f, rho, mode))
+            if rho is not None:
+                assert np.any(state.scales != 1.0)
+            np.testing.assert_allclose(state.mean, field.mean_field(fields), atol=1e-12)
+            assert state.loss == pytest.approx(coherence.sca_loss(fields, state.mean), abs=1e-12)
+            assert state.score == pytest.approx(
+                coherence.coherence_score(fields, state.mean), abs=1e-12
+            )
 
     def test_rejects_bad_ids(self):
         table = EmbeddingTable(np.ones((3, 2)))
@@ -61,7 +70,7 @@ class TestLoss:
 
     def test_matches_double_sum_oracle(self):
         _, _, state = _random_state(4, m=3, d=2)
-        want = _loss_oracle(list(state.dense_stack()), state.mean)
+        want = _loss_oracle([f.dense() for f in state.fields()], state.mean)
         assert state.loss == pytest.approx(want, rel=1e-12)
 
     def test_loss_nonnegative_and_permutation_invariant(self):
@@ -101,13 +110,18 @@ class TestGradient:
     def test_matches_detached_finite_differences(self):
         for seed in range(20):
             table, batch, state = _random_state(seed, n=10, d=5, m=6)
-            grads = coherence.sca_gradient(state)
-            for p in range(batch.size):
-                fd = coherence.fd_gradient_detached(
-                    table, int(batch[p]), state.rights[p], state.mean, eps=1e-5
-                )
-                rel = np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-12)
-                assert rel < 1e-5
+            # the bound also runs at the median field norm, so s_i != 1 is covered
+            rho = float(np.median([field.spectral_norm(f) for f in state.fields()]))
+            for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
+                state = compute_batch_state(RBF, table, batch, *bound)
+                assert bound[0] is None or np.any(state.scales != 1.0)
+                grads = coherence.sca_gradient(state)
+                for p in range(batch.size):
+                    fd = coherence.fd_gradient_detached(
+                        table, int(batch[p]), state.rights[p], state.mean, 1e-5, state.scales[p]
+                    )
+                    rel = np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-12)
+                    assert rel < 1e-5
 
     def test_closed_form_on_hand_state(self):
         # gradient of |e c^T - M|_F^2 in e is 2 (e c^T - M) c
@@ -204,8 +218,7 @@ class TestCoherenceScore:
     def test_bounded(self):
         for seed in range(20):
             _, _, state = _random_state(seed + 100, m=6)
-            score = coherence.batch_coherence(state)
-            assert -1.0 - 1e-12 <= score <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= state.score <= 1.0 + 1e-12
 
 
 class TestEvaluateCoherence:

@@ -71,6 +71,26 @@ class TestPerplexity:
         )
         assert lm.perplexity(model, seq) == pytest.approx(want, rel=1e-12)
 
+    def test_small_blocks_match_per_pair_oracle(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        model = BigramModel(
+            table=EmbeddingTable(rng.standard_normal((9, 4))), bias=rng.standard_normal(9)
+        )
+        # 11 sequence pairs and 10 corpus pairs: both end in a ragged block of 3
+        seq = rng.integers(0, 9, size=12)
+        docs = [corpus.Document("d0", "c", seq[:6]), corpus.Document("d1", "c", seq[6:])]
+        pairs = lm.corpus_pairs(docs)
+        accuracy = lm.classification_accuracy(model, pairs)
+        monkeypatch.setattr(lm, "PAIR_BLOCK", 3)
+
+        def oracle(pair_list):
+            return math.exp(np.mean([lm.nll(model, pair) for pair in pair_list]))
+
+        seq_pairs = [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
+        assert lm.perplexity(model, seq) == pytest.approx(oracle(seq_pairs), rel=1e-12)
+        assert lm.corpus_perplexity(model, docs) == pytest.approx(oracle(pairs), rel=1e-12)
+        assert lm.classification_accuracy(model, pairs) == accuracy
+
     def test_memorized_bigram_approaches_one(self):
         # the one bigram (0 -> 1), repeated; a tied model can drive its
         # nll to zero through the bias alone

@@ -7,7 +7,6 @@ import pytest
 from sca import corpus, report
 from sca.embedding import EmbeddingTable, init_embeddings
 from sca.report import PowerIterationError, RunArtifacts
-from sca.trainer import EpochLog
 
 
 def _principal_angle(U, V):
@@ -159,20 +158,18 @@ class TestHistograms:
 
 def _toy_artifacts(toy_vocab):
     rng = np.random.default_rng(6)
-    logs = [
-        EpochLog(epoch, float(np.exp(-epoch / 4.0)), 0.5, 0.1, 0.01) for epoch in range(1, 13)
-    ]
     scores = [(epoch, float(rng.uniform(0, 1))) for epoch in range(1, 13) for _ in range(4)]
     before = init_embeddings(len(toy_vocab), 6, seed=1, vocab=toy_vocab)
     after = init_embeddings(len(toy_vocab), 6, seed=2, vocab=toy_vocab)
-    summary = {"seed": 1, "lambda": 0.0, "loss_final": logs[-1].loss}
-    return RunArtifacts(logs, scores, before, after, toy_vocab, summary)
+    summary = {"seed": 1, "lambda": 0.0, "loss_final": float(np.exp(-3.0))}
+    return RunArtifacts(scores, before, after, toy_vocab, summary)
 
 
 class TestEmitReports:
     def test_all_files_exist_and_parse(self, tmp_path, toy_vocab):
         paths = report.emit_reports(_toy_artifacts(toy_vocab), tmp_path / "reports")
-        assert set(paths) == {"loss_curve", "coherence_hist", "rare_words", "pca", "summary"}
+        assert set(paths) == {"coherence_hist", "rare_words", "pca", "summary"}
+        assert not (tmp_path / "reports" / "loss_curve.csv").exists()
         for name, path in paths.items():
             assert path.is_file()
             if path.suffix == ".csv":
@@ -180,13 +177,6 @@ class TestEmitReports:
                 assert len(rows) > 1
             else:
                 json.loads(path.read_text(encoding="utf-8"))
-
-    def test_loss_curve_row_count_equals_epochs(self, tmp_path, toy_vocab):
-        artifacts = _toy_artifacts(toy_vocab)
-        paths = report.emit_reports(artifacts, tmp_path)
-        rows = paths["loss_curve"].read_text(encoding="utf-8").splitlines()
-        assert rows[0] == "epoch,loss"
-        assert len(rows) == 1 + len(artifacts.epoch_logs)
 
     def test_reemission_is_byte_identical(self, tmp_path, toy_vocab):
         artifacts = _toy_artifacts(toy_vocab)

@@ -137,9 +137,10 @@ class TestTrainSca:
         rng = np.random.default_rng(4)
         for mode in ("clip", "alg1"):
             table = EmbeddingTable(rng.standard_normal((10, 5)) * 2.0)
-            state = compute_batch_state(RBF, table, rng.integers(0, 10, size=8))
-            fields_before = state.fields()
-            trainer._project_scales(state, rho=1.0, mode=mode)
+            ids = rng.integers(0, 10, size=8)
+            fields_before = compute_batch_state(RBF, table, ids).fields()
+            state = compute_batch_state(RBF, table, ids, rho=1.0, mode=mode)
+            assert np.any(state.scales != 1.0)
             for i, f in enumerate(fields_before):
                 want = field.spectral_project(f, rho=1.0, mode=mode)
                 assert state.scales[i] == pytest.approx(want.scale, rel=1e-12)
