@@ -95,10 +95,17 @@ def _resolve_kernel(cfg: dict, table: EmbeddingTable) -> KernelSpec:
 
 
 def _build_corpus(cfg: dict):
+    """Vocabulary and split; both the train and test parts need a document of two tokens or more."""
     raw = corpus.read_manifest(cfg["corpus"])
     vocab = corpus.build_vocabulary(raw, min_count=int(cfg["min_count"]))
     docs = corpus.encode_documents(raw, vocab)
     split = corpus.stratified_split(docs, cfg["ratios"], seed=int(cfg["seed"]))
+    for part in ("train", "test"):
+        if not any(doc.token_ids.shape[0] >= 2 for doc in getattr(split, part)):
+            raise CorpusError(
+                f"split ratios {cfg['ratios']} leave the {part} part without a document "
+                "of two or more tokens"
+            )
     return vocab, split
 
 
@@ -146,10 +153,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, TRAIN_DEFAULTS)
     if not cfg["corpus"] or not cfg["out"]:
         raise ValueError("train requires --corpus and --out")
+    vocab, split = _build_corpus(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-
-    vocab, split = _build_corpus(cfg)
     initial = embedding.init_embeddings(
         len(vocab), int(cfg["dim"]), seed=int(cfg["seed"]), scale=float(cfg["sigma_init"]), vocab=vocab
     )
@@ -222,14 +228,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "coherence_score_note": report.COHERENCE_SCORE_NOTE,
     }
     summary.update(_lm_metrics(trained, bias, split))
-    artifacts = report.RunArtifacts(
-        batch_scores=batch_scores,
-        table_before=initial,
-        table_after=trained,
-        vocab=vocab,
-        summary=summary,
-    )
-    report.emit_reports(artifacts, out / "reports")
+    report.emit_reports(out / "reports", batch_scores, initial, trained, vocab, summary)
 
     artifact_paths = {
         "model": "model.json",
@@ -294,10 +293,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     paired = args.before is not None or args.after is not None
     if single == paired or (paired and (args.before is None or args.after is None)):
         raise ValueError("pass either --model, or both --before and --after")
+    vocab, split = _build_corpus(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-
-    vocab, split = _build_corpus(cfg)
 
     def load_checked(path: str):
         table, bias = embedding.load_model(path)
@@ -337,6 +335,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sca", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sca {__version__}")
@@ -363,9 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
     grad = sub.add_parser("gradcheck", help="verify the closed-form gradient numerically")
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--epsilon", type=float, default=1e-5)
-    grad.add_argument("--dim", type=int, default=8)
-    grad.add_argument("--batch", type=int, default=16)
-    grad.add_argument("--trials", type=int, default=20)
+    grad.add_argument("--dim", type=_positive_int, default=8)
+    grad.add_argument("--batch", type=_positive_int, default=16)
+    grad.add_argument("--trials", type=_positive_int, default=20)
     grad.add_argument("--perturb-gradient", action="store_true", help=argparse.SUPPRESS)
     grad.set_defaults(func=cmd_gradcheck)
 
@@ -394,10 +399,6 @@ def _configure_logging() -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _configure_logging()
-    # attribute defaults for cross-command config resolution
-    for name in ("lam", "model", "before", "after", "config"):
-        if not hasattr(args, name):
-            setattr(args, name, None)
     try:
         return args.func(args)
     except (

@@ -105,21 +105,10 @@ def sca_gradient(state: BatchState) -> np.ndarray:
     return state.gradients
 
 
-def fd_gradient_detached(
-    table: EmbeddingTable, i: int, context: np.ndarray, mean: np.ndarray, eps: float = 1e-5,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Central differences of f(e) = |scale * outer(e, context) - mean|_F^2 at row i."""
+def _central_differences(f, e0: np.ndarray, eps: float) -> np.ndarray:
+    """Central differences of the scalar function f at the point e0, step eps."""
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
-    context = np.asarray(context, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    e0 = np.array(table.vectors[i], dtype=float)
-
-    def f(e: np.ndarray) -> float:
-        diff = scale * np.outer(e, context) - mean
-        return float(np.sum(diff * diff))
-
     grad = np.zeros_like(e0)
     for k in range(e0.size):
         plus = e0.copy()
@@ -130,6 +119,21 @@ def fd_gradient_detached(
     return grad
 
 
+def fd_gradient_detached(
+    table: EmbeddingTable, i: int, context: np.ndarray, mean: np.ndarray, eps: float = 1e-5,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """Central differences of f(e) = |scale * outer(e, context) - mean|_F^2 at row i."""
+    context = np.asarray(context, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+
+    def f(e: np.ndarray) -> float:
+        diff = scale * np.outer(e, context) - mean
+        return float(np.sum(diff * diff))
+
+    return _central_differences(f, np.array(table.vectors[i], dtype=float), eps)
+
+
 def fd_gradient_full(
     spec: KernelSpec, table: EmbeddingTable, batch: np.ndarray, i: int, eps: float = 1e-5
 ) -> np.ndarray:
@@ -138,11 +142,8 @@ def fd_gradient_full(
     Kernel rows, context vectors, and the mean field are all recomputed per
     perturbation, so this is the true gradient of the discrete objective.
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError("eps must lie in [1e-7, 1e-3]")
     batch = np.asarray(batch, dtype=np.int64)
     base = np.array(table.vectors, dtype=float)
-    e0 = base[i].copy()
 
     def loss_at(e: np.ndarray) -> float:
         vectors = base.copy()
@@ -150,14 +151,7 @@ def fd_gradient_full(
         snapshot = EmbeddingTable(vectors=vectors, vocab=table.vocab, seed=table.seed)
         return compute_batch_state(spec, snapshot, batch).loss
 
-    grad = np.zeros_like(e0)
-    for k in range(e0.size):
-        plus = e0.copy()
-        minus = e0.copy()
-        plus[k] += eps
-        minus[k] -= eps
-        grad[k] = (loss_at(plus) - loss_at(minus)) / (2.0 * eps)
-    return grad
+    return _central_differences(loss_at, base[i].copy(), eps)
 
 
 def _frobenius_cosine_mean(stack: np.ndarray, mean: np.ndarray) -> float:

@@ -83,7 +83,6 @@ class SplitCorpus:
     train: list[Document]
     validation: list[Document]
     test: list[Document]
-    ratios: tuple[float, float, float]
 
 
 @dataclass
@@ -196,10 +195,7 @@ def largest_remainder_counts(exact: np.ndarray, total: int) -> np.ndarray:
 
 
 def stratified_split(
-    documents: list[Document],
-    ratios: tuple[float, float, float],
-    seed: int,
-    categories: list[str] | None = None,
+    documents: list[Document], ratios: tuple[float, float, float], seed: int
 ) -> SplitCorpus:
     """Split documents into train/validation/test, stratified by category.
 
@@ -222,18 +218,9 @@ def stratified_split(
     by_category: dict[str, list[Document]] = {}
     for doc in documents:
         by_category.setdefault(doc.category, []).append(doc)
-    names = sorted(categories) if categories is not None else sorted(by_category)
-    if categories is not None:
-        undeclared = sorted(set(by_category) - set(names))
-        if undeclared:
-            raise CorpusError(f"documents use undeclared categories: {undeclared}")
-    for name in names:
-        if not by_category.get(name):
-            raise CorpusError(f"category {name!r} has no documents")
-
     rng = np.random.default_rng(seed)
     buckets: tuple[list[Document], ...] = ([], [], [])
-    for name in names:
+    for name in sorted(by_category):
         docs = by_category[name]
         order = rng.permutation(len(docs))
         counts = largest_remainder_counts(np.asarray(ratios) * len(docs), len(docs))
@@ -241,7 +228,7 @@ def stratified_split(
         for bucket, count in zip(buckets, counts):
             bucket.extend(docs[j] for j in order[start : start + int(count)])
             start += int(count)
-    return SplitCorpus(train=buckets[0], validation=buckets[1], test=buckets[2], ratios=ratios)
+    return SplitCorpus(train=buckets[0], validation=buckets[1], test=buckets[2])
 
 
 def token_pools(documents: list[Document]) -> Pools:
@@ -257,16 +244,21 @@ def token_pools(documents: list[Document]) -> Pools:
     return Pools(categories=categories, values=values, masses=masses)
 
 
+def adjacent_pairs(doc: Document) -> np.ndarray:
+    """The document's (token, next-token) id pairs, shape (len - 1, 2); none below two tokens."""
+    ids = doc.token_ids
+    return np.stack([ids[:-1], ids[1:]], axis=1)
+
+
 def bigram_pools(documents: list[Document]) -> Pools:
     """Group adjacent token pairs by category for stratified pair sampling."""
     if not documents:
         raise CorpusError("no documents to sample from")
     grouped: dict[str, list[np.ndarray]] = {}
     for doc in documents:
-        ids = doc.token_ids
-        if ids.shape[0] < 2:
-            continue
-        grouped.setdefault(doc.category, []).append(np.stack([ids[:-1], ids[1:]], axis=1))
+        pairs = adjacent_pairs(doc)
+        if pairs.shape[0]:
+            grouped.setdefault(doc.category, []).append(pairs)
     if not grouped:
         raise CorpusError("no document long enough to form token pairs")
     categories = sorted(grouped)
@@ -298,15 +290,3 @@ def sample_from_pools(pools: Pools, batch_size: int, seed: int, step: int) -> np
         idx = rng.choice(int(mass), size=int(quota), replace=False)
         picks.append(values[idx])
     return np.concatenate(picks, axis=0)
-
-
-def sample_batch(documents: list[Document], batch_size: int, seed: int, step: int) -> np.ndarray:
-    """Stratified multiset of ``batch_size`` token ids from the documents."""
-    return sample_from_pools(token_pools(documents), batch_size, seed, step)
-
-
-def sample_bigram_batch(
-    documents: list[Document], batch_size: int, seed: int, step: int
-) -> np.ndarray:
-    """Stratified batch of (token, next-token) id pairs, shape (B, 2)."""
-    return sample_from_pools(bigram_pools(documents), batch_size, seed, step)

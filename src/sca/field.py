@@ -42,15 +42,6 @@ def context_vector(
     return (row[:, None] * table.vectors[batch]).sum(axis=0) / batch.size
 
 
-def tensor_field(table: EmbeddingTable, i: int, context: np.ndarray) -> TensorField:
-    """Field for token i given its context vector, unclipped (scale 1)."""
-    return TensorField(
-        left=np.array(table.vectors[i], dtype=float),
-        right=np.asarray(context, dtype=float),
-        scale=1.0,
-    )
-
-
 def dense_mean(stack: np.ndarray) -> np.ndarray:
     """Mean over the first axis, as first element plus mean deviation.
 

@@ -67,24 +67,9 @@ def _pair_nlls(model: BigramModel, sources: np.ndarray, targets: np.ndarray) -> 
     return nlls
 
 
-def perplexity(model: BigramModel, sequence: np.ndarray) -> float:
-    """exp of the mean adjacent-pair negative log-likelihood."""
-    seq = np.asarray(sequence, dtype=np.int64)
-    if seq.ndim != 1 or seq.size < 2:
-        raise ValueError("sequence must contain at least two tokens")
-    n = len(model.table)
-    if seq.min() < 0 or seq.max() >= n:
-        raise ValueError("sequence contains tokens outside the vocabulary")
-    return float(np.exp(np.mean(_pair_nlls(model, seq[:-1], seq[1:]))))
-
-
 def corpus_pairs(documents: list[corpus.Document]) -> np.ndarray:
     """All within-document adjacent pairs, shape (k, 2)."""
-    chunks = [
-        np.stack([d.token_ids[:-1], d.token_ids[1:]], axis=1)
-        for d in documents
-        if d.token_ids.shape[0] >= 2
-    ]
+    chunks = [pairs for pairs in map(corpus.adjacent_pairs, documents) if pairs.shape[0]]
     if not chunks:
         raise ValueError("no document long enough to form token pairs")
     return np.concatenate(chunks, axis=0)

@@ -63,17 +63,6 @@ class RareWordReport:
         return float(np.mean([r.similarity_after - r.similarity_before for r in self.rows]))
 
 
-@dataclass
-class RunArtifacts:
-    """Everything a completed training run leaves behind for reporting."""
-
-    batch_scores: list[tuple[int, float]]  # (epoch, coherence score) per batch
-    table_before: EmbeddingTable
-    table_after: EmbeddingTable
-    vocab: Vocabulary
-    summary: dict
-
-
 def _orthogonalize(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     for b in basis:
         x = x - (x @ b) * b
@@ -269,14 +258,18 @@ def write_pca(result: PCAResult, vocab: Vocabulary, path: Path) -> None:
     _write_csv(path, ["token", "x", "y"], rows)
 
 
-def emit_reports(artifacts: RunArtifacts, out_dir: str | Path) -> dict[str, Path]:
+def emit_reports(
+    out_dir: str | Path, batch_scores: list[tuple[int, float]], table_before: EmbeddingTable,
+    table_after: EmbeddingTable, vocab: Vocabulary, summary: dict,
+) -> dict[str, Path]:
     """Write the report files for a completed run.
 
-    coherence_hist.csv, rare_words.csv, pca.csv, and summary.json;
-    coherence_hist.csv only when some batch was scored (a lam = 0 joint
-    run scores none). The loss curve is the run's own loss_curve.csv,
-    outside these reports. Emission is a pure function of the artifacts,
-    so re-emitting yields byte-identical files.
+    coherence_hist.csv (from the (epoch, coherence score) pair of every
+    batch), rare_words.csv, pca.csv, and summary.json; coherence_hist.csv
+    only when some batch was scored (a lam = 0 joint run scores none). The
+    loss curve is the run's own loss_curve.csv, outside these reports.
+    Emission is a pure function of the arguments, so re-emitting yields
+    byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,15 +278,12 @@ def emit_reports(artifacts: RunArtifacts, out_dir: str | Path) -> dict[str, Path
         "pca": out / "pca.csv",
         "summary": out / "summary.json",
     }
-    if artifacts.batch_scores:
+    if batch_scores:
         paths["coherence_hist"] = out / "coherence_hist.csv"
-        write_coherence_histograms(coherence_histograms(artifacts.batch_scores), paths["coherence_hist"])
-    write_rare_words(
-        rare_word_report(artifacts.table_before, artifacts.table_after, artifacts.vocab),
-        paths["rare_words"],
-    )
-    write_pca(pca_project(artifacts.table_after), artifacts.vocab, paths["pca"])
+        write_coherence_histograms(coherence_histograms(batch_scores), paths["coherence_hist"])
+    write_rare_words(rare_word_report(table_before, table_after, vocab), paths["rare_words"])
+    write_pca(pca_project(table_after), vocab, paths["pca"])
     paths["summary"].write_text(
-        json.dumps(artifacts.summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return paths

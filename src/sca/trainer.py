@@ -5,8 +5,8 @@ owns the adaptive learning rate, the windowed stopping rule and the
 observers; each trainer supplies a per-batch step. coherence_step is the
 coherence part those steps share: the one batch pass (kernel rows,
 context vectors, spectrally bounded fields, mean field, loss, gradients,
-score) and the finite check. The single explicit-Euler step is
-exposed separately so the continuous-time view stays directly testable.
+score) and the finite check. gradient_flow_step, one explicit Euler step
+of the gradient flow, is the update train_sca applies to the table.
 """
 
 from __future__ import annotations
@@ -128,16 +128,15 @@ def coherence_step(
     return state
 
 
-def gradient_flow_step(table: EmbeddingTable, state: BatchState, dt: float) -> EmbeddingTable:
-    """One explicit Euler step of de/dt = -g along the batch gradients."""
+def gradient_flow_step(table: EmbeddingTable, state: BatchState, dt: float) -> None:
+    """One explicit Euler step of de/dt = -g along the batch gradients, in place.
+
+    Repeated tokens accumulate their rows' steps. The state's finiteness is
+    checked where it is made (coherence_step).
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    gradients = coherence.sca_gradient(state)
-    if not np.isfinite(state.loss) or not np.all(np.isfinite(gradients)):
-        raise TrainingError("non-finite loss or gradient in the batch state")
-    vectors = table.vectors.copy()
-    np.add.at(vectors, state.token_ids, -dt * gradients)
-    return EmbeddingTable(vectors=vectors, vocab=table.vocab, seed=table.seed)
+    np.add.at(table.vectors, state.token_ids, -dt * state.gradients)
 
 
 def run_epochs(
@@ -219,7 +218,7 @@ def train_sca(
 
     def step(ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
         state = coherence_step(spec, work, ids, config, epoch, b)
-        np.add.at(work.vectors, ids, -lr * state.gradients)
+        gradient_flow_step(work, state, lr)
         return state.loss, state.score
 
     logs = run_epochs(work, corpus.token_pools(documents), config, step, on_batch, on_epoch)

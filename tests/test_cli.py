@@ -186,6 +186,45 @@ class TestTrain:
             assert (out / "model.json").is_file()
 
 
+def _text_corpus(root, docs):
+    """Manifest over (doc_id, category, text) documents, written as the README writes them."""
+    raw = [corpus.RawDocument(d, c, corpus.tokenize(text)) for d, c, text in docs]
+    return write_corpus_files(raw, root)
+
+
+class TestReadmeExample:
+    def test_runs_as_written(self, tmp_path):
+        docs = []
+        for i in range(1, 11):
+            docs.append((f"prose_{i}", "prose", f"the cat {i} sat on the mat. the dog sat too."))
+            docs.append(
+                (f"news_{i}", "news",
+                 f"stocks rose {i} points today, analysts said. markets closed higher.")
+            )
+        manifest = _text_corpus(tmp_path, docs)
+        out = tmp_path / "run"
+        args = ["--dim", "16", "--epochs", "150", "--seed", "7", "--out", str(out)]
+        assert cli.main(["train", "--corpus", str(manifest), *args]) == 0
+        assert (out / "manifest.json").is_file()
+        assert (out / "reports" / "summary.json").is_file()
+
+    def test_split_without_test_document_exits_one_before_out(self, tmp_path, capsys):
+        # the earlier two-document example: the 0.8/0.1/0.1 split leaves the test part empty
+        manifest = _text_corpus(tmp_path, [
+            ("a", "prose", "the cat sat on the mat. the dog sat too."),
+            ("b", "news", "stocks rose today, analysts said. markets closed higher."),
+        ])
+        out = tmp_path / "run"
+        for command in (
+            ["train"],
+            ["train", "--batch", "8"],
+            ["eval", "--model", str(tmp_path / "model.json")],
+        ):
+            assert cli.main([*command, "--corpus", str(manifest), "--out", str(out)]) == 1
+            assert not out.exists()
+            assert "(0.8, 0.1, 0.1) leave the test part" in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_default_passes(self, capsys):
         assert cli.main(["gradcheck", "--trials", "5"]) == 0
@@ -293,6 +332,12 @@ class TestInterface:
         for flag in (["--bogus"], ["--threads", "2"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["train", *flag])
+            assert exc.value.code == 2
+
+    def test_non_positive_gradcheck_counts_exit_two(self, capsys):
+        for flag in (["--trials", "0"], ["--trials", "-3"], ["--dim", "0"], ["--batch", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["gradcheck", *flag])
             assert exc.value.code == 2
 
     def test_subcommand_required(self, capsys):

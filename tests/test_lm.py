@@ -54,11 +54,15 @@ class TestNll:
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _one_doc(seq):
+    return [corpus.Document("d0", "c", np.asarray(seq, dtype=np.int64))]
+
+
 class TestPerplexity:
     def test_uniform_model_equals_vocabulary_size(self):
         model = _uniform_model(n=9)
         seq = np.array([0, 1, 2, 3, 4])
-        assert lm.perplexity(model, seq) == pytest.approx(9.0, rel=1e-12)
+        assert lm.corpus_perplexity(model, _one_doc(seq)) == pytest.approx(9.0, rel=1e-12)
 
     def test_matches_per_pair_oracle(self):
         rng = np.random.default_rng(2)
@@ -69,7 +73,7 @@ class TestPerplexity:
         want = math.exp(
             np.mean([lm.nll(model, (seq[i], seq[i + 1])) for i in range(len(seq) - 1)])
         )
-        assert lm.perplexity(model, seq) == pytest.approx(want, rel=1e-12)
+        assert lm.corpus_perplexity(model, _one_doc(seq)) == pytest.approx(want, rel=1e-12)
 
     def test_small_blocks_match_per_pair_oracle(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -87,7 +91,9 @@ class TestPerplexity:
             return math.exp(np.mean([lm.nll(model, pair) for pair in pair_list]))
 
         seq_pairs = [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        assert lm.perplexity(model, seq) == pytest.approx(oracle(seq_pairs), rel=1e-12)
+        assert lm.corpus_perplexity(model, _one_doc(seq)) == pytest.approx(
+            oracle(seq_pairs), rel=1e-12
+        )
         assert lm.corpus_perplexity(model, docs) == pytest.approx(oracle(pairs), rel=1e-12)
         assert lm.classification_accuracy(model, pairs) == accuracy
 
@@ -103,8 +109,8 @@ class TestPerplexity:
         assert lm.corpus_perplexity(trained, docs) < 1.05
 
     def test_short_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            lm.perplexity(_uniform_model(), np.array([1]))
+        with pytest.raises(ValueError, match="no document long enough"):
+            lm.corpus_perplexity(_uniform_model(), _one_doc([1]))
 
 
 class TestAccuracy:

@@ -6,7 +6,7 @@ import pytest
 
 from sca import corpus, report
 from sca.embedding import EmbeddingTable, init_embeddings
-from sca.report import PowerIterationError, RunArtifacts
+from sca.report import PowerIterationError
 
 
 def _principal_angle(U, V):
@@ -162,12 +162,12 @@ def _toy_artifacts(toy_vocab):
     before = init_embeddings(len(toy_vocab), 6, seed=1, vocab=toy_vocab)
     after = init_embeddings(len(toy_vocab), 6, seed=2, vocab=toy_vocab)
     summary = {"seed": 1, "lambda": 0.0, "loss_final": float(np.exp(-3.0))}
-    return RunArtifacts(scores, before, after, toy_vocab, summary)
+    return scores, before, after, toy_vocab, summary
 
 
 class TestEmitReports:
     def test_all_files_exist_and_parse(self, tmp_path, toy_vocab):
-        paths = report.emit_reports(_toy_artifacts(toy_vocab), tmp_path / "reports")
+        paths = report.emit_reports(tmp_path / "reports", *_toy_artifacts(toy_vocab))
         assert set(paths) == {"coherence_hist", "rare_words", "pca", "summary"}
         assert not (tmp_path / "reports" / "loss_curve.csv").exists()
         for name, path in paths.items():
@@ -180,13 +180,13 @@ class TestEmitReports:
 
     def test_reemission_is_byte_identical(self, tmp_path, toy_vocab):
         artifacts = _toy_artifacts(toy_vocab)
-        first = report.emit_reports(artifacts, tmp_path / "a")
-        second = report.emit_reports(artifacts, tmp_path / "b")
+        first = report.emit_reports(tmp_path / "a", *artifacts)
+        second = report.emit_reports(tmp_path / "b", *artifacts)
         for name in first:
             assert first[name].read_bytes() == second[name].read_bytes()
 
     def test_csv_round_trip_is_byte_identical(self, tmp_path, toy_vocab):
-        paths = report.emit_reports(_toy_artifacts(toy_vocab), tmp_path)
+        paths = report.emit_reports(tmp_path, *_toy_artifacts(toy_vocab))
         for name, path in paths.items():
             if path.suffix != ".csv":
                 continue

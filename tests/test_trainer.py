@@ -195,12 +195,19 @@ class TestTrainSca:
             trainer.train_sca(table, _repeated_token_docs(10), RBF, config)
 
 
+def _stepped(table, state, dt):
+    """A copy of the table after one in-place gradient_flow_step."""
+    stepped = EmbeddingTable(table.vectors.copy())
+    trainer.gradient_flow_step(stepped, state, dt)
+    return stepped
+
+
 class TestGradientFlowStep:
     def test_zero_gradient_leaves_table_unchanged(self):
         rng = np.random.default_rng(0)
         table = EmbeddingTable(rng.standard_normal((4, 3)))
         state = compute_batch_state(RBF, table, np.full(6, 1))
-        stepped = trainer.gradient_flow_step(table, state, dt=0.1)
+        stepped = _stepped(table, state, dt=0.1)
         assert np.array_equal(stepped.vectors, table.vectors)
 
     def test_small_step_decreases_loss(self):
@@ -208,7 +215,7 @@ class TestGradientFlowStep:
         table = EmbeddingTable(rng.standard_normal((8, 4)))
         batch = np.arange(6)
         state = compute_batch_state(RBF, table, batch)
-        stepped = trainer.gradient_flow_step(table, state, dt=1e-4)
+        stepped = _stepped(table, state, dt=1e-4)
         after = compute_batch_state(RBF, stepped, batch)
         assert after.loss < state.loss
 
@@ -222,7 +229,7 @@ class TestGradientFlowStep:
             step = dt / halves
             for _ in range(halves):
                 state = compute_batch_state(RBF, current, batch)
-                current = trainer.gradient_flow_step(current, state, step)
+                current = _stepped(current, state, step)
             return current.vectors
 
         def gap(dt):
@@ -240,17 +247,30 @@ class TestGradientFlowStep:
         dt = 0.5
         base = compute_batch_state(RBF, table, batch)
         while True:
-            stepped = trainer.gradient_flow_step(table, base, dt)
+            stepped = _stepped(table, base, dt)
             if compute_batch_state(RBF, stepped, batch).loss < base.loss:
                 break
             dt /= 2.0
-        current = table
+        current = EmbeddingTable(table.vectors.copy())
         last = np.inf
         for _ in range(50):
             state = compute_batch_state(RBF, current, batch)
             assert state.loss < last
             last = state.loss
-            current = trainer.gradient_flow_step(current, state, dt)
+            trainer.gradient_flow_step(current, state, dt)
+
+    def test_one_batch_training_is_one_step(self, small_docs):
+        # a one-batch, one-epoch train_sca applies exactly the Euler step
+        docs, vocab = small_docs
+        table = init_embeddings(len(vocab), 6, seed=2, vocab=vocab)
+        total = int(corpus.token_pools(docs).masses.sum())
+        config = TrainConfig(lr=0.3, batch_size=total, max_epochs=1, seed=4, tol=None)
+        trained, logs = trainer.train_sca(table, docs, RBF, config)
+        ids = corpus.sample_from_pools(corpus.token_pools(docs), total, config.seed, 0)
+        state = compute_batch_state(RBF, table, ids, config.rho, config.spectral_mode)
+        expected = _stepped(table, state, config.lr)
+        assert np.array_equal(trained.vectors, expected.vectors)
+        assert logs[0].loss == state.loss
 
     def test_bad_dt_rejected(self):
         table = EmbeddingTable(np.ones((2, 2)))
