@@ -15,7 +15,6 @@ from . import __version__, coherence, corpus, embedding, field, kernel, lm, repo
 from .corpus import CorpusError
 from .embedding import EmbeddingTable
 from .kernel import KernelSpec
-from .report import PowerIterationError
 from .trainer import TrainingError
 
 log = logging.getLogger("sca")
@@ -109,15 +108,6 @@ def _build_corpus(cfg: dict):
     return vocab, split
 
 
-def _write_epoch_csv(logs, path: Path) -> None:
-    lines = ["epoch,loss,coherence,lr,seconds"]
-    for entry in logs:
-        lines.append(
-            f"{entry.epoch},{entry.loss!r},{entry.coherence!r},{entry.lr!r},{entry.seconds!r}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-
-
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str]) -> None:
     serializable = {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
     payload = {
@@ -126,9 +116,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str
         "config": serializable,
         "artifacts": artifacts,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report.write_json(out / "manifest.json", payload)
 
 
 def _lm_metrics(table: EmbeddingTable, bias, split) -> dict:
@@ -209,7 +197,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     embedding.save_model(trained, out / "model.json", bias=bias)
     embedding.save_model(initial, out / "initial_model.json")
     corpus.write_vocabulary(vocab, out / "vocab.json")
-    _write_epoch_csv(logs, out / "loss_curve.csv")
+    report.write_csv(
+        out / "loss_curve.csv",
+        ["epoch", "loss", "coherence", "lr", "seconds"],
+        [[e.epoch, e.loss, e.coherence, e.lr, e.seconds] for e in logs],
+    )
 
     summary = {
         "seed": int(cfg["seed"]),
@@ -294,8 +286,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if single == paired or (paired and (args.before is None or args.after is None)):
         raise ValueError("pass either --model, or both --before and --after")
     vocab, split = _build_corpus(cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
 
     def load_checked(path: str):
         table, bias = embedding.load_model(path)
@@ -304,16 +294,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         table.vocab = vocab
         return table, bias
 
+    # the model files and the kernel are checked before --out is created
+    models = [load_checked(p) for p in ([args.model] if single else [args.before, args.after])]
+    spec = _resolve_kernel(cfg, models[0][0])
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     summary: dict
     if single:
-        table, bias = load_checked(args.model)
-        spec = _resolve_kernel(cfg, table)
+        table, bias = models[0]
         summary = _model_metrics(table, bias, split, spec, cfg)
         summary.update({"lambda": args.lam if args.lam is not None else 0.0, "seed": int(cfg["seed"])})
     else:
-        before, bias_before = load_checked(args.before)
-        after, bias_after = load_checked(args.after)
-        spec = _resolve_kernel(cfg, before)
+        (before, bias_before), (after, bias_after) = models
         rare = report.rare_word_report(before, after, vocab)
         report.write_rare_words(rare, out / "rare_words.csv")
         report.write_pca(report.pca_project(after), vocab, out / "pca.csv")
@@ -325,9 +317,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "seed": int(cfg["seed"]),
         }
     summary["coherence_score_note"] = report.COHERENCE_SCORE_NOTE
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report.write_json(out / "summary.json", summary)
     artifacts = {"summary": "summary.json"}
     if not single:
         artifacts.update({"rare_words": "rare_words.csv", "pca": "pca.csv"})
@@ -404,7 +394,6 @@ def main(argv=None) -> int:
     except (
         CorpusError,
         TrainingError,
-        PowerIterationError,
         ValueError,
         OSError,
         json.JSONDecodeError,

@@ -20,15 +20,12 @@ from .corpus import Vocabulary
 from .embedding import EmbeddingTable, nearest_neighbor_similarity
 
 HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 21)  # 0.05-wide bins over [0, 1]
+HISTOGRAM_SEGMENTS = 4  # contiguous epoch segments, one histogram each
 
 COHERENCE_SCORE_NOTE = (
     "coherence score is artifact-defined: mean Frobenius cosine between "
     "per-token fields and the batch mean field"
 )
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
 
 
 @dataclass
@@ -41,7 +38,6 @@ class PCAResult:
 @dataclass
 class CoherenceHistogram:
     checkpoint: str
-    edges: np.ndarray
     counts: np.ndarray
 
 
@@ -56,73 +52,17 @@ class RareWordRow:
 @dataclass
 class RareWordReport:
     rows: list[RareWordRow]
-    quantile: float
-    threshold: float
 
     def mean_delta(self) -> float:
         return float(np.mean([r.similarity_after - r.similarity_before for r in self.rows]))
 
 
-def _orthogonalize(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        x = x - (x @ b) * b
-    return x
-
-
-def _start_vector(d: int, basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    x = _orthogonalize(rng.standard_normal(d), basis)
-    norm = np.linalg.norm(x)
-    if norm > 1e-12:
-        return x / norm
-    # seeded draw landed in the found subspace; fall back to basis vectors
-    for k in range(d):
-        x = np.zeros(d)
-        x[k] = 1.0
-        x = _orthogonalize(x, basis)
-        norm = np.linalg.norm(x)
-        if norm > 1e-12:
-            return x / norm
-    raise PowerIterationError("no direction left orthogonal to the found components")
-
-
-def _power_iteration(
-    A: np.ndarray,
-    basis: list[np.ndarray],
-    tol: float,
-    max_iter: int,
-    rng: np.random.Generator,
-    component: int,
-) -> tuple[np.ndarray, float]:
-    # the residual is measured inside the deflated subspace (the image is
-    # re-orthogonalized against found components first), otherwise earlier
-    # components' deflation error puts an artificial floor under it
-    x = _start_vector(A.shape[0], basis, rng)
-    residual = np.inf
-    for _ in range(max_iter):
-        y = _orthogonalize(A @ x, basis)
-        lam = float(x @ y)
-        residual = float(np.linalg.norm(y - lam * x))
-        if residual <= tol * max(abs(lam), 1.0):
-            return x, lam
-        # an unconverged residual bounds |y| away from zero (|r| <= 2|y|)
-        x = y / float(np.linalg.norm(y))
-    raise PowerIterationError(
-        f"component {component} did not converge within {max_iter} iterations "
-        f"(last residual {residual:.3e})"
-    )
-
-
-def pca_project(
-    table: EmbeddingTable,
-    k: int = 2,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> PCAResult:
+def pca_project(table: EmbeddingTable, k: int = 2) -> PCAResult:
     """Project rows onto the top-k covariance eigenvectors.
 
-    Eigenvectors come from power iteration with deflation; each one's sign
-    is fixed so its largest-magnitude entry is positive.
+    The eigenpairs come from one symmetric eigendecomposition of the d x d
+    covariance, taken in descending eigenvalue order; each component's
+    sign is fixed so its largest-magnitude entry is positive.
     """
     X = np.asarray(table.vectors, dtype=float)
     n, d = X.shape
@@ -133,22 +73,13 @@ def pca_project(
     if k > d:
         raise ValueError(f"cannot extract {k} components from dimension {d}")
     centered = X - X.mean(axis=0)
-    A = centered.T @ centered / (n - 1)
-    rng = np.random.default_rng(seed)
-    basis: list[np.ndarray] = []
-    eigenvalues = []
-    for c in range(k):
-        v, lam = _power_iteration(A, basis, tol, max_iter, rng, component=c)
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        basis.append(v)
-        eigenvalues.append(lam)
-        A = A - lam * np.outer(v, v)
-    components = np.stack(basis)
+    eigenvalues, eigenvectors = np.linalg.eigh(centered.T @ centered / (n - 1))
+    components = eigenvectors[:, ::-1][:, :k].T
+    pivots = np.argmax(np.abs(components), axis=1)
+    components = components * np.sign(components[np.arange(k), pivots])[:, None]
     return PCAResult(
         coordinates=centered @ components.T,
-        eigenvalues=np.array(eigenvalues),
+        eigenvalues=eigenvalues[::-1][:k],
         components=components,
     )
 
@@ -188,74 +119,60 @@ def rare_word_report(
         )
         for i in rare
     ]
-    return RareWordReport(rows=rows, quantile=rare_quantile, threshold=threshold)
+    return RareWordReport(rows=rows)
 
 
-def coherence_histograms(
-    batch_scores: list[tuple[int, float]],
-    num_checkpoints: int = 4,
-    edges: np.ndarray | None = None,
-) -> list[CoherenceHistogram]:
-    """Histogram the per-batch scores over contiguous epoch segments.
+def coherence_histograms(batch_scores: list[tuple[int, float]]) -> list[CoherenceHistogram]:
+    """Histogram the per-batch scores over HISTOGRAM_SEGMENTS contiguous epoch segments.
 
-    Scores are clipped into the edge range so every scored batch lands in
-    some bin and counts are conserved.
+    Scores are clipped into [0, 1] so every scored batch lands in some bin
+    and counts are conserved.
     """
     if not batch_scores:
         raise ValueError("no batch scores to histogram")
-    if num_checkpoints < 1:
-        raise ValueError("num_checkpoints must be >= 1")
-    edges = HISTOGRAM_EDGES if edges is None else np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with at least two values")
     last_epoch = max(e for e, _ in batch_scores)
-    segments = [s for s in np.array_split(np.arange(1, last_epoch + 1), num_checkpoints) if s.size]
+    segments = np.array_split(np.arange(1, last_epoch + 1), HISTOGRAM_SEGMENTS)
     out = []
-    for segment in segments:
+    for segment in (s for s in segments if s.size):
         lo, hi = int(segment[0]), int(segment[-1])
         scores = np.array([s for e, s in batch_scores if lo <= e <= hi])
-        clipped = np.clip(scores, edges[0], edges[-1]) if scores.size else scores
-        counts, _ = np.histogram(clipped, bins=edges)
-        out.append(CoherenceHistogram(checkpoint=f"epochs {lo}-{hi}", edges=edges, counts=counts))
+        clipped = np.clip(scores, HISTOGRAM_EDGES[0], HISTOGRAM_EDGES[-1])
+        counts, _ = np.histogram(clipped, bins=HISTOGRAM_EDGES)
+        out.append(CoherenceHistogram(checkpoint=f"epochs {lo}-{hi}", counts=counts))
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def write_json(path: Path, payload: dict) -> None:
+    """Write indented JSON with sorted keys and a trailing newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write a header and rows with "\\n" line ends; float cells get repr precision."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
     path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_coherence_histograms(histograms: list[CoherenceHistogram], path: Path) -> None:
-    rows = []
-    for hist in histograms:
-        for b in range(hist.counts.size):
-            rows.append(
-                [hist.checkpoint, _fmt(hist.edges[b]), _fmt(hist.edges[b + 1]), str(int(hist.counts[b]))]
-            )
-    _write_csv(path, ["checkpoint", "bin_lo", "bin_hi", "count"], rows)
+    rows = [
+        [hist.checkpoint, HISTOGRAM_EDGES[b], HISTOGRAM_EDGES[b + 1], int(count)]
+        for hist in histograms
+        for b, count in enumerate(hist.counts)
+    ]
+    write_csv(path, ["checkpoint", "bin_lo", "bin_hi", "count"], rows)
 
 
 def write_rare_words(rep: RareWordReport, path: Path) -> None:
-    rows = [
-        [r.token, str(r.frequency), _fmt(r.similarity_before), _fmt(r.similarity_after)]
-        for r in rep.rows
-    ]
-    _write_csv(path, ["token", "frequency", "similarity_before", "similarity_after"], rows)
+    rows = [[r.token, r.frequency, r.similarity_before, r.similarity_after] for r in rep.rows]
+    write_csv(path, ["token", "frequency", "similarity_before", "similarity_after"], rows)
 
 
 def write_pca(result: PCAResult, vocab: Vocabulary, path: Path) -> None:
-    rows = [
-        [vocab.id_to_token[i], _fmt(result.coordinates[i, 0]), _fmt(result.coordinates[i, 1])]
-        for i in range(result.coordinates.shape[0])
-    ]
-    _write_csv(path, ["token", "x", "y"], rows)
+    rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(result.coordinates[:, :2])]
+    write_csv(path, ["token", "x", "y"], rows)
 
 
 def emit_reports(
@@ -283,7 +200,5 @@ def emit_reports(
         write_coherence_histograms(coherence_histograms(batch_scores), paths["coherence_hist"])
     write_rare_words(rare_word_report(table_before, table_after, vocab), paths["rare_words"])
     write_pca(pca_project(table_after), vocab, paths["pca"])
-    paths["summary"].write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(paths["summary"], summary)
     return paths

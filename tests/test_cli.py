@@ -317,6 +317,25 @@ class TestEval:
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_bad_model_or_kernel_exits_one_before_out(
+        self, corpus_dir, fresh_model, tmp_path, capsys
+    ):
+        path, _ = fresh_model
+        other = tmp_path / "other.json"
+        embedding.save_model(embedding.init_embeddings(4, 4, seed=0), other)
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "eval"
+        for flags in (
+            ["--model", missing],
+            ["--model", str(other)],
+            ["--before", str(path), "--after", missing],
+            ["--model", str(path), "--bandwidth", "wide"],
+        ):
+            code = cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)])
+            assert code == 1
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("sca eval: error:")
+
     def test_requires_model_arguments(self, corpus_dir, tmp_path):
         code = cli.main(["eval", "--corpus", str(corpus_dir), "--out", str(tmp_path / "y")])
         assert code == 1
