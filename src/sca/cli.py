@@ -142,8 +142,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not cfg["corpus"] or not cfg["out"]:
         raise ValueError("train requires --corpus and --out")
     vocab, split = _build_corpus(cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     initial = embedding.init_embeddings(
         len(vocab), int(cfg["dim"]), seed=int(cfg["seed"]), scale=float(cfg["sigma_init"]), vocab=vocab
     )
@@ -160,6 +158,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=int(cfg["seed"]),
         spectral_mode=cfg["spectral_mode"],
     )
+    # the config and the batch size are checked before --out is created
+    pools = corpus.bigram_pools if joint else corpus.token_pools
+    trainer.check_config(config, pools(split.train))
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
 
     batch_scores: list[tuple[int, float]] = []
 

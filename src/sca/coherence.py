@@ -5,7 +5,8 @@ The loss is the summed squared Frobenius distance from each token's field
 to the batch mean field. The closed-form gradient treats kernel weights,
 context vectors, and the mean field as constants (the update direction
 used in training); the full finite-difference gradient that re-derives
-everything per perturbation exists as a diagnostic.
+everything per perturbation exists as a diagnostic. compute_batch_state never
+forms a field; sca_loss and coherence_score, on dense fields, are its oracles.
 """
 
 from __future__ import annotations
@@ -35,15 +36,8 @@ class BatchState:
     gradients: np.ndarray  # (m, d) detached update directions
     score: float  # coherence score of the bounded fields
 
-    @property
-    def size(self) -> int:
-        return self.token_ids.shape[0]
-
     def fields(self) -> list[TensorField]:
-        return [
-            TensorField(self.lefts[i], self.rights[i], float(self.scales[i]))
-            for i in range(self.size)
-        ]
+        return [TensorField(e, c, s) for e, c, s in zip(self.lefts, self.rights, self.scales)]
 
 
 def compute_batch_state(
@@ -52,9 +46,11 @@ def compute_batch_state(
 ) -> BatchState:
     """The one batch pass: kernel rows, contexts, bounded fields, mean, loss, gradients, score.
 
-    Field T_i = e_i c_i^T is bounded to s_i T_i, s_i = field.spectral_scales(|e_i||c_i|, rho,
-    mode) (1 when rho is None); the mean M, the loss sum |s_i T_i - M|^2, the detached
-    gradient g_i = 2 s_i (s_i T_i - M) c_i and the score all come from that one stack.
+    T_i = e_i c_i^T is bounded to s_i T_i, s_i = field.spectral_scales(|e_i||c_i|, rho, mode)
+    (1 when rho is None). M, the loss sum |s_i T_i - M|^2, the gradients g_i = 2 s_i (s_i T_i - M)
+    c_i and the score come from Gram matrices of A = s E and C in O(m^2 + md + d^2) memory, with
+    T_i - T_0 in rank-2 form: identical rows give exact zeros, and the loss cancels relative to
+    the batch spread, not to |T|^2.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
@@ -64,25 +60,26 @@ def compute_batch_state(
     m = ids.size
     E = table.vectors[ids]
     K = kernel.kernel_block(spec, E, E)
-    C = (K[:, :, None] * E[None, :, :]).sum(axis=1) / m
-    sigma = np.linalg.norm(E, axis=1) * np.linalg.norm(C, axis=1)
+    C = (K @ (E - E[0]) + K.sum(axis=1)[:, None] * E[0]) / m  # equal rows of E give equal rows
+    # |e_i||c_i| as field.spectral_norm takes it, not sqrt(|e_i|^2 Gamma_ii)
+    sigma = np.sqrt((E * E).sum(axis=1)) * np.sqrt((C * C).sum(axis=1))
     scales = np.ones(m) if rho is None else field.spectral_scales(sigma, rho, mode)
-    stack = (scales[:, None] * E)[:, :, None] * C[:, None, :]
-    M = field.dense_mean(stack)
-    score = _frobenius_cosine_mean(stack, M)
-    D = stack - M
-    loss = float(np.sum(D * D))
-    gradients = (2.0 * scales)[:, None] * np.einsum("ijk,ik->ij", D, C)
-    return BatchState(
-        token_ids=ids,
-        lefts=E,
-        rights=C,
-        scales=scales,
-        mean=M,
-        loss=loss,
-        gradients=gradients,
-        score=score,
-    )
+    A = scales[:, None] * E
+    A0, C0 = A[0], C[0]
+    a, c = A - A0, C - C0
+    c_mean = c.sum(axis=0) / m
+    Gamma = C @ C.T
+    gamma, cC = Gamma.diagonal(), np.einsum("ij,ij->i", c, C)
+    # D_i = a_i C_i^T + A_0 c_i^T; their mean is M - T_0
+    D_mean = (a.T @ C) / m + A0[:, None] * c_mean
+    M = A0[:, None] * C0 + D_mean
+    D_sq = np.einsum("ij,ij,i->", a, a, gamma) + 2.0 * (a @ A0) @ cC + (A0 @ A0) * np.vdot(c, c)
+    # (T_i - M) C_i = A_0 ((c_i - mean c) . C_i) + Gamma_ii a_i - (Gamma a)_i / m
+    g = gamma[:, None] * a - Gamma @ a / m + np.einsum("ij,ij->i", c - c_mean, C)[:, None] * A0
+    loss = float(D_sq - m * np.vdot(D_mean, D_mean))
+    inner = np.einsum("ij,ij->i", A @ M, C)
+    score = float(np.sum(inner / (scales * sigma * np.sqrt(np.vdot(M, M)) + SCORE_GUARD)) / m)
+    return BatchState(ids, E, C, scales, M, loss, (2.0 * scales)[:, None] * g, score)
 
 
 def sca_loss(fields: list[TensorField], mean: np.ndarray) -> float:
@@ -154,13 +151,6 @@ def fd_gradient_full(
     return _central_differences(loss_at, base[i].copy(), eps)
 
 
-def _frobenius_cosine_mean(stack: np.ndarray, mean: np.ndarray) -> float:
-    numer = np.sum(stack * mean, axis=(1, 2))
-    norms = np.sqrt(np.sum(stack * stack, axis=(1, 2)))
-    mean_norm = float(np.sqrt(np.sum(mean * mean)))
-    return float(np.mean(numer / (norms * mean_norm + SCORE_GUARD)))
-
-
 def coherence_score(fields: list[TensorField], mean: np.ndarray) -> float:
     """Mean Frobenius cosine between each field and the mean field.
 
@@ -169,7 +159,11 @@ def coherence_score(fields: list[TensorField], mean: np.ndarray) -> float:
     """
     if not fields:
         raise ValueError("coherence_score needs at least one field")
-    return _frobenius_cosine_mean(np.stack([f.dense() for f in fields]), np.asarray(mean, float))
+    stack = np.stack([f.dense() for f in fields])
+    mean = np.asarray(mean, float)
+    numer = np.sum(stack * mean, axis=(1, 2))
+    norms = np.sqrt(np.sum(stack * stack, axis=(1, 2)))
+    return float(np.mean(numer / (norms * np.sqrt(np.sum(mean * mean)) + SCORE_GUARD)))
 
 
 def evaluate_coherence(

@@ -100,6 +100,9 @@ def load_model(path: str | Path) -> tuple[EmbeddingTable, np.ndarray | None]:
     vectors = np.array([r["vector"] for r in records], dtype=float)
     if vectors.ndim != 2 or vectors.shape[1] != payload["dim"]:
         raise ValueError(f"{path}: vectors do not match declared dim {payload['dim']}")
+    bias = payload.get("bias")
+    if not np.all(np.isfinite(vectors)) or (bias is not None and not np.all(np.isfinite(bias))):
+        raise ValueError(f"{path}: non-finite embedding vector or bias")
     names = [r["token"] for r in records]
     unk_id = names.index(UNK_TOKEN) if UNK_TOKEN in names else 0
     vocab = Vocabulary(
@@ -108,6 +111,5 @@ def load_model(path: str | Path) -> tuple[EmbeddingTable, np.ndarray | None]:
         frequencies=np.zeros(len(names), dtype=np.int64),
         unk_id=unk_id,
     )
-    bias = payload.get("bias")
     table = EmbeddingTable(vectors=vectors, vocab=vocab, seed=int(payload.get("seed", 0)))
     return table, (np.array(bias, dtype=float) if bias is not None else None)

@@ -3,7 +3,8 @@
 A token's field is the outer product of its embedding (left factor) with
 a kernel-weighted context vector (right factor), kept factored so the
 largest singular value is exact and cheap: sigma_max = scale * |left| * |right|.
-The mean field of a batch is the dense average of the member fields.
+mean_field, the dense average of the member fields, is the oracle for the mean
+that coherence.compute_batch_state builds from the factors.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ def context_vector(
 ) -> np.ndarray:
     """Kernel-weighted empirical mean of the batch embeddings around token i."""
     batch = np.asarray(batch, dtype=np.int64)
-    if batch.size == 0:
-        raise ValueError("batch is empty")
-    row = kernel.kernel_row(spec, table, i, batch)
+    row = kernel.kernel_row(spec, table, i, batch)  # raises on an empty batch
     return (row[:, None] * table.vectors[batch]).sum(axis=0) / batch.size
 
 

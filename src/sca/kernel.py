@@ -1,8 +1,9 @@
 """Contextual-influence kernels over embedding vectors.
 
-All families are symmetric. Evaluations use explicit elementwise
-arithmetic (no BLAS dispatch) so batched rows match single evaluations
-bitwise and degenerate inputs behave exactly.
+All families are symmetric. kernel_eval (one pair, elementwise) is the oracle;
+kernel_block takes a block from one Gram matrix X Y^T and matches it to rounding.
+Exact cases: with X is Y the rbf diagonal is 1.0, rows equal to X[0] are at
+rbf distance 0, and a zero row has cosine 0.
 """
 
 from __future__ import annotations
@@ -59,25 +60,31 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def kernel_block(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise kernel values, shape (len(X), len(Y))."""
+    """Pairwise kernel values, shape (len(X), len(Y)), from the Gram matrix X Y^T."""
+    same = X is Y
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    Y = X if same else np.asarray(Y, dtype=float)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    # rows equal to z = X[0] become 0, so their block is exactly constant; one-row X: exact sy
+    shift = X.shape[0] > 0 and (same or spec.family == "rbf")
+    if shift:
+        z = X[0]
+        Y = Y - z
+        X = Y if same else X - z
+    G = X @ Y.T
+    if shift and spec.family != "rbf":
+        p = X @ z  # x_i . x_j = u_i . u_j + u_i . z + u_j . z + z . z
+        G += p[:, None] + p + z @ z
+    if spec.family == "dot":
+        return G
+    sx = G.diagonal() if same else np.einsum("ij,ij->i", X, X)
+    sy = sx if same else np.einsum("ij,ij->i", Y, Y)
     if spec.family == "rbf":
         h = _require_bandwidth(spec)
-        diff = X[:, None, :] - Y[None, :, :]
-        return np.exp(-np.sum(diff * diff, axis=2) / (2.0 * h * h))
-    prods = np.sum(X[:, None, :] * Y[None, :, :], axis=2)
-    if spec.family == "dot":
-        return prods
-    nx = np.sqrt(np.sum(X * X, axis=1))
-    ny = np.sqrt(np.sum(Y * Y, axis=1))
-    denom = nx[:, None] * ny[None, :]
-    out = np.zeros_like(prods)
-    nonzero = denom != 0.0
-    out[nonzero] = prods[nonzero] / denom[nonzero]
-    return out
+        return np.exp(np.maximum(sx[:, None] + sy - 2.0 * G, 0.0) / (-2.0 * h * h))
+    denom = np.sqrt(sx)[:, None] * np.sqrt(sy)
+    return np.divide(G, denom, out=np.zeros_like(G), where=denom != 0.0)
 
 
 def kernel_row(spec: KernelSpec, table: EmbeddingTable, i: int, batch: np.ndarray) -> np.ndarray:

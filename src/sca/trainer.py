@@ -139,6 +139,14 @@ def gradient_flow_step(table: EmbeddingTable, state: BatchState, dt: float) -> N
     np.add.at(table.vectors, state.token_ids, -dt * state.gradients)
 
 
+def check_config(config: TrainConfig, pools: corpus.Pools) -> None:
+    """Validate the config and check that one batch fits in the pools (TrainingError if not)."""
+    config.validate()
+    total = int(pools.masses.sum())
+    if config.batch_size > total:
+        raise TrainingError(f"batch size {config.batch_size} exceeds corpus size {total}")
+
+
 def run_epochs(
     work,
     pools: corpus.Pools,
@@ -159,13 +167,10 @@ def run_epochs(
     on_batch(epoch, b, loss, score) and on_epoch(epoch, work, log) are
     optional observers.
     """
-    config.validate()
-    total = int(pools.masses.sum())
-    if config.batch_size > total:
-        raise TrainingError(f"batch size {config.batch_size} exceeds corpus size {total}")
+    check_config(config, pools)
     schedule = [
         corpus.sample_from_pools(pools, config.batch_size, config.seed, b)
-        for b in range(total // config.batch_size)
+        for b in range(int(pools.masses.sum()) // config.batch_size)
     ]
     logs: list[EpochLog] = []
     lr = config.lr

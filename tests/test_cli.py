@@ -75,6 +75,17 @@ class TestTrain:
         assert code == 1
         assert str(missing) in capsys.readouterr().err
 
+    def test_too_large_batch_exits_one_before_out(self, corpus_dir, tmp_path, capsys):
+        # the small corpus' train part holds 640 tokens and 624 pairs
+        out = tmp_path / "big"
+        for extra in ([], ["--lambda", "0.5"]):
+            code = cli.main(
+                ["train", "--corpus", str(corpus_dir), "--out", str(out), "--batch", "1000", *extra]
+            )
+            assert code == 1
+            assert not out.exists()
+            assert "exceeds corpus size" in capsys.readouterr().err
+
     def test_manifest_freezes_resolved_config(self, corpus_dir, tmp_path):
         out = tmp_path / "frozen"
         assert _train(corpus_dir, out) == 0
@@ -335,6 +346,20 @@ class TestEval:
             assert code == 1
             assert not out.exists()
             assert capsys.readouterr().err.startswith("sca eval: error:")
+
+    def test_non_finite_model_exits_one_before_out(
+        self, corpus_dir, fresh_model, tmp_path, capsys
+    ):
+        path, _ = fresh_model
+        payload = json.loads(path.read_text())
+        payload["tokens"][1]["vector"][0] = float("nan")
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        out = tmp_path / "eval"
+        flags = ["--before", str(path), "--after", str(broken), "--out", str(out)]
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags]) == 1
+        assert not out.exists()
+        assert str(broken) in capsys.readouterr().err
 
     def test_requires_model_arguments(self, corpus_dir, tmp_path):
         code = cli.main(["eval", "--corpus", str(corpus_dir), "--out", str(tmp_path / "y")])

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from sca.field import TensorField
 from sca.kernel import KernelSpec
 
 RBF = KernelSpec("rbf", 1.0)
+KERNELS = [RBF, KernelSpec("dot"), KernelSpec("cosine")]
 
 
 def _random_state(seed, n=8, d=4, m=5, spec=RBF):
@@ -15,6 +19,12 @@ def _random_state(seed, n=8, d=4, m=5, spec=RBF):
     table = EmbeddingTable(rng.standard_normal((n, d)))
     batch = rng.integers(0, n, size=m)
     return table, batch, compute_batch_state(spec, table, batch)
+
+
+def _assert_close(got, want, scale=None, tol=1e-12):
+    """Agreement to tol relative to scale, by default the largest entry of want."""
+    scale = float(np.max(np.abs(want))) if scale is None else scale
+    assert float(np.max(np.abs(np.asarray(got) - want))) <= tol * scale
 
 
 def _loss_oracle(dense_fields, mean):
@@ -27,25 +37,87 @@ def _loss_oracle(dense_fields, mean):
     return total
 
 
+def _table_with_zero_row(seed, n, d):
+    vectors = np.random.default_rng(seed).standard_normal((n, d))
+    vectors[3] = 0.0
+    return EmbeddingTable(vectors)
+
+
 class TestBatchState:
-    def test_pipeline_matches_per_token_operations(self):
-        table, batch, _ = _random_state(0)
-        # rho 0.5 binds: the batch's field norms run from below 0.5 to about 0.8
-        for rho, mode in ((None, "clip"), (0.5, "clip"), (0.5, "alg1")):
-            state = compute_batch_state(RBF, table, batch, rho, mode)
+    @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
+    @pytest.mark.parametrize(
+        "n, d, batch",
+        [
+            (9, 4, np.array([5, 3, 0, 5, 8, 1, 3])),  # repeats and the zero row
+            (9, 4, np.array([5])),
+            (300, 128, np.random.default_rng(1).integers(0, 300, size=256)),
+        ],
+        ids=["m7", "m1", "m256"],
+    )
+    def test_pipeline_matches_per_token_operations(self, spec, n, d, batch):
+        table = _table_with_zero_row(0, n, d)
+        unbounded = compute_batch_state(spec, table, batch)
+        # half the largest field norm, so the bound binds for at least one field
+        rho = 0.5 * float(np.max([field.spectral_norm(f) for f in unbounded.fields()]))
+        for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
+            state = compute_batch_state(spec, table, batch, *bound)
+            assert bound[0] is None or np.any(state.scales != 1.0)
+            contexts = np.array([field.context_vector(spec, table, int(t), batch) for t in batch])
+            _assert_close(state.rights, contexts)
             fields = []
-            for p in range(batch.size):
-                c = field.context_vector(RBF, table, int(batch[p]), batch)
-                np.testing.assert_allclose(state.rights[p], c, atol=1e-12)
-                f = TensorField(table.vectors[int(batch[p])], c)
-                fields.append(f if rho is None else field.spectral_project(f, rho, mode))
-            if rho is not None:
-                assert np.any(state.scales != 1.0)
-            np.testing.assert_allclose(state.mean, field.mean_field(fields), atol=1e-12)
-            assert state.loss == pytest.approx(coherence.sca_loss(fields, state.mean), abs=1e-12)
+            for e, c in zip(table.vectors[batch], contexts):
+                f = TensorField(e, c)
+                fields.append(f if bound[0] is None else field.spectral_project(f, *bound))
+            _assert_close(state.mean, field.mean_field(fields))
+            total = sum(field.spectral_norm(f) ** 2 for f in fields)
+            assert state.loss == pytest.approx(
+                coherence.sca_loss(fields, state.mean), rel=1e-12, abs=1e-12 * total
+            )
             assert state.score == pytest.approx(
                 coherence.coherence_score(fields, state.mean), abs=1e-12
             )
+            # the closed form on the dense fields, then central differences, which at d = 128
+            # resolve the gradient only to about 4e-12 (their rounding floor); both relative to
+            # the size of the terms, 2 s_i |T_i| |c_i|, since an m = 1 gradient is 0
+            scale = max(2.0 * field.spectral_norm(f) * np.linalg.norm(f.right) for f in fields)
+            dense = np.array([2.0 * f.scale * (f.dense() - state.mean) @ f.right for f in fields])
+            _assert_close(state.gradients, dense, scale)
+            for p in range(min(batch.size, 3)):
+                fd = coherence.fd_gradient_detached(
+                    table, int(batch[p]), state.rights[p], state.mean, 1e-3, state.scales[p]
+                )
+                _assert_close(state.gradients[p], fd, scale, tol=1e-12 if d < 100 else 1e-10)
+
+    @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
+    def test_near_collapsed_batch_matches_extended_precision(self, spec):
+        # rows v + 1e-6 noise, as a late-training table: the fields differ from each other
+        # a million times less than they differ from zero
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(16)
+        table = EmbeddingTable(v + 1e-6 * rng.standard_normal((32, 16)))
+        state = compute_batch_state(spec, table, np.arange(32))
+        lefts = state.lefts.astype(np.longdouble)
+        rights = state.rights.astype(np.longdouble)
+        stack = lefts[:, :, None] * rights[:, None, :]
+        diff = stack - stack.mean(axis=0)
+        loss = np.sum(diff * diff)
+        grads = 2.0 * np.einsum("ijk,ik->ij", diff, rights)
+        assert state.loss >= 0.0
+        assert abs(state.loss - loss) <= 1e-12 * loss
+        assert np.linalg.norm(state.gradients - grads) <= 1e-12 * np.linalg.norm(grads)
+
+    def test_memory_stays_quadratic_in_batch(self):
+        # the dense engine's (512, 512, 64) kernel broadcast alone took 134 MB
+        rng = np.random.default_rng(2)
+        table = EmbeddingTable(rng.standard_normal((600, 64)) * 0.1)
+        batch = rng.integers(0, 600, size=512)
+        tracemalloc.start()
+        try:
+            compute_batch_state(RBF, table, batch, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_rejects_bad_ids(self):
         table = EmbeddingTable(np.ones((3, 2)))
@@ -62,11 +134,19 @@ class TestLoss:
         assert coherence.sca_loss(state.fields(), state.mean) == 0.0
 
     def test_identical_embedding_batch_is_exactly_zero(self):
+        # every kernel, batch size up to 70 and several widths: BLAS blocking changes with the
+        # shape, the zeros may not
         rng = np.random.default_rng(3)
-        table = EmbeddingTable(rng.standard_normal((4, 6)) * 0.1)
-        for m in (2, 3, 5, 32):
-            state = compute_batch_state(RBF, table, np.full(m, 2))
-            assert state.loss == 0.0
+        for spec, d in itertools.product(KERNELS, (2, 3, 6, 17)):
+            table = EmbeddingTable(rng.standard_normal((4, d)) * 0.1)
+            collapsed = EmbeddingTable(np.tile(table.vectors[2], (70, 1)))
+            for m in range(2, 71):
+                for state in (
+                    compute_batch_state(spec, table, np.full(m, 2), 0.01),
+                    compute_batch_state(spec, collapsed, np.arange(m)),
+                ):
+                    assert state.loss == 0.0
+                    assert np.all(state.gradients == 0.0)
 
     def test_matches_double_sum_oracle(self):
         _, _, state = _random_state(4, m=3, d=2)

@@ -122,3 +122,13 @@ class TestModelFile:
         loaded, bias = embedding.load_model(path)
         assert bias is None
         assert np.array_equal(loaded.vectors, table.vectors)
+
+    def test_non_finite_entries_rejected_with_path(self, tmp_path):
+        table = embedding.init_embeddings(3, 2, seed=0)
+        broken = np.array([[0.0, np.nan]] * 3)
+        for vectors, bias in ((broken, None), (table.vectors, [0.0, np.inf, 0.0])):
+            path = tmp_path / "model.json"
+            embedding.save_model(EmbeddingTable(vectors), path, bias=bias)
+            with pytest.raises(ValueError, match="non-finite") as exc:
+                embedding.load_model(path)
+            assert str(path) in str(exc.value)

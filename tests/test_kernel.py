@@ -64,6 +64,39 @@ class TestEval:
             assert (k == 1.0) == bool(np.array_equal(x, y))
 
 
+class TestBlock:
+    @pytest.mark.parametrize("spec", [RBF, DOT, COS])
+    def test_matches_eval(self, spec):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((7, 5))
+        Y = rng.standard_normal((4, 5))
+        for A, B in ((X, Y), (X, X)):
+            block = kernel.kernel_block(spec, A, B)
+            want = [[kernel.kernel_eval(spec, x, y) for y in B] for x in A]
+            np.testing.assert_allclose(block, want, rtol=1e-13, atol=1e-14)
+
+    def test_rbf_self_block_diagonal_is_exactly_one(self):
+        X = np.random.default_rng(14).standard_normal((40, 9)) * 3.0
+        assert np.all(np.diag(kernel.kernel_block(RBF, X, X)) == 1.0)
+
+    def test_rbf_rows_equal_to_the_first_are_exactly_one(self):
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((12, 6))
+        same = [0, 3, 4, 9]
+        X[same] = X[0]
+        block = kernel.kernel_block(RBF, X, X)
+        assert np.all(block[np.ix_(same, same)] == 1.0)
+        assert np.all(kernel.kernel_block(RBF, X[:1], X)[0, same] == 1.0)
+        collapsed = np.tile(X[1], (33, 1))
+        assert np.all(kernel.kernel_block(RBF, collapsed, collapsed) == 1.0)
+
+    def test_cosine_zero_row_gives_zero(self):
+        X = np.random.default_rng(16).standard_normal((5, 3))
+        X[2] = 0.0
+        block = kernel.kernel_block(COS, X, X)
+        assert np.all(block[2] == 0.0) and np.all(block[:, 2] == 0.0)
+
+
 class TestRow:
     def test_self_batch(self):
         table = EmbeddingTable(np.array([[1.0, 2.0], [0.0, 1.0]]))
