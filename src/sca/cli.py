@@ -5,8 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -14,68 +17,95 @@ import numpy as np
 from . import __version__, coherence, corpus, embedding, field, kernel, lm, report, trainer
 from .corpus import CorpusError
 from .embedding import EmbeddingTable
+from .field import PROJECTION_MODES
 from .kernel import KernelSpec
-from .trainer import TrainingError
+from .trainer import TrainConfig, TrainingError
 
 log = logging.getLogger("sca")
 
-TRAIN_DEFAULTS = {
-    "corpus": None,
-    "dim": 16,
-    "kernel": "rbf",
-    "bandwidth": "median",
-    "rho": 1.0,
-    "spectral_mode": "clip",
-    "lr": 0.5,
-    "batch": 32,
-    "epochs": 150,
-    "lambda": None,  # None = embeddings-only training; a value selects joint LM training
-    "seed": 0,
-    "out": None,
-    "checkpoint_every": 0,
-    "min_count": 1,
-    "ratios": (0.8, 0.1, 0.1),
-    "sigma_init": 0.1,
-    "window": 10,
-    "tol": 1e-3,
-}
 
-EVAL_DEFAULTS = {
-    "corpus": None,
-    "kernel": "rbf",
-    "bandwidth": "median",
-    "batch": 32,
-    "seed": 0,
-    "min_count": 1,
-    "ratios": (0.8, 0.1, 0.1),
-    "out": None,
-}
+def _parser(expected: str, accepts: tuple[type, ...], convert: Callable) -> Callable:
+    """Parse a flag's text, or a config value of an accepted JSON type, into a finite value.
+
+    Exact types are matched, so a JSON true or false is not taken for an integer.
+    """
+
+    def parse(value):
+        try:
+            if type(value) in accepts:
+                parsed = convert(value)
+                if not isinstance(parsed, float) or math.isfinite(parsed):
+                    return parsed
+        except (ValueError, OverflowError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+    return parse
 
 
-def _load_config_file(path: str) -> dict:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    # a run manifest nests the resolved config under "config"
-    if "config" in payload and isinstance(payload["config"], dict):
-        payload = payload["config"]
-    return payload
+NUMBER = (str, int, float)
+_text = _parser("a string", (str,), str)
+_integer = _parser("an integer", (str, int), int)
+_number = _parser("a finite number", NUMBER, float)
+_number_or_null = _parser("a finite number or null", (*NUMBER, type(None)),
+                          lambda v: v if v is None else float(v))
+# text ('median' or a number) is resolved by _resolve_kernel, as from the flag
+_bandwidth = _parser("a string or a finite number", NUMBER,
+                     lambda v: v if isinstance(v, str) else float(v))
+_ratios = _parser("a list of finite numbers", (list, tuple), lambda v: tuple(map(_number, v)))
+
+# one train/eval setting: config and manifest key, and flag unless help is None (config file only)
+Knob = namedtuple("Knob", "name parse default commands help")
+BOTH = ("train", "eval")
+KNOBS = (
+    Knob("corpus", _text, None, BOTH, "manifest file: one '<category>\\t<path>' line per document"),
+    Knob("dim", _integer, 16, ("train",), "embedding dimension"),
+    Knob("kernel", _text, "rbf", BOTH, "kernel family: " + "/".join(kernel.FAMILIES)),
+    Knob("bandwidth", _bandwidth, "median", BOTH, "rbf bandwidth: a number or 'median'"),
+    Knob("rho", _number, TrainConfig.rho, ("train",), "spectral norm threshold"),
+    Knob("spectral_mode", _text, TrainConfig.spectral_mode, ("train",),
+         "spectral bound rule: " + "/".join(PROJECTION_MODES)),
+    Knob("lr", _number, TrainConfig.lr, ("train",), "initial learning rate"),
+    Knob("batch", _integer, TrainConfig.batch_size, BOTH, "batch size"),
+    Knob("epochs", _integer, TrainConfig.max_epochs, ("train",), "maximum number of epochs"),
+    Knob("lambda", _number_or_null, None, ("train",), "joint LM weight; omit: embeddings only"),
+    Knob("seed", _integer, TrainConfig.seed, BOTH, "seed of the split, init and batches"),
+    Knob("out", _text, None, BOTH, "output directory"),
+    Knob("checkpoint_every", _integer, 0, ("train",), "save the model every N epochs; 0: never"),
+    Knob("min_count", _integer, 1, BOTH, None),
+    Knob("ratios", _ratios, (0.8, 0.1, 0.1), BOTH, None),
+    Knob("sigma_init", _number, 0.1, ("train",), None),
+    Knob("window", _integer, TrainConfig.window, ("train",), None),
+    Knob("tol", _number_or_null, TrainConfig.tol, ("train",), None),
+)
+# manifests carry bandwidth_resolved, and older ones the retired threads knob
+MANIFEST_ONLY_KEYS = ("bandwidth_resolved", "threads")
 
 
-_FLAG_ALIASES = {"lambda": "lam"}  # "lambda" is a Python keyword
-
-
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicitly passed flags."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        for key, value in _load_config_file(args.config).items():
-            if key in cfg:
-                cfg[key] = value
-    for key in defaults:
-        flag = getattr(args, _FLAG_ALIASES.get(key, key), None)
+def _resolve_config(args: argparse.Namespace, command: str) -> dict:
+    """Merge defaults < config file < flags; each config value is parsed like its flag."""
+    cfg = {k.name: k.default for k in KNOBS if command in k.commands}
+    if args.config:
+        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if isinstance(payload, dict) and isinstance(payload.get("config"), dict):
+            payload = payload["config"]  # a run manifest nests the resolved config
+        if not isinstance(payload, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        knobs = {k.name: k for k in KNOBS}
+        for key, value in payload.items():
+            if key not in knobs and key not in MANIFEST_ONLY_KEYS:
+                raise ValueError(f"config {args.config}: unknown key {key!r}")
+            try:
+                if key in cfg:
+                    cfg[key] = knobs[key].parse(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config {args.config}: {key}: {exc}") from None
+    for key in cfg:
+        flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if isinstance(cfg.get("ratios"), list):
-        cfg["ratios"] = tuple(cfg["ratios"])
+    if not cfg["corpus"] or not cfg["out"]:
+        raise ValueError(f"{command} requires --corpus and --out")
     return cfg
 
 
@@ -88,7 +118,7 @@ def _resolve_kernel(cfg: dict, table: EmbeddingTable) -> KernelSpec:
         return KernelSpec(family="rbf", bandwidth=kernel.median_bandwidth(table, seed=cfg["seed"]))
     try:
         value = float(bandwidth)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"--bandwidth must be a number or 'median', got {bandwidth!r}") from exc
     return KernelSpec(family="rbf", bandwidth=value)
 
@@ -96,9 +126,9 @@ def _resolve_kernel(cfg: dict, table: EmbeddingTable) -> KernelSpec:
 def _build_corpus(cfg: dict):
     """Vocabulary and split; both the train and test parts need a document of two tokens or more."""
     raw = corpus.read_manifest(cfg["corpus"])
-    vocab = corpus.build_vocabulary(raw, min_count=int(cfg["min_count"]))
+    vocab = corpus.build_vocabulary(raw, min_count=cfg["min_count"])
     docs = corpus.encode_documents(raw, vocab)
-    split = corpus.stratified_split(docs, cfg["ratios"], seed=int(cfg["seed"]))
+    split = corpus.stratified_split(docs, cfg["ratios"], seed=cfg["seed"])
     for part in ("train", "test"):
         if not any(doc.token_ids.shape[0] >= 2 for doc in getattr(split, part)):
             raise CorpusError(
@@ -109,11 +139,10 @@ def _build_corpus(cfg: dict):
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str]) -> None:
-    serializable = {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
     payload = {
         "version": __version__,
         "command": command,
-        "config": serializable,
+        "config": cfg,
         "artifacts": artifacts,
     }
     report.write_json(out / "manifest.json", payload)
@@ -132,35 +161,30 @@ def _model_metrics(table: EmbeddingTable, bias, split, spec: KernelSpec, cfg: di
     """The LM metrics plus the coherence score that `sca eval` reports."""
     metrics = _lm_metrics(table, bias, split)
     metrics["coherence_score"] = coherence.evaluate_coherence(
-        table, split.train, spec, int(cfg["batch"]), int(cfg["seed"])
+        table, split.train, spec, cfg["batch"], cfg["seed"]
     )
     return metrics
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, TRAIN_DEFAULTS)
-    if not cfg["corpus"] or not cfg["out"]:
-        raise ValueError("train requires --corpus and --out")
+    cfg = _resolve_config(args, "train")
     vocab, split = _build_corpus(cfg)
     initial = embedding.init_embeddings(
-        len(vocab), int(cfg["dim"]), seed=int(cfg["seed"]), scale=float(cfg["sigma_init"]), vocab=vocab
+        len(vocab), cfg["dim"], seed=cfg["seed"], scale=cfg["sigma_init"], vocab=vocab
     )
     spec = _resolve_kernel(cfg, initial)
     joint = cfg["lambda"] is not None
-    config = trainer.TrainConfig(
-        lr=float(cfg["lr"]),
-        batch_size=int(cfg["batch"]),
-        rho=float(cfg["rho"]),
-        lam=float(cfg["lambda"]) if joint else 0.0,
-        max_epochs=int(cfg["epochs"]),
-        window=int(cfg["window"]),
-        tol=cfg["tol"],
-        seed=int(cfg["seed"]),
-        spectral_mode=cfg["spectral_mode"],
+    config = TrainConfig(
+        lr=cfg["lr"], batch_size=cfg["batch"], rho=cfg["rho"], max_epochs=cfg["epochs"],
+        window=cfg["window"], tol=cfg["tol"], seed=cfg["seed"], spectral_mode=cfg["spectral_mode"],
+        lam=cfg["lambda"] if joint else TrainConfig.lam,
     )
     # the config and the batch size are checked before --out is created
     pools = corpus.bigram_pools if joint else corpus.token_pools
     trainer.check_config(config, pools(split.train))
+    checkpoint_every = cfg["checkpoint_every"]
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
@@ -170,7 +194,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         if np.isfinite(score):
             batch_scores.append((epoch, score))
 
-    checkpoint_every = int(cfg["checkpoint_every"])
     checkpoint_dir = out / "checkpoints"
 
     def checkpoint(epoch, snapshot, _log):
@@ -207,8 +230,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
 
     summary = {
-        "seed": int(cfg["seed"]),
-        "lambda": float(cfg["lambda"]) if joint else 0.0,
+        "seed": config.seed,
+        "lambda": config.lam,
         "kernel_family": spec.family,
         "bandwidth": spec.bandwidth,
         "epochs_run": len(logs),
@@ -232,9 +255,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "epoch_log": "loss_curve.csv",
         "reports": "reports",
     }
-    cfg_frozen = dict(cfg)
-    cfg_frozen["bandwidth_resolved"] = spec.bandwidth
-    _write_manifest(out, "train", cfg_frozen, artifact_paths)
+    _write_manifest(out, "train", {**cfg, "bandwidth_resolved": spec.bandwidth}, artifact_paths)
     return 0
 
 
@@ -256,8 +277,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
             checked = coherence.compute_batch_state(spec, table, ids, *bound)
             grads = coherence.sca_gradient(checked)
-            if args.perturb_gradient:
-                grads = grads + 1e-3
             for p in range(m):
                 fd = coherence.fd_gradient_detached(
                     table, int(ids[p]), checked.rights[p], checked.mean, eps, checked.scales[p]
@@ -281,9 +300,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, EVAL_DEFAULTS)
-    if not cfg["corpus"] or not cfg["out"]:
-        raise ValueError("eval requires --corpus and --out")
+    cfg = _resolve_config(args, "eval")
     single = args.model is not None
     paired = args.before is not None or args.after is not None
     if single == paired or (paired and (args.before is None or args.after is None)):
@@ -302,11 +319,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     spec = _resolve_kernel(cfg, models[0][0])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    summary: dict
     if single:
         table, bias = models[0]
         summary = _model_metrics(table, bias, split, spec, cfg)
-        summary.update({"lambda": args.lam if args.lam is not None else 0.0, "seed": int(cfg["seed"])})
     else:
         (before, bias_before), (after, bias_after) = models
         rare = report.rare_word_report(before, after, vocab)
@@ -316,9 +331,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "before": _model_metrics(before, bias_before, split, spec, cfg),
             "after": _model_metrics(after, bias_after, split, spec, cfg),
             "rare_word_mean_delta": rare.mean_delta(),
-            "lambda": args.lam if args.lam is not None else 0.0,
-            "seed": int(cfg["seed"]),
         }
+    summary.update({"lambda": args.lam, "seed": cfg["seed"]})
     summary["coherence_score_note"] = report.COHERENCE_SCORE_NOTE
     report.write_json(out / "summary.json", summary)
     artifacts = {"summary": "summary.json"}
@@ -335,27 +349,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_knob_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """--config, then a flag for each of the command's knobs that has a help."""
+    parser.add_argument("--config", help="JSON config file (flags take precedence)")
+    for knob in KNOBS:
+        if command in knob.commands and knob.help is not None:
+            shown = "" if knob.default is None else f" (default {knob.default})"
+            parser.add_argument(f"--{knob.name.replace('_', '-')}", type=knob.parse,
+                                help=knob.help + shown)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sca", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sca {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="ingest a corpus and train embeddings")
-    train.add_argument("--corpus", help="manifest file: one '<category>\\t<path>' line per document")
-    train.add_argument("--config", help="JSON config file (flags take precedence)")
-    train.add_argument("--dim", type=int)
-    train.add_argument("--kernel", choices=kernel.FAMILIES)
-    train.add_argument("--bandwidth", help="rbf bandwidth: a number or 'median'")
-    train.add_argument("--rho", type=float, help="spectral norm threshold")
-    train.add_argument("--spectral-mode", choices=("clip", "alg1"), dest="spectral_mode")
-    train.add_argument("--lr", type=float)
-    train.add_argument("--batch", type=int)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--lambda", type=float, dest="lam",
-                       help="joint LM training weight; omit for embeddings-only training")
-    train.add_argument("--seed", type=int)
-    train.add_argument("--out", help="output directory")
-    train.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
+    _add_knob_flags(train, "train")
     train.set_defaults(func=cmd_train)
 
     grad = sub.add_parser("gradcheck", help="verify the closed-form gradient numerically")
@@ -364,21 +374,15 @@ def _build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--dim", type=_positive_int, default=8)
     grad.add_argument("--batch", type=_positive_int, default=16)
     grad.add_argument("--trials", type=_positive_int, default=20)
-    grad.add_argument("--perturb-gradient", action="store_true", help=argparse.SUPPRESS)
     grad.set_defaults(func=cmd_gradcheck)
 
     ev = sub.add_parser("eval", help="evaluate trained model files against a corpus")
-    ev.add_argument("--corpus")
-    ev.add_argument("--config", help="JSON config file (flags take precedence)")
+    _add_knob_flags(ev, "eval")
     ev.add_argument("--model", help="single model JSON to evaluate")
     ev.add_argument("--before", help="model JSON before training")
     ev.add_argument("--after", help="model JSON after training")
-    ev.add_argument("--kernel", choices=kernel.FAMILIES)
-    ev.add_argument("--bandwidth")
-    ev.add_argument("--batch", type=int)
-    ev.add_argument("--lambda", type=float, dest="lam", help="recorded in the summary")
-    ev.add_argument("--seed", type=int)
-    ev.add_argument("--out", help="output directory")
+    ev.add_argument("--lambda", type=_number, default=0.0, dest="lam",
+                    help="recorded in the summary")
     ev.set_defaults(func=cmd_eval)
     return parser
 
@@ -394,14 +398,7 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         return args.func(args)
-    except (
-        CorpusError,
-        TrainingError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
+    except (CorpusError, TrainingError, ValueError, OSError, KeyError) as exc:
         print(f"sca {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

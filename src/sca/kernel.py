@@ -30,8 +30,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 def _require_bandwidth(spec: KernelSpec) -> float:

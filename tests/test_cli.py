@@ -21,6 +21,74 @@ def _train(manifest, out, extra=()):
     )
 
 
+def _read(name):
+    return lambda out: (out / name).read_bytes()
+
+
+def _epochs_run(out):
+    return json.loads((out / "reports" / "summary.json").read_text())["epochs_run"]
+
+
+def _checkpoints(out):
+    return sorted(p.name for p in out.glob("checkpoints/*"))
+
+
+DEFAULT = ((), {})
+# (base run, run with one knob moved, documented output, whether it changes); a run is
+# (flags after TRAIN_ARGS, config file). This corpus' fields have spectral norms of about
+# 0.004 to 0.01: rho 1 never binds (alg1 then divides by exactly 1), rho 0.001 always does.
+# The stopping rule needs 2 * window epochs; tol 1 then always stops, tol null never does.
+KNOB_CASES = [
+    pytest.param(DEFAULT, (("--dim", "4"), {}), _read("model.json"), True, id="dim"),
+    pytest.param(DEFAULT, (("--kernel", "cosine"), {}), _read("model.json"), True, id="kernel"),
+    pytest.param(DEFAULT, (("--bandwidth", "0.7"), {}), _read("model.json"), True, id="bandwidth"),
+    *(
+        pytest.param(DEFAULT, (("--rho", rho, "--spectral-mode", mode), {}),
+                     _read("model.json"), rho != "1", id=f"rho_{rho}_{mode}")
+        for mode in ("clip", "alg1")
+        for rho in ("1", "0.001")
+    ),
+    pytest.param((("--rho", "0.001"), {}), (("--rho", "0.001", "--spectral-mode", "alg1"), {}),
+                 _read("model.json"), True, id="spectral_mode"),
+    pytest.param(DEFAULT, (("--lr", "0.1"), {}), _read("model.json"), True, id="lr"),
+    pytest.param(DEFAULT, (("--batch", "16"), {}), _read("model.json"), True, id="batch"),
+    pytest.param(DEFAULT, (("--epochs", "3"), {}), _epochs_run, True, id="epochs"),
+    pytest.param(DEFAULT, (("--lambda", "0.5"), {}), _read("model.json"), True, id="lambda"),
+    pytest.param(DEFAULT, (("--seed", "3"), {}), _read("model.json"), True, id="seed"),
+    pytest.param(DEFAULT, (("--checkpoint-every", "2"), {}), _checkpoints, True,
+                 id="checkpoint_every"),
+    pytest.param(DEFAULT, ((), {"min_count": 60}), _read("vocab.json"), True, id="min_count"),
+    pytest.param(DEFAULT, ((), {"ratios": [0.6, 0.2, 0.2]}), _read("model.json"), True,
+                 id="ratios"),
+    pytest.param(DEFAULT, ((), {"sigma_init": 0.05}), _read("initial_model.json"), True,
+                 id="sigma_init"),
+    pytest.param((("--epochs", "6"), {"tol": 1.0}), (("--epochs", "6"), {"tol": 1.0, "window": 2}),
+                 _epochs_run, True, id="window"),
+    pytest.param((("--epochs", "6"), {"tol": 1.0, "window": 2}),
+                 (("--epochs", "6"), {"tol": None, "window": 2}), _epochs_run, True, id="tol"),
+]
+
+
+@pytest.fixture(scope="module")
+def train_run(corpus_dir, tmp_path_factory):
+    """Train once per (flags, config) and return the output directory."""
+    runs = {}
+
+    def run(flags, config):
+        key = json.dumps([flags, config])
+        if key not in runs:
+            root = tmp_path_factory.mktemp("knob")
+            extra = list(flags)
+            if config:
+                (root / "config.json").write_text(json.dumps(config))
+                extra += ["--config", str(root / "config.json")]
+            assert _train(corpus_dir, root / "out", extra) == 0
+            runs[key] = root / "out"
+        return runs[key]
+
+    return run
+
+
 class TestTrain:
     def test_writes_expected_artifacts(self, corpus_dir, tmp_path):
         out = tmp_path / "run1"
@@ -54,20 +122,38 @@ class TestTrain:
             b / "reports" / "summary.json"
         ).read_bytes()
 
-    @pytest.mark.parametrize("mode", ["clip", "alg1"])
-    def test_spectral_flags_act(self, corpus_dir, tmp_path, mode):
-        # this corpus' fields have spectral norms of about 0.004 to 0.01:
-        # rho 1 never binds (alg1 then divides by exactly 1), rho 0.001 always does
-        runs = {}
-        for name, extra in (
-            ("default", []),
-            ("loose", ["--rho", "1", "--spectral-mode", mode]),
-            ("tight", ["--rho", "0.001", "--spectral-mode", mode]),
-        ):
-            assert _train(corpus_dir, tmp_path / name, extra) == 0
-            runs[name] = (tmp_path / name / "model.json").read_bytes()
-        assert runs["loose"] == runs["default"]
-        assert runs["tight"] != runs["default"]
+    @pytest.mark.parametrize("base, moved, read, acts", KNOB_CASES)
+    def test_knob_acts(self, train_run, base, moved, read, acts):
+        assert (read(train_run(*base)) != read(train_run(*moved))) == acts
+
+    @pytest.mark.parametrize("flags, config, code, named", [
+        (["--lr", "nan"], None, 2, "--lr"),
+        (["--rho", "inf"], None, 2, "--rho"),
+        (["--lambda", "nan"], None, 2, "--lambda"),
+        (["--bandwidth", "nan"], None, 1, "bandwidth"),
+        (["--bandwidth", "inf"], None, 1, "bandwidth"),
+        (["--checkpoint-every", "-1"], None, 1, "checkpoint_every"),
+        ([], {"sigma_init": float("nan")}, 1, "sigma_init"),
+        ([], {"tol": float("nan")}, 1, "tol"),
+        ([], {"tol": "abc"}, 1, "tol"),
+        ([], {"epochs": 2.9}, 1, "epochs"),
+        ([], {"tolerance": None, "windw": 3}, 1, "'tolerance'"),
+        ([], [{"tol": None}], 1, "JSON object"),
+    ], ids=["lr_nan", "rho_inf", "lambda_nan", "bandwidth_nan", "bandwidth_inf",
+            "checkpoint_every_negative", "sigma_init_nan", "tol_nan", "tol_text", "epochs_2.9",
+            "unknown_key", "not_an_object"])
+    def test_bad_value_exits_before_out(self, corpus_dir, tmp_path, capsys, flags, config, code,
+                                        named):
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", str(tmp_path / "config.json")]
+        try:
+            got = _train(corpus_dir, tmp_path / "out", flags)
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_manifest_exits_one_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.manifest"
@@ -250,8 +336,10 @@ class TestGradcheck:
         reported = float(line.rsplit("=", 1)[1])
         assert reported < 1e-5
 
-    def test_perturbed_gradient_fails(self, capsys):
-        assert cli.main(["gradcheck", "--trials", "3", "--perturb-gradient"]) == 1
+    def test_perturbed_gradient_fails(self, capsys, monkeypatch):
+        gradient = coherence.sca_gradient
+        monkeypatch.setattr(coherence, "sca_gradient", lambda state: gradient(state) + 1e-3)
+        assert cli.main(["gradcheck", "--trials", "3"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -360,6 +448,16 @@ class TestEval:
         assert cli.main(["eval", "--corpus", str(corpus_dir), *flags]) == 1
         assert not out.exists()
         assert str(broken) in capsys.readouterr().err
+
+    def test_train_manifest_as_config(self, corpus_dir, fresh_model, tmp_path):
+        # a train manifest's knobs that eval does not take are accepted and ignored
+        run = tmp_path / "run"
+        assert _train(corpus_dir, run) == 0
+        out = tmp_path / "eval"
+        flags = ["--config", str(run / "manifest.json"), "--model", str(fresh_model[0])]
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["seed"] == 11 and config["batch"] == 8 and "dim" not in config
 
     def test_requires_model_arguments(self, corpus_dir, tmp_path):
         code = cli.main(["eval", "--corpus", str(corpus_dir), "--out", str(tmp_path / "y")])

@@ -8,7 +8,10 @@ second copy of a job the program already does.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sca"
+from sca import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sca"
 
 ORACLES = (
     "field.context_vector",
@@ -62,3 +65,9 @@ def test_every_public_name_is_used_or_an_oracle():
 
 def test_oracles_exist():
     assert set(ORACLES) <= _public_definitions(_parse_modules())
+
+
+def test_every_knob_is_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    spelled = [f"--{k.name.replace('_', '-')}" if k.help else f"`{k.name}`" for k in cli.KNOBS]
+    assert [word for word in spelled if word not in readme] == []
