@@ -68,7 +68,8 @@ KNOBS = (
     Knob("lr", _number, TrainConfig.lr, ("train",), "initial learning rate"),
     Knob("batch", _integer, TrainConfig.batch_size, BOTH, "batch size"),
     Knob("epochs", _integer, TrainConfig.max_epochs, ("train",), "maximum number of epochs"),
-    Knob("lambda", _number_or_null, None, ("train",), "joint LM weight; omit: embeddings only"),
+    Knob("lambda", _number_or_null, None, BOTH,
+         "joint LM weight; omit: embeddings only (eval: a label for the summary)"),
     Knob("seed", _integer, TrainConfig.seed, BOTH, "seed of the split, init and batches"),
     Knob("out", _text, None, BOTH, "output directory"),
     Knob("checkpoint_every", _integer, 0, ("train",), "save the model every N epochs; 0: never"),
@@ -314,30 +315,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
         table.vocab = vocab
         return table, bias
 
-    # the model files and the kernel are checked before --out is created
+    # everything is computed before --out is created, so a bad model, kernel or batch leaves none
     models = [load_checked(p) for p in ([args.model] if single else [args.before, args.after])]
     spec = _resolve_kernel(cfg, models[0][0])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     if single:
         table, bias = models[0]
         summary = _model_metrics(table, bias, split, spec, cfg)
     else:
         (before, bias_before), (after, bias_after) = models
         rare = report.rare_word_report(before, after, vocab)
-        report.write_rare_words(rare, out / "rare_words.csv")
-        report.write_pca(report.pca_project(after), vocab, out / "pca.csv")
+        pca = report.pca_project(after)
         summary = {
             "before": _model_metrics(before, bias_before, split, spec, cfg),
             "after": _model_metrics(after, bias_after, split, spec, cfg),
             "rare_word_mean_delta": rare.mean_delta(),
         }
-    summary.update({"lambda": args.lam, "seed": cfg["seed"]})
+    summary.update({"lambda": cfg["lambda"], "seed": cfg["seed"]})
     summary["coherence_score_note"] = report.COHERENCE_SCORE_NOTE
-    report.write_json(out / "summary.json", summary)
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     artifacts = {"summary": "summary.json"}
     if not single:
+        report.write_rare_words(rare, out / "rare_words.csv")
+        report.write_pca(pca, vocab, out / "pca.csv")
         artifacts.update({"rare_words": "rare_words.csv", "pca": "pca.csv"})
+    report.write_json(out / "summary.json", summary)
     _write_manifest(out, "eval", cfg, artifacts)
     return 0
 
@@ -381,8 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", help="single model JSON to evaluate")
     ev.add_argument("--before", help="model JSON before training")
     ev.add_argument("--after", help="model JSON after training")
-    ev.add_argument("--lambda", type=_number, default=0.0, dest="lam",
-                    help="recorded in the summary")
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -21,6 +21,7 @@ from .field import TensorField
 from .kernel import KernelSpec
 
 SCORE_GUARD = 1e-12
+EVAL_BATCHES = 16  # seeded batches per evaluate_coherence
 
 
 @dataclass
@@ -59,7 +60,7 @@ def compute_batch_state(
         raise ValueError("token id outside the embedding table")
     m = ids.size
     E = table.vectors[ids]
-    K = kernel.kernel_block(spec, E, E)
+    K = kernel.kernel_block(spec, E)
     C = (K @ (E - E[0]) + K.sum(axis=1)[:, None] * E[0]) / m  # equal rows of E give equal rows
     # |e_i||c_i| as field.spectral_norm takes it, not sqrt(|e_i|^2 Gamma_ii)
     sigma = np.sqrt((E * E).sum(axis=1)) * np.sqrt((C * C).sum(axis=1))
@@ -167,17 +168,12 @@ def coherence_score(fields: list[TensorField], mean: np.ndarray) -> float:
 
 
 def evaluate_coherence(
-    table: EmbeddingTable,
-    documents: list,
-    spec: KernelSpec,
-    batch_size: int,
-    seed: int,
-    num_batches: int = 16,
+    table: EmbeddingTable, documents: list, spec: KernelSpec, batch_size: int, seed: int
 ) -> float:
-    """Mean coherence score over seeded evaluation batches."""
+    """Mean coherence score over EVAL_BATCHES seeded batches."""
     pools = corpus.token_pools(documents)
     scores = []
-    for step in range(num_batches):
+    for step in range(EVAL_BATCHES):
         ids = corpus.sample_from_pools(pools, batch_size, seed, step)
         scores.append(compute_batch_state(spec, table, ids).score)
     return float(np.mean(scores))

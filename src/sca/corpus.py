@@ -89,7 +89,6 @@ class SplitCorpus:
 class Pools:
     """Per-category sampling pools (token positions or bigram positions)."""
 
-    categories: list[str]
     values: list[np.ndarray]
     masses: np.ndarray
 
@@ -238,10 +237,9 @@ def token_pools(documents: list[Document]) -> Pools:
     grouped: dict[str, list[np.ndarray]] = {}
     for doc in documents:
         grouped.setdefault(doc.category, []).append(doc.token_ids)
-    categories = sorted(grouped)
-    values = [np.concatenate(grouped[c]) for c in categories]
+    values = [np.concatenate(grouped[c]) for c in sorted(grouped)]
     masses = np.array([v.shape[0] for v in values], dtype=np.int64)
-    return Pools(categories=categories, values=values, masses=masses)
+    return Pools(values=values, masses=masses)
 
 
 def adjacent_pairs(doc: Document) -> np.ndarray:
@@ -261,10 +259,9 @@ def bigram_pools(documents: list[Document]) -> Pools:
             grouped.setdefault(doc.category, []).append(pairs)
     if not grouped:
         raise CorpusError("no document long enough to form token pairs")
-    categories = sorted(grouped)
-    values = [np.concatenate(grouped[c], axis=0) for c in categories]
+    values = [np.concatenate(grouped[c], axis=0) for c in sorted(grouped)]
     masses = np.array([v.shape[0] for v in values], dtype=np.int64)
-    return Pools(categories=categories, values=values, masses=masses)
+    return Pools(values=values, masses=masses)
 
 
 def sample_from_pools(pools: Pools, batch_size: int, seed: int, step: int) -> np.ndarray:

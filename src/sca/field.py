@@ -37,28 +37,25 @@ def context_vector(
 ) -> np.ndarray:
     """Kernel-weighted empirical mean of the batch embeddings around token i."""
     batch = np.asarray(batch, dtype=np.int64)
-    row = kernel.kernel_row(spec, table, i, batch)  # raises on an empty batch
+    if batch.size == 0:
+        raise ValueError("batch is empty")
+    row = np.array([kernel.kernel_eval(spec, table.vectors[i], table.vectors[j]) for j in batch])
     return (row[:, None] * table.vectors[batch]).sum(axis=0) / batch.size
 
 
-def dense_mean(stack: np.ndarray) -> np.ndarray:
-    """Mean over the first axis, as first element plus mean deviation.
-
-    The shifted form makes the mean of identical matrices equal to that
-    matrix bitwise, which downstream exact-zero guarantees rely on.
-    """
-    base = stack[0]
-    return base + (stack - base).mean(axis=0)
-
-
 def mean_field(fields: list[TensorField]) -> np.ndarray:
-    """Dense batch-average of the fields (clipped scales included)."""
+    """Dense batch-average of the fields (clipped scales included).
+
+    Taken as first field plus mean deviation, so identical fields average to
+    themselves bitwise.
+    """
     if not fields:
         raise ValueError("mean_field needs at least one field")
     dims = {(f.left.shape[0], f.right.shape[0]) for f in fields}
     if len(dims) != 1:
         raise ValueError(f"fields have mixed dimensions: {sorted(dims)}")
-    return dense_mean(np.stack([f.dense() for f in fields]))
+    stack = np.stack([f.dense() for f in fields])
+    return stack[0] + (stack - stack[0]).mean(axis=0)
 
 
 def spectral_norm(f: TensorField) -> float:

@@ -126,14 +126,20 @@ def ce_batch_gradients(
     return loss, emb_grad, bias_grad
 
 
-def _train(
+def train_joint(
     model: BigramModel,
     documents: list[corpus.Document],
-    config: TrainConfig,
     spec: KernelSpec | None,
-    on_batch,
-    on_epoch,
+    config: TrainConfig,
+    on_batch=None,
+    on_epoch=None,
 ) -> tuple[BigramModel, list[EpochLog]]:
+    """Cross-entropy plus lam times the coherence objective.
+
+    The coherence gradient is computed over the batch's distinct source
+    tokens and added to their rows; with lam = 0 or no spec the coherence
+    code path is skipped and the trajectory matches train_baseline exactly.
+    """
     use_sca = spec is not None and config.lam != 0.0
     table = EmbeddingTable(
         vectors=model.table.vectors.copy(), vocab=model.table.vocab, seed=model.table.seed
@@ -166,21 +172,4 @@ def train_baseline(
     on_epoch=None,
 ) -> tuple[BigramModel, list[EpochLog]]:
     """Pure cross-entropy training; the reference the joint run is pinned to."""
-    return _train(model, documents, config, None, on_batch, on_epoch)
-
-
-def train_joint(
-    model: BigramModel,
-    documents: list[corpus.Document],
-    spec: KernelSpec,
-    config: TrainConfig,
-    on_batch=None,
-    on_epoch=None,
-) -> tuple[BigramModel, list[EpochLog]]:
-    """Cross-entropy plus lam times the coherence objective.
-
-    The coherence gradient is computed over the batch's distinct source
-    tokens and added to their rows; with lam = 0 the coherence code path is
-    skipped and the trajectory matches train_baseline exactly.
-    """
-    return _train(model, documents, config, spec, on_batch, on_epoch)
+    return train_joint(model, documents, None, config, on_batch, on_epoch)

@@ -184,7 +184,8 @@ class TestTrain:
     def test_rerun_from_manifest_reproduces_model(self, corpus_dir, tmp_path):
         first = tmp_path / "first"
         assert _train(corpus_dir, first) == 0
-        # a manifest from before --threads was removed still loads: unknown keys are ignored
+        # a manifest from before --threads was removed still loads: threads is an accepted
+        # manifest-only key (any other unknown key exits 1)
         old = json.loads((first / "manifest.json").read_text())
         old["config"]["threads"] = 2
         old_manifest = tmp_path / "old_manifest.json"
@@ -429,6 +430,8 @@ class TestEval:
             ["--model", str(other)],
             ["--before", str(path), "--after", missing],
             ["--model", str(path), "--bandwidth", "wide"],
+            ["--model", str(path), "--batch", "0"],
+            ["--before", str(path), "--after", str(path), "--batch", "100000"],
         ):
             code = cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)])
             assert code == 1
@@ -450,14 +453,20 @@ class TestEval:
         assert str(broken) in capsys.readouterr().err
 
     def test_train_manifest_as_config(self, corpus_dir, fresh_model, tmp_path):
-        # a train manifest's knobs that eval does not take are accepted and ignored
+        # a train manifest's knobs that eval does not take are accepted and ignored;
+        # its lambda is the summary's label
         run = tmp_path / "run"
-        assert _train(corpus_dir, run) == 0
+        assert _train(corpus_dir, run, extra=["--lambda", "0.5"]) == 0
         out = tmp_path / "eval"
         flags = ["--config", str(run / "manifest.json"), "--model", str(fresh_model[0])]
         assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config["seed"] == 11 and config["batch"] == 8 and "dim" not in config
+        assert json.loads((out / "summary.json").read_text())["lambda"] == 0.5
+        unset = tmp_path / "unset"
+        flags = ["--model", str(fresh_model[0]), "--out", str(unset)]
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags]) == 0
+        assert json.loads((unset / "summary.json").read_text())["lambda"] is None
 
     def test_requires_model_arguments(self, corpus_dir, tmp_path):
         code = cli.main(["eval", "--corpus", str(corpus_dir), "--out", str(tmp_path / "y")])

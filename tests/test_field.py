@@ -29,6 +29,11 @@ class TestContextVector:
         c = field.context_vector(RBF, table, 0, np.array([0]))
         np.testing.assert_array_equal(c, table.vectors[0])
 
+    def test_empty_batch_rejected(self):
+        table = EmbeddingTable(np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            field.context_vector(KernelSpec("dot"), table, 0, np.array([], dtype=np.int64))
+
     def test_identical_batch_scales_by_kernel_value(self):
         e = np.array([1.0, 2.0])
         other = np.array([0.0, 1.0])

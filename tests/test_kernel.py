@@ -19,7 +19,7 @@ class TestSpec:
             KernelSpec("poly")
 
     def test_nonpositive_bandwidth_rejected(self):
-        for bandwidth in (0.0, -1.0, math.nan, math.inf):
+        for bandwidth in (None, 0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 KernelSpec("rbf", bandwidth)
 
@@ -68,65 +68,28 @@ class TestEval:
 class TestBlock:
     @pytest.mark.parametrize("spec", [RBF, DOT, COS])
     def test_matches_eval(self, spec):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((7, 5))
-        Y = rng.standard_normal((4, 5))
-        for A, B in ((X, Y), (X, X)):
-            block = kernel.kernel_block(spec, A, B)
-            want = [[kernel.kernel_eval(spec, x, y) for y in B] for x in A]
-            np.testing.assert_allclose(block, want, rtol=1e-13, atol=1e-14)
+        X = np.random.default_rng(11).standard_normal((7, 5))
+        want = [[kernel.kernel_eval(spec, x, y) for y in X] for x in X]
+        np.testing.assert_allclose(kernel.kernel_block(spec, X), want, rtol=1e-13, atol=1e-14)
 
     def test_rbf_self_block_diagonal_is_exactly_one(self):
         X = np.random.default_rng(14).standard_normal((40, 9)) * 3.0
-        assert np.all(np.diag(kernel.kernel_block(RBF, X, X)) == 1.0)
+        assert np.all(np.diag(kernel.kernel_block(RBF, X)) == 1.0)
 
     def test_rbf_rows_equal_to_the_first_are_exactly_one(self):
         rng = np.random.default_rng(15)
         X = rng.standard_normal((12, 6))
         same = [0, 3, 4, 9]
         X[same] = X[0]
-        block = kernel.kernel_block(RBF, X, X)
-        assert np.all(block[np.ix_(same, same)] == 1.0)
-        assert np.all(kernel.kernel_block(RBF, X[:1], X)[0, same] == 1.0)
+        assert np.all(kernel.kernel_block(RBF, X)[np.ix_(same, same)] == 1.0)
         collapsed = np.tile(X[1], (33, 1))
-        assert np.all(kernel.kernel_block(RBF, collapsed, collapsed) == 1.0)
+        assert np.all(kernel.kernel_block(RBF, collapsed) == 1.0)
 
     def test_cosine_zero_row_gives_zero(self):
         X = np.random.default_rng(16).standard_normal((5, 3))
         X[2] = 0.0
-        block = kernel.kernel_block(COS, X, X)
+        block = kernel.kernel_block(COS, X)
         assert np.all(block[2] == 0.0) and np.all(block[:, 2] == 0.0)
-
-
-class TestRow:
-    def test_self_batch(self):
-        table = EmbeddingTable(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        row = kernel.kernel_row(RBF, table, 0, np.array([0]))
-        assert row.tolist() == [1.0]
-
-    def test_constant_row_for_identical_batch(self):
-        table = EmbeddingTable(np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]))
-        row = kernel.kernel_row(RBF, table, 0, np.array([1, 2, 3]))
-        assert row[0] == row[1] == row[2]
-
-    @pytest.mark.parametrize("spec", [RBF, DOT, COS])
-    def test_elementwise_matches_eval(self, spec):
-        rng = np.random.default_rng(10)
-        table = EmbeddingTable(rng.standard_normal((12, 6)))
-        norms = np.linalg.norm(table.vectors, axis=1)
-        for _ in range(20):
-            batch = rng.integers(0, 12, size=rng.integers(1, 9))
-            i = int(rng.integers(0, 12))
-            row = kernel.kernel_row(spec, table, i, batch)
-            expected = [kernel.kernel_eval(spec, table.vectors[i], table.vectors[j]) for j in batch]
-            # a BLAS dot and an elementwise sum round differently: a few ulps of the product scale
-            scale = norms[i] * norms[batch] if spec.family == "dot" else 1.0
-            assert np.all(np.abs(row - expected) <= 4 * np.finfo(float).eps * scale)
-
-    def test_empty_batch_rejected(self):
-        table = EmbeddingTable(np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            kernel.kernel_row(DOT, table, 0, np.array([], dtype=np.int64))
 
 
 class TestMedianBandwidth:
@@ -148,14 +111,15 @@ class TestMedianBandwidth:
             for j in range(i + 1, 10):
                 dists.append(float(np.linalg.norm(table.vectors[i] - table.vectors[j])))
         want = float(np.median(dists))
-        got = kernel.median_bandwidth(table, sample_size=10_000)
+        got = kernel.median_bandwidth(table)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_subsample_is_seeded(self):
         rng = np.random.default_rng(13)
-        table = EmbeddingTable(rng.standard_normal((40, 4)))
-        a = kernel.median_bandwidth(table, sample_size=50, seed=3)
-        b = kernel.median_bandwidth(table, sample_size=50, seed=3)
+        table = EmbeddingTable(rng.standard_normal((80, 4)))
+        assert 80 * 79 // 2 > kernel.BANDWIDTH_PAIRS  # so a sample is drawn
+        a = kernel.median_bandwidth(table, seed=3)
+        b = kernel.median_bandwidth(table, seed=3)
         assert a == b
 
     def test_tiny_table_rejected(self):
