@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, coherence, corpus, embedding, field, kernel, lm, report, trainer
+from . import __version__, coherence, corpus, embedding, kernel, lm, report, trainer
+from .coherence import PROJECTION_MODES
 from .corpus import CorpusError
 from .embedding import EmbeddingTable
-from .field import PROJECTION_MODES
 from .kernel import KernelSpec
 from .trainer import TrainConfig, TrainingError
 
@@ -274,10 +274,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         spec = KernelSpec("rbf", kernel.median_bandwidth(table, seed=args.seed))
         state = coherence.compute_batch_state(spec, table, ids)
         # also check with the fields bounded at the median field norm, where s_i != 1
-        rho = float(np.median([field.spectral_norm(f) for f in state.fields()]))
+        norms = [float(np.linalg.norm(e)) * float(np.linalg.norm(c))
+                 for e, c in zip(state.lefts, state.rights)]
+        rho = float(np.median(norms))
         for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
             checked = coherence.compute_batch_state(spec, table, ids, *bound)
-            grads = coherence.sca_gradient(checked)
+            grads = checked.gradients
             for p in range(m):
                 fd = coherence.fd_gradient_detached(
                     table, int(ids[p]), checked.rights[p], checked.mean, eps, checked.scales[p]
@@ -287,7 +289,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
                 max_detached = max(max_detached, float(rel))
         token = int(ids[0])
         fd_full = coherence.fd_gradient_full(spec, table, ids, token, eps)
-        semi = coherence.sca_gradient(state)[ids == token].sum(axis=0)
+        semi = state.gradients[ids == token].sum(axis=0)
         gap = np.linalg.norm(semi - fd_full) / max(np.linalg.norm(fd_full), 1e-12)
         max_gap = max(max_gap, float(gap))
     print(f"gradcheck: max relative error vs detached finite differences = {max_detached:.3e}")

@@ -1,12 +1,14 @@
-"""Coherence loss over batch tensor fields, its closed-form gradient,
-finite-difference oracles, and the batch coherence score.
+"""Coherence loss over batch tensor fields, its closed-form gradient, the
+spectral bound, finite-difference checks, and the batch coherence score.
 
-The loss is the summed squared Frobenius distance from each token's field
-to the batch mean field. The closed-form gradient treats kernel weights,
-context vectors, and the mean field as constants (the update direction
-used in training); the full finite-difference gradient that re-derives
-everything per perturbation exists as a diagnostic. compute_batch_state never
-forms a field; sca_loss and coherence_score, on dense fields, are its oracles.
+A token's field is the rank-1 outer product T_i = e_i c_i^T of its embedding
+with its kernel-weighted context vector, so its largest singular value is
+|e_i||c_i|. The loss is the summed squared Frobenius distance from each
+(spectrally bounded) field to the batch mean field. The closed-form gradient
+treats kernel weights, context vectors, and the mean field as constants (the
+update direction used in training); the full finite-difference gradient that
+re-derives everything per perturbation exists as a diagnostic.
+compute_batch_state never forms a field.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import corpus, field, kernel
+from . import corpus, kernel
 from .embedding import EmbeddingTable
-from .field import TensorField
 from .kernel import KernelSpec
 
 SCORE_GUARD = 1e-12
 EVAL_BATCHES = 16  # seeded batches per evaluate_coherence
+PROJECTION_MODES = ("clip", "alg1")
 
 
 @dataclass
@@ -37,8 +39,19 @@ class BatchState:
     gradients: np.ndarray  # (m, d) detached update directions
     score: float  # coherence score of the bounded fields
 
-    def fields(self) -> list[TensorField]:
-        return [TensorField(e, c, s) for e, c, s in zip(self.lefts, self.rights, self.scales)]
+
+def spectral_scales(sigma, rho: float, mode: str = "clip") -> np.ndarray:
+    """Factors that bound fields of spectral norm sigma by rho; the one home of the rule.
+
+    clip: rho / max(sigma, rho), so sigma_max <= rho and fields inside the
+    ball keep scale exactly 1. alg1: 1 / max(sigma, rho), which maps an
+    out-of-bounds field to norm 1 and shrinks in-bounds fields by rho.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if mode not in PROJECTION_MODES:
+        raise ValueError(f"unknown projection mode {mode!r}; expected one of {PROJECTION_MODES}")
+    return (rho if mode == "clip" else 1.0) / np.maximum(sigma, rho)
 
 
 def compute_batch_state(
@@ -47,7 +60,7 @@ def compute_batch_state(
 ) -> BatchState:
     """The one batch pass: kernel rows, contexts, bounded fields, mean, loss, gradients, score.
 
-    T_i = e_i c_i^T is bounded to s_i T_i, s_i = field.spectral_scales(|e_i||c_i|, rho, mode)
+    T_i = e_i c_i^T is bounded to s_i T_i, s_i = spectral_scales(|e_i||c_i|, rho, mode)
     (1 when rho is None). M, the loss sum |s_i T_i - M|^2, the gradients g_i = 2 s_i (s_i T_i - M)
     c_i and the score come from Gram matrices of A = s E and C in O(m^2 + md + d^2) memory, with
     T_i - T_0 in rank-2 form: identical rows give exact zeros, and the loss cancels relative to
@@ -62,9 +75,9 @@ def compute_batch_state(
     E = table.vectors[ids]
     K = kernel.kernel_block(spec, E)
     C = (K @ (E - E[0]) + K.sum(axis=1)[:, None] * E[0]) / m  # equal rows of E give equal rows
-    # |e_i||c_i| as field.spectral_norm takes it, not sqrt(|e_i|^2 Gamma_ii)
+    # sigma_i = |e_i||c_i| from the two row norms, not sqrt(|e_i|^2 Gamma_ii)
     sigma = np.sqrt((E * E).sum(axis=1)) * np.sqrt((C * C).sum(axis=1))
-    scales = np.ones(m) if rho is None else field.spectral_scales(sigma, rho, mode)
+    scales = np.ones(m) if rho is None else spectral_scales(sigma, rho, mode)
     A = scales[:, None] * E
     A0, C0 = A[0], C[0]
     a, c = A - A0, C - C0
@@ -81,26 +94,6 @@ def compute_batch_state(
     inner = np.einsum("ij,ij->i", A @ M, C)
     score = float(np.sum(inner / (scales * sigma * np.sqrt(np.vdot(M, M)) + SCORE_GUARD)) / m)
     return BatchState(ids, E, C, scales, M, loss, (2.0 * scales)[:, None] * g, score)
-
-
-def sca_loss(fields: list[TensorField], mean: np.ndarray) -> float:
-    """Sum of squared Frobenius distances from each field to the mean field."""
-    if not fields:
-        raise ValueError("sca_loss needs at least one field")
-    total = 0.0
-    for f in fields:
-        diff = f.dense() - mean
-        total += float(np.sum(diff * diff))
-    return total
-
-
-def sca_gradient(state: BatchState) -> np.ndarray:
-    """Per-token update directions g_i = 2 s_i (s_i T_i - M) c_i.
-
-    Kernel weights, context vectors, and the mean field are held fixed;
-    compare fd_gradient_full for the fully coupled derivative.
-    """
-    return state.gradients
 
 
 def _central_differences(f, e0: np.ndarray, eps: float) -> np.ndarray:
@@ -150,21 +143,6 @@ def fd_gradient_full(
         return compute_batch_state(spec, snapshot, batch).loss
 
     return _central_differences(loss_at, base[i].copy(), eps)
-
-
-def coherence_score(fields: list[TensorField], mean: np.ndarray) -> float:
-    """Mean Frobenius cosine between each field and the mean field.
-
-    Artifact-defined metric in [-1, 1]; the guard term sends degenerate
-    zero fields (or a zero mean) to score 0 instead of dividing by zero.
-    """
-    if not fields:
-        raise ValueError("coherence_score needs at least one field")
-    stack = np.stack([f.dense() for f in fields])
-    mean = np.asarray(mean, float)
-    numer = np.sum(stack * mean, axis=(1, 2))
-    norms = np.sqrt(np.sum(stack * stack, axis=(1, 2)))
-    return float(np.mean(numer / (norms * np.sqrt(np.sum(mean * mean)) + SCORE_GUARD)))
 
 
 def evaluate_coherence(

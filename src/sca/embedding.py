@@ -41,17 +41,6 @@ def init_embeddings(
     return EmbeddingTable(vectors=rng.normal(0.0, scale, size=(n, d)), vocab=vocab, seed=seed)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two nonzero vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = float(np.sqrt(np.sum(u * u)))
-    nv = float(np.sqrt(np.sum(v * v)))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine is undefined for a zero vector")
-    return float(np.sum(u * v) / (nu * nv))
-
-
 def nearest_neighbor_similarity(table: EmbeddingTable, token: int) -> tuple[int, float]:
     """Most-cosine-similar other token, ties broken by smallest id."""
     n = len(table)
@@ -94,7 +83,17 @@ def load_model(path: str | Path) -> tuple[EmbeddingTable, np.ndarray | None]:
     names (frequencies unknown, hence zero).
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    records = sorted(payload["tokens"], key=lambda r: r["id"])
+    records = payload.get("tokens") if isinstance(payload, dict) and "dim" in payload else None
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict) and type(r.get("id")) is int and isinstance(r.get("token"), str)
+        and "vector" in r
+        for r in records
+    ):
+        raise ValueError(
+            f"{path}: expected an object with dim and tokens, a list of "
+            "{id: integer, token: string, vector}"
+        )
+    records = sorted(records, key=lambda r: r["id"])
     if [r["id"] for r in records] != list(range(len(records))):
         raise ValueError(f"{path}: token ids are not dense 0..n-1")
     vectors = np.array([r["vector"] for r in records], dtype=float)

@@ -1,9 +1,8 @@
 """Contextual-influence kernels over embedding vectors.
 
-All families are symmetric. kernel_eval (one pair, elementwise) is the oracle;
-kernel_block takes a batch's self-block from one Gram matrix and matches it to
-rounding. Exact cases: the rbf diagonal is 1.0, rows equal to X[0] are at rbf
-distance 0, and a zero row has cosine 0.
+All families are symmetric. kernel_block takes a batch's self-block from one
+Gram matrix. Exact cases: the rbf diagonal is 1.0, rows equal to X[0] are at
+rbf distance 0, and a zero row has cosine 0.
 """
 
 from __future__ import annotations
@@ -35,25 +34,6 @@ class KernelSpec:
             raise ValueError("rbf kernel requires a bandwidth; resolve one via median_bandwidth")
         if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    """K(x, y) for a single vector pair."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if spec.family == "rbf":
-        h = spec.bandwidth
-        diff = x - y
-        return float(np.exp(-np.sum(diff * diff) / (2.0 * h * h)))
-    if spec.family == "dot":
-        return float(np.sum(x * y))
-    nx = float(np.sqrt(np.sum(x * x)))
-    ny = float(np.sqrt(np.sum(y * y)))
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(np.sum(x * y) / (nx * ny))
 
 
 def kernel_block(spec: KernelSpec, X: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 The model scores the next token as logits(w) = E e_w + b with the same
 table E on both sides. Cross-entropy gradients are analytic; joint
 training adds lam * (coherence gradient) over the batch's distinct source
-tokens. A lam of 0 skips the coherence machinery entirely, so such a run
-is bit-identical to the plain baseline.
+tokens. A lam of 0 (or no kernel spec) skips the coherence machinery
+entirely, so such a run is plain cross-entropy training.
 """
 
 from __future__ import annotations
@@ -31,23 +31,6 @@ class BigramModel:
 
 def make_model(table: EmbeddingTable) -> BigramModel:
     return BigramModel(table=table, bias=np.zeros(len(table)))
-
-
-def logits(model: BigramModel, token: int) -> np.ndarray:
-    """Unnormalized next-token scores given the current token."""
-    return model.table.vectors @ model.table.vectors[token] + model.bias
-
-
-def nll(model: BigramModel, pair: tuple[int, int]) -> float:
-    """Negative log-likelihood (natural log) of a (token, next-token) pair."""
-    w, nxt = int(pair[0]), int(pair[1])
-    n = len(model.table)
-    if not (0 <= w < n and 0 <= nxt < n):
-        raise ValueError(f"token pair ({w}, {nxt}) outside vocabulary of size {n}")
-    z = logits(model, w)
-    shifted = z - z.max()
-    log_norm = float(np.log(np.sum(np.exp(shifted))))
-    return log_norm - float(shifted[nxt])
 
 
 def _logit_blocks(model: BigramModel, sources: np.ndarray):
@@ -138,7 +121,7 @@ def train_joint(
 
     The coherence gradient is computed over the batch's distinct source
     tokens and added to their rows; with lam = 0 or no spec the coherence
-    code path is skipped and the trajectory matches train_baseline exactly.
+    code path is skipped, which is the pure cross-entropy baseline.
     """
     use_sca = spec is not None and config.lam != 0.0
     table = EmbeddingTable(
@@ -162,14 +145,3 @@ def train_joint(
 
     logs = trainer.run_epochs(work, corpus.bigram_pools(documents), config, step, on_batch, on_epoch)
     return work, logs
-
-
-def train_baseline(
-    model: BigramModel,
-    documents: list[corpus.Document],
-    config: TrainConfig,
-    on_batch=None,
-    on_epoch=None,
-) -> tuple[BigramModel, list[EpochLog]]:
-    """Pure cross-entropy training; the reference the joint run is pinned to."""
-    return train_joint(model, documents, None, config, on_batch, on_epoch)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coherence, corpus
-from .coherence import BatchState
+from .coherence import PROJECTION_MODES, BatchState
 from .embedding import EmbeddingTable
-from .field import PROJECTION_MODES
 from .kernel import KernelSpec
 
 LR_FLOOR = 1e-8

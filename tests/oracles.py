@@ -1,0 +1,145 @@
+"""Reference implementations that the tests hold the program to.
+
+Each one follows its definition directly, on one pair, one token or one dense
+(d, d) field at a time, and nothing here imports sca, so no oracle runs the
+code it checks. Program objects are read through their attributes only:
+spec.family and spec.bandwidth, table.vectors, model.table.vectors and
+model.bias, and a batch state's lefts, rights and scales.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+SCORE_GUARD = 1e-12
+
+
+@dataclass
+class TensorField:
+    """Rank-1 field scale * outer(left, right)."""
+
+    left: np.ndarray
+    right: np.ndarray
+    scale: float = 1.0
+
+    def dense(self) -> np.ndarray:
+        return self.scale * np.outer(self.left, self.right)
+
+
+def state_fields(state) -> list[TensorField]:
+    """The bounded fields s_i e_i c_i^T of a batch state, in factored form."""
+    return [TensorField(e, c, s) for e, c, s in zip(state.lefts, state.rights, state.scales)]
+
+
+def _kernel_row(spec, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """K(x, y) for each row y of Y, from the differences x - y or the products x * y."""
+    if spec.family == "rbf":
+        h = spec.bandwidth
+        diff = x - Y
+        return np.exp(-np.sum(diff * diff, axis=1) / (2.0 * h * h))
+    dots = np.sum(x * Y, axis=1)
+    if spec.family == "dot":
+        return dots
+    nx = np.sqrt(np.sum(x * x))
+    ny = np.sqrt(np.sum(Y * Y, axis=1))
+    zero = (nx == 0.0) | (ny == 0.0)
+    return np.where(zero, 0.0, dots / np.where(zero, 1.0, nx * ny))
+
+
+def kernel_eval(spec, x, y) -> float:
+    """K(x, y) for a single vector pair."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return float(_kernel_row(spec, x, y[None, :])[0])
+
+
+def context_vector(spec, table, i: int, batch) -> np.ndarray:
+    """Kernel-weighted empirical mean of the batch embeddings around token i."""
+    batch = np.asarray(batch, dtype=np.int64)
+    if batch.size == 0:
+        raise ValueError("batch is empty")
+    Y = table.vectors[batch]
+    row = _kernel_row(spec, table.vectors[i], Y)
+    return (row[:, None] * Y).sum(axis=0) / batch.size
+
+
+def mean_field(fields: list[TensorField]) -> np.ndarray:
+    """Dense batch-average of the fields, scales included.
+
+    Taken as first field plus mean deviation, so identical fields average to
+    themselves bitwise.
+    """
+    if not fields:
+        raise ValueError("mean_field needs at least one field")
+    stack = np.stack([f.dense() for f in fields])
+    return stack[0] + (stack - stack[0]).mean(axis=0)
+
+
+def spectral_norm(f: TensorField) -> float:
+    """Largest singular value of the field, exact for rank 1."""
+    return abs(f.scale) * float(np.linalg.norm(f.left)) * float(np.linalg.norm(f.right))
+
+
+def spectral_project(f: TensorField, rho: float, mode: str = "clip") -> TensorField:
+    """The field scaled by rho / max(sigma, rho) (clip) or 1 / max(sigma, rho) (alg1).
+
+    A field that clip leaves at scale 1 is returned as is.
+    """
+    sigma = spectral_norm(f)
+    s = (rho if mode == "clip" else 1.0) / max(sigma, rho)
+    return f if s == 1.0 else TensorField(f.left, f.right, f.scale * s)
+
+
+def sca_loss(fields: list[TensorField], mean: np.ndarray) -> float:
+    """Sum of squared Frobenius distances from each field to the mean field."""
+    if not fields:
+        raise ValueError("sca_loss needs at least one field")
+    total = 0.0
+    for f in fields:
+        diff = f.dense() - mean
+        total += float(np.sum(diff * diff))
+    return total
+
+
+def coherence_score(fields: list[TensorField], mean: np.ndarray) -> float:
+    """Mean Frobenius cosine between each field and the mean field.
+
+    The guard term sends zero fields (or a zero mean) to score 0.
+    """
+    if not fields:
+        raise ValueError("coherence_score needs at least one field")
+    stack = np.stack([f.dense() for f in fields])
+    mean = np.asarray(mean, float)
+    numer = np.sum(stack * mean, axis=(1, 2))
+    norms = np.sqrt(np.sum(stack * stack, axis=(1, 2)))
+    return float(np.mean(numer / (norms * np.sqrt(np.sum(mean * mean)) + SCORE_GUARD)))
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity of two nonzero vectors."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nu = float(np.sqrt(np.sum(u * u)))
+    nv = float(np.sqrt(np.sum(v * v)))
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine is undefined for a zero vector")
+    return float(np.sum(u * v) / (nu * nv))
+
+
+def nll(model, pair) -> float:
+    """Negative log-likelihood (natural log) of a (token, next-token) pair.
+
+    The next-token logits are E e_w + b, with the one table E on both sides.
+    """
+    w, nxt = int(pair[0]), int(pair[1])
+    E = model.table.vectors
+    n = E.shape[0]
+    if not (0 <= w < n and 0 <= nxt < n):
+        raise ValueError(f"token pair ({w}, {nxt}) outside vocabulary of size {n}")
+    z = E @ E[w] + model.bias
+    shifted = z - z.max()
+    return float(np.log(np.sum(np.exp(shifted)))) - float(shifted[nxt])

@@ -338,8 +338,14 @@ class TestGradcheck:
         assert reported < 1e-5
 
     def test_perturbed_gradient_fails(self, capsys, monkeypatch):
-        gradient = coherence.sca_gradient
-        monkeypatch.setattr(coherence, "sca_gradient", lambda state: gradient(state) + 1e-3)
+        compute = coherence.compute_batch_state
+
+        def perturbed(*args, **kwargs):
+            state = compute(*args, **kwargs)
+            state.gradients = state.gradients + 1e-3
+            return state
+
+        monkeypatch.setattr(coherence, "compute_batch_state", perturbed)
         assert cli.main(["gradcheck", "--trials", "3"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -424,10 +430,17 @@ class TestEval:
         other = tmp_path / "other.json"
         embedding.save_model(embedding.init_embeddings(4, 4, seed=0), other)
         missing = str(tmp_path / "missing.json")
+        no_vector = {"dim": 2, "tokens": [{"id": 0, "token": "a"}]}
+        text_id = {"dim": 1, "tokens": [{"id": "0", "token": "a", "vector": [1.0]}]}
+        payloads = ({"dim": 2, "tokens": 5}, [1, 2], no_vector, text_id)
+        malformed = [tmp_path / f"malformed{k}.json" for k in range(len(payloads))]
+        for bad, payload in zip(malformed, payloads):
+            bad.write_text(json.dumps(payload))
         out = tmp_path / "eval"
         for flags in (
             ["--model", missing],
             ["--model", str(other)],
+            *(["--model", str(bad)] for bad in malformed),
             ["--before", str(path), "--after", missing],
             ["--model", str(path), "--bandwidth", "wide"],
             ["--model", str(path), "--batch", "0"],

@@ -4,10 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sca import coherence, field, kernel
+from oracles import (
+    TensorField,
+    coherence_score,
+    context_vector,
+    mean_field,
+    sca_loss,
+    spectral_norm,
+    spectral_project,
+    state_fields,
+)
+from sca import coherence
 from sca.coherence import compute_batch_state
 from sca.embedding import EmbeddingTable
-from sca.field import TensorField
 from sca.kernel import KernelSpec
 
 RBF = KernelSpec("rbf", 1.0)
@@ -58,28 +67,28 @@ class TestBatchState:
         table = _table_with_zero_row(0, n, d)
         unbounded = compute_batch_state(spec, table, batch)
         # half the largest field norm, so the bound binds for at least one field
-        rho = 0.5 * float(np.max([field.spectral_norm(f) for f in unbounded.fields()]))
+        rho = 0.5 * float(np.max([spectral_norm(f) for f in state_fields(unbounded)]))
         for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
             state = compute_batch_state(spec, table, batch, *bound)
             assert bound[0] is None or np.any(state.scales != 1.0)
-            contexts = np.array([field.context_vector(spec, table, int(t), batch) for t in batch])
+            contexts = np.array([context_vector(spec, table, int(t), batch) for t in batch])
             _assert_close(state.rights, contexts)
             fields = []
             for e, c in zip(table.vectors[batch], contexts):
                 f = TensorField(e, c)
-                fields.append(f if bound[0] is None else field.spectral_project(f, *bound))
-            _assert_close(state.mean, field.mean_field(fields))
-            total = sum(field.spectral_norm(f) ** 2 for f in fields)
+                fields.append(f if bound[0] is None else spectral_project(f, *bound))
+            _assert_close(state.mean, mean_field(fields))
+            total = sum(spectral_norm(f) ** 2 for f in fields)
             assert state.loss == pytest.approx(
-                coherence.sca_loss(fields, state.mean), rel=1e-12, abs=1e-12 * total
+                sca_loss(fields, state.mean), rel=1e-12, abs=1e-12 * total
             )
             assert state.score == pytest.approx(
-                coherence.coherence_score(fields, state.mean), abs=1e-12
+                coherence_score(fields, state.mean), abs=1e-12
             )
             # the closed form on the dense fields, then central differences, which at d = 128
             # resolve the gradient only to about 4e-12 (their rounding floor); both relative to
             # the size of the terms, 2 s_i |T_i| |c_i|, since an m = 1 gradient is 0
-            scale = max(2.0 * field.spectral_norm(f) * np.linalg.norm(f.right) for f in fields)
+            scale = max(2.0 * spectral_norm(f) * np.linalg.norm(f.right) for f in fields)
             dense = np.array([2.0 * f.scale * (f.dense() - state.mean) @ f.right for f in fields])
             _assert_close(state.gradients, dense, scale)
             for p in range(min(batch.size, 3)):
@@ -131,7 +140,7 @@ class TestLoss:
     def test_single_member_batch_is_zero(self):
         table, _, state = _random_state(2, m=1)
         assert state.loss == 0.0
-        assert coherence.sca_loss(state.fields(), state.mean) == 0.0
+        assert sca_loss(state_fields(state), state.mean) == 0.0
 
     def test_identical_embedding_batch_is_exactly_zero(self):
         # every kernel, batch size up to 70 and several widths: BLAS blocking changes with the
@@ -150,7 +159,7 @@ class TestLoss:
 
     def test_matches_double_sum_oracle(self):
         _, _, state = _random_state(4, m=3, d=2)
-        want = _loss_oracle([f.dense() for f in state.fields()], state.mean)
+        want = _loss_oracle([f.dense() for f in state_fields(state)], state.mean)
         assert state.loss == pytest.approx(want, rel=1e-12)
 
     def test_loss_nonnegative_and_permutation_invariant(self):
@@ -173,7 +182,7 @@ class TestLoss:
         ]
         mean = rng.standard_normal((3, 3))
         want = _loss_oracle([f.dense() for f in fields], mean)
-        assert coherence.sca_loss(fields, mean) == pytest.approx(want, rel=1e-12)
+        assert sca_loss(fields, mean) == pytest.approx(want, rel=1e-12)
 
 
 class TestGradient:
@@ -181,21 +190,21 @@ class TestGradient:
         rng = np.random.default_rng(7)
         table = EmbeddingTable(rng.standard_normal((5, 4)))
         state = compute_batch_state(RBF, table, np.full(6, 3))
-        assert np.all(coherence.sca_gradient(state) == 0.0)
+        assert np.all(state.gradients == 0.0)
 
     def test_zero_for_single_member_batch(self):
         _, _, state = _random_state(8, m=1)
-        assert np.all(coherence.sca_gradient(state) == 0.0)
+        assert np.all(state.gradients == 0.0)
 
     def test_matches_detached_finite_differences(self):
         for seed in range(20):
             table, batch, state = _random_state(seed, n=10, d=5, m=6)
             # the bound also runs at the median field norm, so s_i != 1 is covered
-            rho = float(np.median([field.spectral_norm(f) for f in state.fields()]))
+            rho = float(np.median([spectral_norm(f) for f in state_fields(state)]))
             for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
                 state = compute_batch_state(RBF, table, batch, *bound)
                 assert bound[0] is None or np.any(state.scales != 1.0)
-                grads = coherence.sca_gradient(state)
+                grads = state.gradients
                 for p in range(batch.size):
                     fd = coherence.fd_gradient_detached(
                         table, int(batch[p]), state.rights[p], state.mean, 1e-5, state.scales[p]
@@ -206,7 +215,7 @@ class TestGradient:
     def test_closed_form_on_hand_state(self):
         # gradient of |e c^T - M|_F^2 in e is 2 (e c^T - M) c
         _, batch, state = _random_state(9, m=3, d=2)
-        grads = coherence.sca_gradient(state)
+        grads = state.gradients
         for p in range(batch.size):
             T = np.outer(state.lefts[p], state.rights[p])
             want = 2.0 * (T - state.mean) @ state.rights[p]
@@ -253,7 +262,7 @@ class TestFullOracle:
         table, batch, state = _random_state(14, m=6, d=4)
         token = int(batch[0])
         fd_full = coherence.fd_gradient_full(RBF, table, batch, token, eps=1e-5)
-        semi = coherence.sca_gradient(state)[batch == token].sum(axis=0)
+        semi = state.gradients[batch == token].sum(axis=0)
         assert np.linalg.norm(fd_full - semi) > 1e-6
 
     def test_second_order_accuracy(self):
@@ -272,20 +281,20 @@ class TestCoherenceScore:
     def test_identical_nonzero_fields_score_one(self):
         f = TensorField(np.array([1.0, 2.0]), np.array([0.5, -1.0]))
         fields = [f, f, f]
-        mean = field.mean_field(fields)
-        assert coherence.coherence_score(fields, mean) == pytest.approx(1.0, abs=1e-9)
+        mean = mean_field(fields)
+        assert coherence_score(fields, mean) == pytest.approx(1.0, abs=1e-9)
 
     def test_cancelling_fields_guard_to_zero(self):
         left, right = np.array([1.0, 0.0]), np.array([0.0, 2.0])
         fields = [TensorField(left, right), TensorField(-left, right)]
-        mean = field.mean_field(fields)
+        mean = mean_field(fields)
         assert np.all(mean == 0.0)
-        assert coherence.coherence_score(fields, mean) == 0.0
+        assert coherence_score(fields, mean) == 0.0
 
     def test_matches_scalar_arithmetic(self):
         rng = np.random.default_rng(16)
         fields = [TensorField(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(3)]
-        mean = field.mean_field(fields)
+        mean = mean_field(fields)
         want = 0.0
         for f in fields:
             T = f.dense()
@@ -293,7 +302,7 @@ class TestCoherenceScore:
             den = float(np.linalg.norm(T) * np.linalg.norm(mean)) + 1e-12
             want += num / den
         want /= 3.0
-        assert coherence.coherence_score(fields, mean) == pytest.approx(want, rel=1e-12)
+        assert coherence_score(fields, mean) == pytest.approx(want, rel=1e-12)
 
     def test_bounded(self):
         for seed in range(20):

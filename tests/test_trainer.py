@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sca import coherence, corpus, field, lm, trainer
+from oracles import spectral_project, state_fields
+from sca import corpus, lm, trainer
 from sca.coherence import compute_batch_state
 from sca.embedding import EmbeddingTable, init_embeddings
 from sca.kernel import KernelSpec
@@ -138,11 +139,11 @@ class TestTrainSca:
         for mode in ("clip", "alg1"):
             table = EmbeddingTable(rng.standard_normal((10, 5)) * 2.0)
             ids = rng.integers(0, 10, size=8)
-            fields_before = compute_batch_state(RBF, table, ids).fields()
+            fields_before = state_fields(compute_batch_state(RBF, table, ids))
             state = compute_batch_state(RBF, table, ids, rho=1.0, mode=mode)
             assert np.any(state.scales != 1.0)
             for i, f in enumerate(fields_before):
-                want = field.spectral_project(f, rho=1.0, mode=mode)
+                want = spectral_project(f, rho=1.0, mode=mode)
                 assert state.scales[i] == pytest.approx(want.scale, rel=1e-12)
 
     def test_alg1_mode_runs(self, small_docs):
