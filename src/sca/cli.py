@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__, coherence, corpus, embedding, kernel, lm, report, trainer
 from .coherence import PROJECTION_MODES
 from .corpus import CorpusError
-from .embedding import EmbeddingTable
 from .kernel import KernelSpec
 from .trainer import TrainConfig, TrainingError
 
@@ -110,18 +109,20 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
     return cfg
 
 
-def _resolve_kernel(cfg: dict, table: EmbeddingTable) -> KernelSpec:
-    family = cfg["kernel"]
+def _resolve_kernel(cfg: dict, table: np.ndarray) -> KernelSpec:
+    """The kernel spec; the bandwidth is checked whatever the family and used by rbf only."""
     bandwidth = cfg["bandwidth"]
-    if family != "rbf":
-        return KernelSpec(family=family)
-    if bandwidth == "median":
-        return KernelSpec(family="rbf", bandwidth=kernel.median_bandwidth(table, seed=cfg["seed"]))
     try:
-        value = float(bandwidth)
-    except ValueError as exc:
-        raise ValueError(f"--bandwidth must be a number or 'median', got {bandwidth!r}") from exc
-    return KernelSpec(family="rbf", bandwidth=value)
+        valid = bandwidth == "median" or 0 < float(bandwidth) < math.inf
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"--bandwidth must be a positive number or 'median', got {bandwidth!r}")
+    if cfg["kernel"] != "rbf":
+        return KernelSpec(family=cfg["kernel"])
+    if bandwidth == "median":
+        return KernelSpec("rbf", kernel.median_bandwidth(table, seed=cfg["seed"]))
+    return KernelSpec("rbf", float(bandwidth))
 
 
 def _build_corpus(cfg: dict):
@@ -149,7 +150,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str
     report.write_json(out / "manifest.json", payload)
 
 
-def _lm_metrics(table: EmbeddingTable, bias, split) -> dict:
+def _lm_metrics(table: np.ndarray, bias, split) -> dict:
     model = lm.BigramModel(table=table, bias=bias if bias is not None else np.zeros(len(table)))
     return {
         "perplexity_train": lm.corpus_perplexity(model, split.train),
@@ -158,7 +159,7 @@ def _lm_metrics(table: EmbeddingTable, bias, split) -> dict:
     }
 
 
-def _model_metrics(table: EmbeddingTable, bias, split, spec: KernelSpec, cfg: dict) -> dict:
+def _model_metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dict:
     """The LM metrics plus the coherence score that `sca eval` reports."""
     metrics = _lm_metrics(table, bias, split)
     metrics["coherence_score"] = coherence.evaluate_coherence(
@@ -170,9 +171,7 @@ def _model_metrics(table: EmbeddingTable, bias, split, spec: KernelSpec, cfg: di
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "train")
     vocab, split = _build_corpus(cfg)
-    initial = embedding.init_embeddings(
-        len(vocab), cfg["dim"], seed=cfg["seed"], scale=cfg["sigma_init"], vocab=vocab
-    )
+    initial = embedding.init_embeddings(len(vocab), cfg["dim"], cfg["seed"], cfg["sigma_init"])
     spec = _resolve_kernel(cfg, initial)
     joint = cfg["lambda"] is not None
     config = TrainConfig(
@@ -195,34 +194,31 @@ def cmd_train(args: argparse.Namespace) -> int:
         if np.isfinite(score):
             batch_scores.append((epoch, score))
 
-    checkpoint_dir = out / "checkpoints"
+    def save(snapshot, path: Path) -> None:
+        """Write a table, or a BigramModel's table and bias, as one of this run's model files."""
+        joint_snapshot = isinstance(snapshot, lm.BigramModel)
+        table, bias = (snapshot.table, snapshot.bias) if joint_snapshot else (snapshot, None)
+        embedding.save_model(table, path, vocab.id_to_token, cfg["seed"], bias)
 
     def checkpoint(epoch, snapshot, _log):
-        if checkpoint_every <= 0 or epoch % checkpoint_every:
-            return
-        checkpoint_dir.mkdir(exist_ok=True)
-        if isinstance(snapshot, lm.BigramModel):
-            embedding.save_model(
-                snapshot.table, checkpoint_dir / f"epoch_{epoch:04d}.json", bias=snapshot.bias
-            )
-        else:
-            embedding.save_model(snapshot, checkpoint_dir / f"epoch_{epoch:04d}.json")
+        if checkpoint_every > 0 and epoch % checkpoint_every == 0:
+            (out / "checkpoints").mkdir(exist_ok=True)
+            save(snapshot, out / "checkpoints" / f"epoch_{epoch:04d}.json")
 
     log.info("training: %d tokens of vocabulary, dim %s, joint=%s", len(vocab), cfg["dim"], joint)
-    bias = None
     if joint:
-        model, logs = lm.train_joint(
+        result, logs = lm.train_joint(
             lm.make_model(initial), split.train, spec, config, on_batch=collect, on_epoch=checkpoint
         )
-        trained = model.table
-        bias = model.bias
+        trained, bias = result.table, result.bias
     else:
-        trained, logs = trainer.train_sca(
+        result, logs = trainer.train_sca(
             initial, split.train, spec, config, on_batch=collect, on_epoch=checkpoint
         )
+        trained, bias = result, None
 
-    embedding.save_model(trained, out / "model.json", bias=bias)
-    embedding.save_model(initial, out / "initial_model.json")
+    save(result, out / "model.json")
+    save(initial, out / "initial_model.json")
     corpus.write_vocabulary(vocab, out / "vocab.json")
     report.write_csv(
         out / "loss_curve.csv",
@@ -269,7 +265,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
         n = max(2 * m, 4)
-        table = EmbeddingTable(vectors=rng.standard_normal((n, d)), seed=args.seed)
+        table = rng.standard_normal((n, d))
         ids = rng.integers(0, n, size=m)
         spec = KernelSpec("rbf", kernel.median_bandwidth(table, seed=args.seed))
         state = coherence.compute_batch_state(spec, table, ids)
@@ -311,10 +307,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     vocab, split = _build_corpus(cfg)
 
     def load_checked(path: str):
-        table, bias = embedding.load_model(path)
-        if table.vocab.id_to_token != vocab.id_to_token:
+        table, names, bias = embedding.load_model(path)
+        if names != vocab.id_to_token:
             raise ValueError(f"vocabulary mismatch between {path} and corpus {cfg['corpus']}")
-        table.vocab = vocab
         return table, bias
 
     # everything is computed before --out is created, so a bad model, kernel or batch leaves none

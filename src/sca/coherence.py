@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus, kernel
-from .embedding import EmbeddingTable
 from .kernel import KernelSpec
 
 SCORE_GUARD = 1e-12
@@ -55,7 +54,7 @@ def spectral_scales(sigma, rho: float, mode: str = "clip") -> np.ndarray:
 
 
 def compute_batch_state(
-    spec: KernelSpec, table: EmbeddingTable, token_ids: np.ndarray, rho: float | None = None,
+    spec: KernelSpec, table: np.ndarray, token_ids: np.ndarray, rho: float | None = None,
     mode: str = "clip",
 ) -> BatchState:
     """The one batch pass: kernel rows, contexts, bounded fields, mean, loss, gradients, score.
@@ -72,7 +71,7 @@ def compute_batch_state(
     if ids.min() < 0 or ids.max() >= len(table):
         raise ValueError("token id outside the embedding table")
     m = ids.size
-    E = table.vectors[ids]
+    E = table[ids]
     K = kernel.kernel_block(spec, E)
     C = (K @ (E - E[0]) + K.sum(axis=1)[:, None] * E[0]) / m  # equal rows of E give equal rows
     # sigma_i = |e_i||c_i| from the two row norms, not sqrt(|e_i|^2 Gamma_ii)
@@ -111,7 +110,7 @@ def _central_differences(f, e0: np.ndarray, eps: float) -> np.ndarray:
 
 
 def fd_gradient_detached(
-    table: EmbeddingTable, i: int, context: np.ndarray, mean: np.ndarray, eps: float = 1e-5,
+    table: np.ndarray, i: int, context: np.ndarray, mean: np.ndarray, eps: float = 1e-5,
     scale: float = 1.0,
 ) -> np.ndarray:
     """Central differences of f(e) = |scale * outer(e, context) - mean|_F^2 at row i."""
@@ -122,11 +121,11 @@ def fd_gradient_detached(
         diff = scale * np.outer(e, context) - mean
         return float(np.sum(diff * diff))
 
-    return _central_differences(f, np.array(table.vectors[i], dtype=float), eps)
+    return _central_differences(f, np.array(table[i], dtype=float), eps)
 
 
 def fd_gradient_full(
-    spec: KernelSpec, table: EmbeddingTable, batch: np.ndarray, i: int, eps: float = 1e-5
+    spec: KernelSpec, table: np.ndarray, batch: np.ndarray, i: int, eps: float = 1e-5
 ) -> np.ndarray:
     """Central differences of the full batch loss as a function of row i.
 
@@ -134,19 +133,18 @@ def fd_gradient_full(
     perturbation, so this is the true gradient of the discrete objective.
     """
     batch = np.asarray(batch, dtype=np.int64)
-    base = np.array(table.vectors, dtype=float)
+    base = np.array(table, dtype=float)
 
     def loss_at(e: np.ndarray) -> float:
-        vectors = base.copy()
-        vectors[i] = e
-        snapshot = EmbeddingTable(vectors=vectors, vocab=table.vocab, seed=table.seed)
+        snapshot = base.copy()
+        snapshot[i] = e
         return compute_batch_state(spec, snapshot, batch).loss
 
     return _central_differences(loss_at, base[i].copy(), eps)
 
 
 def evaluate_coherence(
-    table: EmbeddingTable, documents: list, spec: KernelSpec, batch_size: int, seed: int
+    table: np.ndarray, documents: list, spec: KernelSpec, batch_size: int, seed: int
 ) -> float:
     """Mean coherence score over EVAL_BATCHES seeded batches."""
     pools = corpus.token_pools(documents)

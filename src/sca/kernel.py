@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingTable
-
 FAMILIES = ("rbf", "dot", "cosine")
 
 BANDWIDTH_FLOOR = 1e-6
@@ -58,7 +56,7 @@ def kernel_block(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     return np.divide(G, denom, out=np.zeros_like(G), where=denom != 0.0)
 
 
-def median_bandwidth(table: EmbeddingTable, seed: int = 0) -> float:
+def median_bandwidth(table: np.ndarray, seed: int = 0) -> float:
     """Median pairwise embedding distance over a seeded pair sample.
 
     Covers all distinct pairs when there are at most BANDWIDTH_PAIRS;
@@ -76,7 +74,7 @@ def median_bandwidth(table: EmbeddingTable, seed: int = 0) -> float:
         iu = rng.integers(0, n, size=BANDWIDTH_PAIRS)
         ju = rng.integers(0, n - 1, size=BANDWIDTH_PAIRS)
         ju = np.where(ju >= iu, ju + 1, ju)
-    diff = table.vectors[iu] - table.vectors[ju]
+    diff = table[iu] - table[ju]
     med = float(np.median(np.sqrt(np.sum(diff * diff, axis=1))))
     if med < BANDWIDTH_FLOOR:
         warnings.warn(

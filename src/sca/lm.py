@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus, trainer
-from .embedding import EmbeddingTable
 from .kernel import KernelSpec
 from .trainer import EpochLog, TrainConfig
 
@@ -23,19 +22,19 @@ PAIR_BLOCK = 1024  # pairs scored per block of vocabulary-wide logits
 
 @dataclass
 class BigramModel:
-    """Embedding table plus per-token output bias."""
+    """The (n, d) embedding table plus the per-token output bias (n,)."""
 
-    table: EmbeddingTable
+    table: np.ndarray
     bias: np.ndarray
 
 
-def make_model(table: EmbeddingTable) -> BigramModel:
+def make_model(table: np.ndarray) -> BigramModel:
     return BigramModel(table=table, bias=np.zeros(len(table)))
 
 
 def _logit_blocks(model: BigramModel, sources: np.ndarray):
     """Yield (rows, logits) for PAIR_BLOCK sources at a time, so memory stays bounded."""
-    E = model.table.vectors
+    E = model.table
     for start in range(0, sources.shape[0], PAIR_BLOCK):
         rows = slice(start, start + PAIR_BLOCK)
         yield rows, E[sources[rows]] @ E.T + model.bias
@@ -88,7 +87,7 @@ def ce_batch_gradients(
     B = pairs.shape[0]
     src = pairs[:, 0]
     tgt = pairs[:, 1]
-    E = model.table.vectors
+    E = model.table
     W = E[src]
     # one (B, n) buffer holds the logits, their exponentials and then delta,
     # so a step allocates one vocabulary-wide array instead of four
@@ -124,10 +123,7 @@ def train_joint(
     code path is skipped, which is the pure cross-entropy baseline.
     """
     use_sca = spec is not None and config.lam != 0.0
-    table = EmbeddingTable(
-        vectors=model.table.vectors.copy(), vocab=model.table.vocab, seed=model.table.seed
-    )
-    work = BigramModel(table=table, bias=model.bias.copy())
+    work = BigramModel(table=model.table.copy(), bias=model.bias.copy())
 
     def step(pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
         loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs)
@@ -139,7 +135,7 @@ def train_joint(
             emb_grad[sca_ids] += config.lam * state.gradients
             loss += config.lam * state.loss
             score = state.score
-        work.table.vectors -= lr * emb_grad
+        work.table -= lr * emb_grad
         work.bias -= lr * bias_grad
         return loss, score
 

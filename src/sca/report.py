@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Vocabulary
-from .embedding import EmbeddingTable, nearest_neighbor_similarity
+from .embedding import nearest_neighbor_similarity
 
 HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 21)  # 0.05-wide bins over [0, 1]
 HISTOGRAM_SEGMENTS = 4  # contiguous epoch segments, one histogram each
@@ -57,14 +57,14 @@ class RareWordReport:
         return float(np.mean([r.similarity_after - r.similarity_before for r in self.rows]))
 
 
-def pca_project(table: EmbeddingTable, k: int = 2) -> PCAResult:
+def pca_project(table: np.ndarray, k: int = 2) -> PCAResult:
     """Project rows onto the top-k covariance eigenvectors.
 
     The eigenpairs come from one symmetric eigendecomposition of the d x d
     covariance, taken in descending eigenvalue order; each component's
     sign is fixed so its largest-magnitude entry is positive.
     """
-    X = np.asarray(table.vectors, dtype=float)
+    X = np.asarray(table, dtype=float)
     n, d = X.shape
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -85,8 +85,8 @@ def pca_project(table: EmbeddingTable, k: int = 2) -> PCAResult:
 
 
 def rare_word_report(
-    table_before: EmbeddingTable,
-    table_after: EmbeddingTable,
+    table_before: np.ndarray,
+    table_after: np.ndarray,
     vocab: Vocabulary,
     rare_quantile: float = 0.05,
 ) -> RareWordReport:
@@ -96,7 +96,7 @@ def rare_word_report(
     whose frequency sits at or below the requested quantile. Rows are
     ordered by ascending frequency, then token.
     """
-    if table_before.vectors.shape != table_after.vectors.shape:
+    if table_before.shape != table_after.shape:
         raise ValueError("tables must share vocabulary size and dimension")
     if len(vocab) != len(table_before):
         raise ValueError("vocabulary does not match the tables")
@@ -176,8 +176,8 @@ def write_pca(result: PCAResult, vocab: Vocabulary, path: Path) -> None:
 
 
 def emit_reports(
-    out_dir: str | Path, batch_scores: list[tuple[int, float]], table_before: EmbeddingTable,
-    table_after: EmbeddingTable, vocab: Vocabulary, summary: dict,
+    out_dir: str | Path, batch_scores: list[tuple[int, float]], table_before: np.ndarray,
+    table_after: np.ndarray, vocab: Vocabulary, summary: dict,
 ) -> dict[str, Path]:
     """Write the report files for a completed run.
 

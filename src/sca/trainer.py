@@ -19,7 +19,6 @@ import numpy as np
 
 from . import coherence, corpus
 from .coherence import PROJECTION_MODES, BatchState
-from .embedding import EmbeddingTable
 from .kernel import KernelSpec
 
 LR_FLOOR = 1e-8
@@ -110,7 +109,7 @@ def check_finite(loss: float, gradients: np.ndarray, epoch: int, batch: int) -> 
 
 def coherence_step(
     spec: KernelSpec,
-    table: EmbeddingTable,
+    table: np.ndarray,
     ids: np.ndarray,
     config: TrainConfig,
     epoch: int,
@@ -127,7 +126,7 @@ def coherence_step(
     return state
 
 
-def gradient_flow_step(table: EmbeddingTable, state: BatchState, dt: float) -> None:
+def gradient_flow_step(table: np.ndarray, state: BatchState, dt: float) -> None:
     """One explicit Euler step of de/dt = -g along the batch gradients, in place.
 
     Repeated tokens accumulate their rows' steps. The state's finiteness is
@@ -135,7 +134,7 @@ def gradient_flow_step(table: EmbeddingTable, state: BatchState, dt: float) -> N
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    np.add.at(table.vectors, state.token_ids, -dt * state.gradients)
+    np.add.at(table, state.token_ids, -dt * state.gradients)
 
 
 def check_config(config: TrainConfig, pools: corpus.Pools) -> None:
@@ -201,24 +200,22 @@ def run_epochs(
 
 
 def train_sca(
-    table: EmbeddingTable,
+    table: np.ndarray,
     documents: list[corpus.Document],
     spec: KernelSpec,
     config: TrainConfig,
     on_batch=None,
     on_epoch=None,
-) -> tuple[EmbeddingTable, list[EpochLog]]:
-    """Train the embedding table against the coherence objective.
+) -> tuple[np.ndarray, list[EpochLog]]:
+    """Train the (n, d) embedding table against the coherence objective.
 
     Runs the shared epoch loop (run_epochs) over stratified token batches;
     each step moves the batch tokens' rows along their coherence gradients.
-    The input table is left untouched; a trained copy is returned together
-    with the per-epoch logs. The coherence score passed to on_batch is
+    The input array is left untouched: the steps update a copy, which is
+    returned together with the per-epoch logs. The coherence score passed to on_batch is
     that of the bounded fields, at the same snapshot as the loss.
     """
-    if table.vocab is not None and len(table.vocab) != len(table):
-        raise ValueError("embedding table size does not match its vocabulary")
-    work = EmbeddingTable(vectors=table.vectors.copy(), vocab=table.vocab, seed=table.seed)
+    work = table.copy()
 
     def step(ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
         state = coherence_step(spec, work, ids, config, epoch, b)

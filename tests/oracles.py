@@ -2,9 +2,10 @@
 
 Each one follows its definition directly, on one pair, one token or one dense
 (d, d) field at a time, and nothing here imports sca, so no oracle runs the
-code it checks. Program objects are read through their attributes only:
-spec.family and spec.bandwidth, table.vectors, model.table.vectors and
-model.bias, and a batch state's lefts, rights and scales.
+code it checks. Embedding tables are plain (n, d) arrays; other program
+objects are read through their attributes only: spec.family and
+spec.bandwidth, model.table and model.bias, and a batch state's lefts,
+rights and scales.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ def context_vector(spec, table, i: int, batch) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
         raise ValueError("batch is empty")
-    Y = table.vectors[batch]
-    row = _kernel_row(spec, table.vectors[i], Y)
+    Y = table[batch]
+    row = _kernel_row(spec, table[i], Y)
     return (row[:, None] * Y).sum(axis=0) / batch.size
 
 
@@ -136,7 +137,7 @@ def nll(model, pair) -> float:
     The next-token logits are E e_w + b, with the one table E on both sides.
     """
     w, nxt = int(pair[0]), int(pair[1])
-    E = model.table.vectors
+    E = model.table
     n = E.shape[0]
     if not (0 <= w < n and 0 <= nxt < n):
         raise ValueError(f"token pair ({w}, {nxt}) outside vocabulary of size {n}")

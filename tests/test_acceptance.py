@@ -13,7 +13,7 @@ import pytest
 from oracles import TensorField, cosine, mean_field, sca_loss, spectral_norm
 from sca import coherence, corpus, embedding, kernel, lm, report, trainer
 from sca.coherence import compute_batch_state
-from sca.embedding import EmbeddingTable, init_embeddings
+from sca.embedding import init_embeddings
 from sca.kernel import KernelSpec
 from sca.trainer import EpochLog, TrainConfig
 
@@ -30,7 +30,7 @@ def toy_runs(toy_docs, toy_vocab):
     runs = {}
     for seed in TOY_SEEDS + (7,):
         split = corpus.stratified_split(toy_docs, (0.8, 0.1, 0.1), seed=seed)
-        initial = init_embeddings(len(toy_vocab), 16, seed=seed, scale=0.1, vocab=toy_vocab)
+        initial = init_embeddings(len(toy_vocab), 16, seed=seed, scale=0.1)
         spec = KernelSpec("rbf", kernel.median_bandwidth(initial, seed=seed))
         config = TrainConfig(batch_size=32, max_epochs=150, seed=seed, tol=None)
         started = time.perf_counter()
@@ -55,7 +55,7 @@ def test_criterion_1_gradient_correctness():
         d = int(rng.integers(2, 9))
         m = int(rng.integers(1, 17))
         n = max(2 * m, 4)
-        table = EmbeddingTable(rng.standard_normal((n, d)))
+        table = rng.standard_normal((n, d))
         batch = rng.integers(0, n, size=m)
         spec = KernelSpec("rbf", kernel.median_bandwidth(table, seed=trial))
         state = compute_batch_state(spec, table, batch)
@@ -148,12 +148,12 @@ def test_criterion_6_lambda_zero_isolation(small_docs):
     config = TrainConfig(lr=0.2, batch_size=16, max_epochs=6, seed=9, tol=None, lam=0.0)
     spec = KernelSpec("rbf", 0.5)
     baseline, base_logs = lm.train_joint(
-        lm.make_model(init_embeddings(len(vocab), 8, seed=9, vocab=vocab)), docs, None, config
+        lm.make_model(init_embeddings(len(vocab), 8, seed=9)), docs, None, config
     )
     joint, joint_logs = lm.train_joint(
-        lm.make_model(init_embeddings(len(vocab), 8, seed=9, vocab=vocab)), docs, spec, config
+        lm.make_model(init_embeddings(len(vocab), 8, seed=9)), docs, spec, config
     )
-    assert np.array_equal(baseline.table.vectors, joint.table.vectors)
+    assert np.array_equal(baseline.table, joint.table)
     assert np.array_equal(baseline.bias, joint.bias)
     assert [l.loss for l in base_logs] == [l.loss for l in joint_logs]
     _pass(6, "lambda=0 joint run bit-identical to the pure cross-entropy baseline")
@@ -182,7 +182,7 @@ def test_criterion_7_oracle_equivalences():
     # PCA eigenvalues against an independent eigendecomposition of the covariance
     for trial in range(10):
         X = rng.standard_normal((40, int(rng.integers(3, 9))))
-        res = report.pca_project(EmbeddingTable(X), k=2)
+        res = report.pca_project(X, k=2)
         centered = X - X.mean(axis=0)
         cov = centered.T @ centered / (X.shape[0] - 1)
         eigenvalues = np.linalg.eigh(cov)[0][::-1][:2]
@@ -190,14 +190,14 @@ def test_criterion_7_oracle_equivalences():
 
     # vectorized nearest neighbor against an exhaustive python scan
     for n in (2, 10, 50):
-        table = EmbeddingTable(rng.standard_normal((n, 6)))
+        table = rng.standard_normal((n, 6))
         for token in range(n):
             got_id, got_sim = embedding.nearest_neighbor_similarity(table, token)
             best_id, best_sim = -1, -np.inf
             for other in range(n):
                 if other == token:
                     continue
-                sim = cosine(table.vectors[other], table.vectors[token])
+                sim = cosine(table[other], table[token])
                 if sim > best_sim:
                     best_id, best_sim = other, sim
             assert got_id == best_id
@@ -210,7 +210,7 @@ def test_criterion_8_invariance_suite(small_docs):
 
     # permutation invariance and non-negativity
     for _ in range(25):
-        table = EmbeddingTable(rng.standard_normal((12, 6)))
+        table = rng.standard_normal((12, 6))
         batch = rng.integers(0, 12, size=8)
         state = compute_batch_state(spec, table, batch)
         assert state.loss >= 0.0
@@ -219,7 +219,7 @@ def test_criterion_8_invariance_suite(small_docs):
 
     # exact zeros on identical-embedding batches
     for m in (2, 3, 5, 32):
-        table = EmbeddingTable(rng.standard_normal((6, 8)))
+        table = rng.standard_normal((6, 8))
         state = compute_batch_state(spec, table, np.full(m, 4))
         assert state.loss == 0.0
         assert np.all(state.gradients == 0.0)
@@ -228,12 +228,12 @@ def test_criterion_8_invariance_suite(small_docs):
     docs, vocab = small_docs
     config = TrainConfig(batch_size=16, max_epochs=5, seed=17, tol=None)
     first, first_logs = trainer.train_sca(
-        init_embeddings(len(vocab), 8, seed=17, vocab=vocab), docs, spec, config
+        init_embeddings(len(vocab), 8, seed=17), docs, spec, config
     )
     second, second_logs = trainer.train_sca(
-        init_embeddings(len(vocab), 8, seed=17, vocab=vocab), docs, spec, config
+        init_embeddings(len(vocab), 8, seed=17), docs, spec, config
     )
-    assert np.array_equal(first.vectors, second.vectors)
+    assert np.array_equal(first, second)
     assert [l.loss for l in first_logs] == [l.loss for l in second_logs]
     _pass(8, "permutation invariance, L >= 0, exact zeros, and bitwise determinism hold")
 

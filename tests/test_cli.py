@@ -126,6 +126,13 @@ class TestTrain:
     def test_knob_acts(self, train_run, base, moved, read, acts):
         assert (read(train_run(*base)) != read(train_run(*moved))) == acts
 
+    @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
+    def test_initial_model_is_the_seeded_init(self, corpus_dir, train_run, flags):
+        vocab = corpus.build_vocabulary(corpus.read_manifest(corpus_dir), min_count=1)
+        table, names, bias = embedding.load_model(train_run(flags, {}) / "initial_model.json")
+        assert names == vocab.id_to_token and bias is None
+        assert table.tobytes() == embedding.init_embeddings(len(vocab), 6, 11, 0.1).tobytes()
+
     @pytest.mark.parametrize("flags, config, code, named", [
         (["--lr", "nan"], None, 2, "--lr"),
         (["--rho", "inf"], None, 2, "--rho"),
@@ -133,6 +140,7 @@ class TestTrain:
         (["--bandwidth", "nan"], None, 1, "bandwidth"),
         (["--bandwidth", "inf"], None, 1, "bandwidth"),
         (["--checkpoint-every", "-1"], None, 1, "checkpoint_every"),
+        (["--kernel", "cosine", "--bandwidth", "wide"], None, 1, "bandwidth"),
         ([], {"sigma_init": float("nan")}, 1, "sigma_init"),
         ([], {"tol": float("nan")}, 1, "tol"),
         ([], {"tol": "abc"}, 1, "tol"),
@@ -140,8 +148,8 @@ class TestTrain:
         ([], {"tolerance": None, "windw": 3}, 1, "'tolerance'"),
         ([], [{"tol": None}], 1, "JSON object"),
     ], ids=["lr_nan", "rho_inf", "lambda_nan", "bandwidth_nan", "bandwidth_inf",
-            "checkpoint_every_negative", "sigma_init_nan", "tol_nan", "tol_text", "epochs_2.9",
-            "unknown_key", "not_an_object"])
+            "checkpoint_every_negative", "cosine_bandwidth_text", "sigma_init_nan", "tol_nan",
+            "tol_text", "epochs_2.9", "unknown_key", "not_an_object"])
     def test_bad_value_exits_before_out(self, corpus_dir, tmp_path, capsys, flags, config, code,
                                         named):
         if config is not None:
@@ -354,9 +362,9 @@ class TestGradcheck:
 def fresh_model(corpus_dir, tmp_path_factory):
     raw = corpus.read_manifest(corpus_dir)
     vocab = corpus.build_vocabulary(raw, min_count=1)
-    table = embedding.init_embeddings(len(vocab), 6, seed=0, scale=0.05, vocab=vocab)
+    table = embedding.init_embeddings(len(vocab), 6, seed=0, scale=0.05)
     path = tmp_path_factory.mktemp("models") / "fresh.json"
-    embedding.save_model(table, path)
+    embedding.save_model(table, path, vocab.id_to_token, 0)
     return path, len(vocab)
 
 
@@ -416,7 +424,7 @@ class TestEval:
     def test_vocab_mismatch_exits_one(self, corpus_dir, tmp_path, capsys):
         table = embedding.init_embeddings(4, 4, seed=0)
         path = tmp_path / "other.json"
-        embedding.save_model(table, path)
+        embedding.save_model(table, path, [str(i) for i in range(4)], 0)
         code = cli.main(
             ["eval", "--corpus", str(corpus_dir), "--model", str(path), "--out", str(tmp_path / "x")]
         )
@@ -428,11 +436,27 @@ class TestEval:
     ):
         path, _ = fresh_model
         other = tmp_path / "other.json"
-        embedding.save_model(embedding.init_embeddings(4, 4, seed=0), other)
+        names = [str(i) for i in range(4)]
+        embedding.save_model(embedding.init_embeddings(4, 4, seed=0), other, names, 0)
         missing = str(tmp_path / "missing.json")
         no_vector = {"dim": 2, "tokens": [{"id": 0, "token": "a"}]}
         text_id = {"dim": 1, "tokens": [{"id": "0", "token": "a", "vector": [1.0]}]}
-        payloads = ({"dim": 2, "tokens": 5}, [1, 2], no_vector, text_id)
+        fresh = json.loads(path.read_text())
+        n, d = len(fresh["tokens"]), fresh["dim"]
+
+        def with_vector(vector):
+            tokens = [dict(r) for r in fresh["tokens"]]
+            tokens[1]["vector"] = vector
+            return {**fresh, "tokens": tokens}
+
+        payloads = (
+            {"dim": 2, "tokens": 5}, [1, 2], no_vector, text_id,
+            {**fresh, "bias": [0.0]},  # would broadcast over the n logits
+            {**fresh, "bias": "xyz"},
+            {**fresh, "bias": [0.0] * (n + 1)},
+            with_vector(fresh["tokens"][1]["vector"][:-1]),  # ragged
+            with_vector(["0.5"] * d),
+        )
         malformed = [tmp_path / f"malformed{k}.json" for k in range(len(payloads))]
         for bad, payload in zip(malformed, payloads):
             bad.write_text(json.dumps(payload))
@@ -449,7 +473,10 @@ class TestEval:
             code = cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)])
             assert code == 1
             assert not out.exists()
-            assert capsys.readouterr().err.startswith("sca eval: error:")
+            err = capsys.readouterr().err
+            assert err.startswith("sca eval: error:")
+            if flags[1] in map(str, malformed):
+                assert flags[1] in err
 
     def test_non_finite_model_exits_one_before_out(
         self, corpus_dir, fresh_model, tmp_path, capsys

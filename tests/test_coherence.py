@@ -16,7 +16,6 @@ from oracles import (
 )
 from sca import coherence
 from sca.coherence import compute_batch_state
-from sca.embedding import EmbeddingTable
 from sca.kernel import KernelSpec
 
 RBF = KernelSpec("rbf", 1.0)
@@ -25,7 +24,7 @@ KERNELS = [RBF, KernelSpec("dot"), KernelSpec("cosine")]
 
 def _random_state(seed, n=8, d=4, m=5, spec=RBF):
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable(rng.standard_normal((n, d)))
+    table = rng.standard_normal((n, d))
     batch = rng.integers(0, n, size=m)
     return table, batch, compute_batch_state(spec, table, batch)
 
@@ -49,7 +48,7 @@ def _loss_oracle(dense_fields, mean):
 def _table_with_zero_row(seed, n, d):
     vectors = np.random.default_rng(seed).standard_normal((n, d))
     vectors[3] = 0.0
-    return EmbeddingTable(vectors)
+    return vectors
 
 
 class TestBatchState:
@@ -74,7 +73,7 @@ class TestBatchState:
             contexts = np.array([context_vector(spec, table, int(t), batch) for t in batch])
             _assert_close(state.rights, contexts)
             fields = []
-            for e, c in zip(table.vectors[batch], contexts):
+            for e, c in zip(table[batch], contexts):
                 f = TensorField(e, c)
                 fields.append(f if bound[0] is None else spectral_project(f, *bound))
             _assert_close(state.mean, mean_field(fields))
@@ -103,7 +102,7 @@ class TestBatchState:
         # a million times less than they differ from zero
         rng = np.random.default_rng(0)
         v = rng.standard_normal(16)
-        table = EmbeddingTable(v + 1e-6 * rng.standard_normal((32, 16)))
+        table = v + 1e-6 * rng.standard_normal((32, 16))
         state = compute_batch_state(spec, table, np.arange(32))
         lefts = state.lefts.astype(np.longdouble)
         rights = state.rights.astype(np.longdouble)
@@ -118,7 +117,7 @@ class TestBatchState:
     def test_memory_stays_quadratic_in_batch(self):
         # the dense engine's (512, 512, 64) kernel broadcast alone took 134 MB
         rng = np.random.default_rng(2)
-        table = EmbeddingTable(rng.standard_normal((600, 64)) * 0.1)
+        table = rng.standard_normal((600, 64)) * 0.1
         batch = rng.integers(0, 600, size=512)
         tracemalloc.start()
         try:
@@ -129,7 +128,7 @@ class TestBatchState:
         assert peak < 32 * 2**20
 
     def test_rejects_bad_ids(self):
-        table = EmbeddingTable(np.ones((3, 2)))
+        table = np.ones((3, 2))
         with pytest.raises(ValueError):
             compute_batch_state(RBF, table, np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
@@ -147,8 +146,8 @@ class TestLoss:
         # shape, the zeros may not
         rng = np.random.default_rng(3)
         for spec, d in itertools.product(KERNELS, (2, 3, 6, 17)):
-            table = EmbeddingTable(rng.standard_normal((4, d)) * 0.1)
-            collapsed = EmbeddingTable(np.tile(table.vectors[2], (70, 1)))
+            table = rng.standard_normal((4, d)) * 0.1
+            collapsed = np.tile(table[2], (70, 1))
             for m in range(2, 71):
                 for state in (
                     compute_batch_state(spec, table, np.full(m, 2), 0.01),
@@ -188,7 +187,7 @@ class TestLoss:
 class TestGradient:
     def test_zero_at_stationary_point(self):
         rng = np.random.default_rng(7)
-        table = EmbeddingTable(rng.standard_normal((5, 4)))
+        table = rng.standard_normal((5, 4))
         state = compute_batch_state(RBF, table, np.full(6, 3))
         assert np.all(state.gradients == 0.0)
 
@@ -224,22 +223,22 @@ class TestGradient:
 
 class TestDetachedOracle:
     def test_zero_context_gives_zero_vector(self):
-        table = EmbeddingTable(np.random.default_rng(10).standard_normal((3, 4)))
+        table = np.random.default_rng(10).standard_normal((3, 4))
         fd = coherence.fd_gradient_detached(table, 0, np.zeros(4), np.zeros((4, 4)))
         assert np.all(fd == 0.0)
 
     def test_matches_analytic_form(self):
         rng = np.random.default_rng(11)
-        table = EmbeddingTable(rng.standard_normal((5, 4)))
+        table = rng.standard_normal((5, 4))
         context = rng.standard_normal(4)
         mean = rng.standard_normal((4, 4))
         fd = coherence.fd_gradient_detached(table, 1, context, mean, eps=1e-5)
-        analytic = 2.0 * (np.outer(table.vectors[1], context) - mean) @ context
+        analytic = 2.0 * (np.outer(table[1], context) - mean) @ context
         rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
         assert rel < 1e-6
 
     def test_eps_bounds_enforced(self):
-        table = EmbeddingTable(np.ones((2, 2)))
+        table = np.ones((2, 2))
         for eps in (1e-8, 1e-2):
             with pytest.raises(ValueError):
                 coherence.fd_gradient_detached(table, 0, np.ones(2), np.zeros((2, 2)), eps=eps)
@@ -248,13 +247,13 @@ class TestDetachedOracle:
 class TestFullOracle:
     def test_identical_embedding_batch_is_a_minimum(self):
         rng = np.random.default_rng(12)
-        table = EmbeddingTable(rng.standard_normal((4, 3)))
+        table = rng.standard_normal((4, 3))
         fd = coherence.fd_gradient_full(RBF, table, np.full(5, 1), 1, eps=1e-5)
         np.testing.assert_allclose(fd, 0.0, atol=1e-8)
 
     def test_single_member_batch_is_exactly_flat(self):
         rng = np.random.default_rng(13)
-        table = EmbeddingTable(rng.standard_normal((4, 3)))
+        table = rng.standard_normal((4, 3))
         fd = coherence.fd_gradient_full(RBF, table, np.array([2]), 2, eps=1e-5)
         assert np.all(fd == 0.0)
 
@@ -312,9 +311,7 @@ class TestCoherenceScore:
 
 class TestEvaluateCoherence:
     def test_deterministic(self, toy_docs):
-        table = EmbeddingTable(
-            np.random.default_rng(0).standard_normal((100, 8)) * 0.1
-        )
+        table = np.random.default_rng(0).standard_normal((100, 8)) * 0.1
         spec = KernelSpec("rbf", 0.5)
         a = coherence.evaluate_coherence(table, toy_docs, spec, 16, seed=5)
         b = coherence.evaluate_coherence(table, toy_docs, spec, 16, seed=5)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from oracles import cosine
 from sca import corpus, embedding
-from sca.embedding import EmbeddingTable
 
 
 class TestInit:
@@ -13,8 +13,8 @@ class TestInit:
         a = embedding.init_embeddings(20, 8, seed=4)
         b = embedding.init_embeddings(20, 8, seed=4)
         c = embedding.init_embeddings(20, 8, seed=5)
-        assert np.array_equal(a.vectors, b.vectors)
-        assert not np.array_equal(a.vectors, c.vectors)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -28,7 +28,7 @@ class TestInit:
 
     def test_sample_mean_near_zero(self):
         table = embedding.init_embeddings(1000, 10, seed=0, scale=0.1)
-        assert abs(float(table.vectors.mean())) < 0.01
+        assert abs(float(table.mean())) < 0.01
 
 
 class TestCosine:
@@ -63,7 +63,7 @@ def _nn_bruteforce(table, token):
     for other in range(len(table)):
         if other == token:
             continue
-        sim = cosine(table.vectors[other], table.vectors[token])
+        sim = cosine(table[other], table[token])
         if sim > best_sim:
             best_id, best_sim = other, sim
     return best_id, best_sim
@@ -72,19 +72,19 @@ def _nn_bruteforce(table, token):
 class TestNearestNeighbor:
     def test_duplicate_vector_gives_similarity_one(self):
         vectors = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]])
-        neighbor, sim = embedding.nearest_neighbor_similarity(EmbeddingTable(vectors), 0)
+        neighbor, sim = embedding.nearest_neighbor_similarity(vectors, 0)
         assert neighbor == 1
         assert sim == pytest.approx(1.0, abs=1e-12)
 
     def test_two_tokens_returns_the_other(self):
         vectors = np.array([[1.0, 0.0], [0.5, 0.5]])
-        neighbor, _ = embedding.nearest_neighbor_similarity(EmbeddingTable(vectors), 0)
+        neighbor, _ = embedding.nearest_neighbor_similarity(vectors, 0)
         assert neighbor == 1
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(21)
         for n in (3, 10, 50):
-            table = EmbeddingTable(rng.standard_normal((n, 5)))
+            table = rng.standard_normal((n, 5))
             for token in range(n):
                 got = embedding.nearest_neighbor_similarity(table, token)
                 want = _nn_bruteforce(table, token)
@@ -94,11 +94,11 @@ class TestNearestNeighbor:
     def test_zero_row_names_the_row(self):
         vectors = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="row 1"):
-            embedding.nearest_neighbor_similarity(EmbeddingTable(vectors), 0)
+            embedding.nearest_neighbor_similarity(vectors, 0)
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
-            embedding.nearest_neighbor_similarity(EmbeddingTable(np.ones((1, 3))), 0)
+            embedding.nearest_neighbor_similarity(np.ones((1, 3)), 0)
 
 
 class TestModelFile:
@@ -106,30 +106,30 @@ class TestModelFile:
         vocab = corpus.build_vocabulary(
             [corpus.RawDocument("d", "c", ["a", "b", "a"])], min_count=1
         )
-        table = embedding.init_embeddings(len(vocab), 4, seed=3, vocab=vocab)
+        table = embedding.init_embeddings(len(vocab), 4, seed=3)
         bias = np.array([0.5, -1.0, 0.25])
         path = tmp_path / "model.json"
-        embedding.save_model(table, path, bias=bias)
-        loaded, loaded_bias = embedding.load_model(path)
-        assert np.array_equal(loaded.vectors, table.vectors)
+        embedding.save_model(table, path, vocab.id_to_token, 3, bias=bias)
+        loaded, names, loaded_bias = embedding.load_model(path)
+        assert np.array_equal(loaded, table)
         assert np.array_equal(loaded_bias, bias)
-        assert loaded.vocab.id_to_token == vocab.id_to_token
-        assert loaded.seed == 3
+        assert names == vocab.id_to_token
+        assert json.loads(path.read_text())["seed"] == 3
 
     def test_round_trip_without_bias(self, tmp_path):
         table = embedding.init_embeddings(5, 3, seed=0)
         path = tmp_path / "model.json"
-        embedding.save_model(table, path)
-        loaded, bias = embedding.load_model(path)
+        embedding.save_model(table, path, [str(i) for i in range(5)], 0)
+        loaded, _, bias = embedding.load_model(path)
         assert bias is None
-        assert np.array_equal(loaded.vectors, table.vectors)
+        assert np.array_equal(loaded, table)
 
     def test_non_finite_entries_rejected_with_path(self, tmp_path):
         table = embedding.init_embeddings(3, 2, seed=0)
         broken = np.array([[0.0, np.nan]] * 3)
-        for vectors, bias in ((broken, None), (table.vectors, [0.0, np.inf, 0.0])):
+        for vectors, bias in ((broken, None), (table, [0.0, np.inf, 0.0])):
             path = tmp_path / "model.json"
-            embedding.save_model(EmbeddingTable(vectors), path, bias=bias)
+            embedding.save_model(vectors, path, ["a", "b", "c"], 0, bias=bias)
             with pytest.raises(ValueError, match="non-finite") as exc:
                 embedding.load_model(path)
             assert str(path) in str(exc.value)

@@ -10,7 +10,6 @@ from oracles import (
     spectral_project,
 )
 from sca import coherence
-from sca.embedding import EmbeddingTable
 from sca.kernel import KernelSpec
 
 RBF = KernelSpec("rbf", 1.0)
@@ -32,37 +31,37 @@ def _sigma_max_power_iteration(A, iters=500):
 
 class TestContextVector:
     def test_self_batch_returns_own_embedding(self):
-        table = EmbeddingTable(np.array([[0.5, -1.0], [2.0, 0.0]]))
+        table = np.array([[0.5, -1.0], [2.0, 0.0]])
         c = context_vector(RBF, table, 0, np.array([0]))
-        np.testing.assert_array_equal(c, table.vectors[0])
+        np.testing.assert_array_equal(c, table[0])
 
     def test_empty_batch_rejected(self):
-        table = EmbeddingTable(np.ones((3, 2)))
+        table = np.ones((3, 2))
         with pytest.raises(ValueError):
             context_vector(KernelSpec("dot"), table, 0, np.array([], dtype=np.int64))
 
     def test_identical_batch_scales_by_kernel_value(self):
         e = np.array([1.0, 2.0])
         other = np.array([0.0, 1.0])
-        table = EmbeddingTable(np.stack([other, e, e, e]))
+        table = np.stack([other, e, e, e])
         c = context_vector(RBF, table, 0, np.array([1, 2, 3]))
         k = kernel_eval(RBF, other, e)
         np.testing.assert_allclose(c, k * e, rtol=0, atol=1e-15)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(2)
-        table = EmbeddingTable(rng.standard_normal((6, 3)))
+        table = rng.standard_normal((6, 3))
         batch = np.array([1, 4, 5])
         got = context_vector(RBF, table, 2, batch)
         want = np.zeros(3)
         for j in batch:
-            want += kernel_eval(RBF, table.vectors[2], table.vectors[j]) * table.vectors[j]
+            want += kernel_eval(RBF, table[2], table[j]) * table[j]
         want /= batch.size
         np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
-        table = EmbeddingTable(rng.standard_normal((8, 4)))
+        table = rng.standard_normal((8, 4))
         batch = np.array([0, 3, 5, 6, 7])
         base = context_vector(RBF, table, 1, batch)
         for _ in range(5):
@@ -73,7 +72,7 @@ class TestContextVector:
 
     def test_concatenation_averages_halves(self):
         rng = np.random.default_rng(4)
-        table = EmbeddingTable(rng.standard_normal((10, 4)))
+        table = rng.standard_normal((10, 4))
         b1 = np.array([0, 1, 2, 3])
         b2 = np.array([4, 5, 6, 7])
         both = context_vector(RBF, table, 9, np.concatenate([b1, b2]))

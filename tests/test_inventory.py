@@ -3,13 +3,15 @@
 A name that no code in src/sca references is either a second copy of a job
 the program already does or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
-the code it checks.
+the code it checks. The signatures that benchmarks/child.py hooks into are
+pinned here too.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
-from sca import cli
+from sca import cli, coherence, lm, trainer
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sca"
@@ -67,3 +69,16 @@ def test_every_knob_is_in_the_readme():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     spelled = [f"--{k.name.replace('_', '-')}" if k.help else f"`{k.name}`" for k in cli.KNOBS]
     assert [word for word in spelled if word not in readme] == []
+
+
+def test_benchmark_hooks_keep_their_signatures():
+    # benchmarks/child.py wraps trainer.train_sca and lm.train_joint by name, passes its own
+    # on_batch and on_epoch keywords to both, and reads the ids of coherence.compute_batch_state
+    # as args[2] or kwargs["token_ids"]. The suite never runs the benchmark, so only this test
+    # stops a signature change from breaking it silently.
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for module, name in ((trainer, "train_sca"), (lm, "train_joint")):
+        params = inspect.signature(getattr(module, name)).parameters
+        assert [params[k].kind in keyword for k in ("on_batch", "on_epoch")] == [True, True]
+    ids = list(inspect.signature(coherence.compute_batch_state).parameters.values())[2]
+    assert (ids.name, ids.kind) == ("token_ids", inspect.Parameter.POSITIONAL_OR_KEYWORD)

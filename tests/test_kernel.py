@@ -5,7 +5,6 @@ import pytest
 
 from oracles import kernel_eval
 from sca import kernel
-from sca.embedding import EmbeddingTable
 from sca.kernel import KernelSpec
 
 
@@ -95,29 +94,29 @@ class TestBlock:
 
 class TestMedianBandwidth:
     def test_single_pair(self):
-        table = EmbeddingTable(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        table = np.array([[0.0, 0.0], [2.0, 0.0]])
         assert kernel.median_bandwidth(table) == 2.0
 
     def test_identical_table_floors_with_warning(self):
-        table = EmbeddingTable(np.ones((5, 3)))
+        table = np.ones((5, 3))
         with pytest.warns(RuntimeWarning):
             got = kernel.median_bandwidth(table)
         assert got == kernel.BANDWIDTH_FLOOR
 
     def test_full_coverage_matches_bruteforce_median(self):
         rng = np.random.default_rng(12)
-        table = EmbeddingTable(rng.standard_normal((10, 4)))
+        table = rng.standard_normal((10, 4))
         dists = []
         for i in range(10):
             for j in range(i + 1, 10):
-                dists.append(float(np.linalg.norm(table.vectors[i] - table.vectors[j])))
+                dists.append(float(np.linalg.norm(table[i] - table[j])))
         want = float(np.median(dists))
         got = kernel.median_bandwidth(table)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_subsample_is_seeded(self):
         rng = np.random.default_rng(13)
-        table = EmbeddingTable(rng.standard_normal((80, 4)))
+        table = rng.standard_normal((80, 4))
         assert 80 * 79 // 2 > kernel.BANDWIDTH_PAIRS  # so a sample is drawn
         a = kernel.median_bandwidth(table, seed=3)
         b = kernel.median_bandwidth(table, seed=3)
@@ -125,4 +124,4 @@ class TestMedianBandwidth:
 
     def test_tiny_table_rejected(self):
         with pytest.raises(ValueError):
-            kernel.median_bandwidth(EmbeddingTable(np.ones((1, 2))))
+            kernel.median_bandwidth(np.ones((1, 2)))

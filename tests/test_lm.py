@@ -5,7 +5,7 @@ import pytest
 
 from oracles import nll
 from sca import coherence, corpus, lm
-from sca.embedding import EmbeddingTable, init_embeddings
+from sca.embedding import init_embeddings
 from sca.kernel import KernelSpec
 from sca.lm import BigramModel
 from sca.trainer import TrainConfig
@@ -14,7 +14,7 @@ RBF = KernelSpec("rbf", 0.5)
 
 
 def _uniform_model(n=7, d=4):
-    return BigramModel(table=EmbeddingTable(np.zeros((n, d))), bias=np.zeros(n))
+    return BigramModel(table=np.zeros((n, d)), bias=np.zeros(n))
 
 
 class TestNll:
@@ -31,7 +31,7 @@ class TestNll:
         rng = np.random.default_rng(0)
         for _ in range(50):
             model = BigramModel(
-                table=EmbeddingTable(rng.standard_normal((6, 3))),
+                table=rng.standard_normal((6, 3)),
                 bias=rng.standard_normal(6),
             )
             pair = tuple(rng.integers(0, 6, size=2))
@@ -46,7 +46,7 @@ class TestNll:
         rng = np.random.default_rng(1)
         for n, d in ((5, 3), (50, 16), (500, 32)):
             model = BigramModel(
-                table=EmbeddingTable(rng.standard_normal((n, d))),
+                table=rng.standard_normal((n, d)),
                 bias=rng.standard_normal(n),
             )
             p = np.exp([-nll(model, (0, nxt)) for nxt in range(n)])
@@ -66,7 +66,7 @@ class TestPerplexity:
     def test_matches_per_pair_oracle(self):
         rng = np.random.default_rng(2)
         model = BigramModel(
-            table=EmbeddingTable(rng.standard_normal((8, 4))), bias=rng.standard_normal(8)
+            table=rng.standard_normal((8, 4)), bias=rng.standard_normal(8)
         )
         seq = rng.integers(0, 8, size=10)
         want = math.exp(
@@ -77,7 +77,7 @@ class TestPerplexity:
     def test_small_blocks_match_per_pair_oracle(self, monkeypatch):
         rng = np.random.default_rng(4)
         model = BigramModel(
-            table=EmbeddingTable(rng.standard_normal((9, 4))), bias=rng.standard_normal(9)
+            table=rng.standard_normal((9, 4)), bias=rng.standard_normal(9)
         )
         # 11 sequence pairs and 10 corpus pairs: both end in a ragged block of 3
         seq = rng.integers(0, 9, size=12)
@@ -117,7 +117,7 @@ class TestAccuracy:
         model = _uniform_model(n=4)
         model.bias[:] = 0.0
         # separate each source deterministically via huge pairwise logits
-        model.table.vectors[:] = np.eye(4)[:, :4] * 10.0
+        model.table[:] = np.eye(4)[:, :4] * 10.0
         pairs = np.array([[0, 0], [1, 1], [2, 2], [3, 3]])
         assert lm.classification_accuracy(model, pairs) == 1.0
 
@@ -148,11 +148,11 @@ class TestCeGradients:
             vectors = rng.standard_normal((n, d))
             bias = rng.standard_normal(n)
             pair = rng.integers(0, n, size=2)
-            model = BigramModel(EmbeddingTable(vectors.copy()), bias.copy())
+            model = BigramModel(vectors.copy(), bias.copy())
             _, emb_grad, bias_grad = lm.ce_batch_gradients(model, pair[None, :])
 
             def loss_with(vec, b):
-                return nll(BigramModel(EmbeddingTable(vec), b), tuple(pair))
+                return nll(BigramModel(vec, b), tuple(pair))
 
             for i in range(n):
                 for j in range(d):
@@ -176,15 +176,15 @@ class TestJointTraining:
         docs, vocab = small_docs
         config = TrainConfig(lr=0.2, batch_size=8, max_epochs=4, seed=6, tol=None, lam=0.0)
         base_model, base_logs = lm.train_joint(
-            lm.make_model(init_embeddings(len(vocab), 6, seed=6, vocab=vocab)), docs, None, config
+            lm.make_model(init_embeddings(len(vocab), 6, seed=6)), docs, None, config
         )
         joint_model, joint_logs = lm.train_joint(
-            lm.make_model(init_embeddings(len(vocab), 6, seed=6, vocab=vocab)),
+            lm.make_model(init_embeddings(len(vocab), 6, seed=6)),
             docs,
             RBF,
             config,
         )
-        assert np.array_equal(base_model.table.vectors, joint_model.table.vectors)
+        assert np.array_equal(base_model.table, joint_model.table)
         assert np.array_equal(base_model.bias, joint_model.bias)
         assert [l.loss for l in base_logs] == [l.loss for l in joint_logs]
 
@@ -203,7 +203,7 @@ class TestJointTraining:
         for lam in (0.0, 0.5):
             config = TrainConfig(lr=0.2, batch_size=8, max_epochs=3, seed=1, tol=None, lam=lam)
             model, _ = lm.train_joint(
-                lm.make_model(init_embeddings(len(vocab), 6, seed=1, vocab=vocab)),
+                lm.make_model(init_embeddings(len(vocab), 6, seed=1)),
                 docs,
                 RBF,
                 config,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sca import corpus, report
-from sca.embedding import EmbeddingTable, init_embeddings
+from sca.embedding import init_embeddings
 
 
 def _principal_angle(U, V):
@@ -32,7 +32,7 @@ class TestPca:
         rng = np.random.default_rng(0)
         direction = rng.standard_normal(5)
         X = np.outer(rng.standard_normal(30), direction)
-        res = report.pca_project(EmbeddingTable(X), k=2)
+        res = report.pca_project(X, k=2)
         assert np.max(np.abs(res.coordinates[:, 1])) < 1e-9
 
     def test_isometric_on_data_in_a_plane(self):
@@ -40,7 +40,7 @@ class TestPca:
         basis, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         coords_true = rng.standard_normal((25, 2))
         X = coords_true @ basis.T
-        res = report.pca_project(EmbeddingTable(X), k=2)
+        res = report.pca_project(X, k=2)
         for i in range(0, 25, 5):
             for j in range(25):
                 want = np.linalg.norm(coords_true[i] - coords_true[j])
@@ -50,7 +50,7 @@ class TestPca:
     def test_explained_variance_ordering(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((40, 6)) * np.array([3.0, 1.5, 1.0, 0.5, 0.2, 0.1])
-        res = report.pca_project(EmbeddingTable(X), k=2)
+        res = report.pca_project(X, k=2)
         assert res.eigenvalues[0] >= res.eigenvalues[1]
         assert np.var(res.coordinates[:, 0]) >= np.var(res.coordinates[:, 1])
 
@@ -58,14 +58,14 @@ class TestPca:
         rng = np.random.default_rng(3)
         for trial in range(5):
             X = rng.standard_normal((30, 7))
-            res = report.pca_project(EmbeddingTable(X), k=2)
+            res = report.pca_project(X, k=2)
             eigenvalues, basis = _svd_oracle(X, 2)
             np.testing.assert_allclose(res.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
             assert _principal_angle(res.components, basis) < 1e-10
 
     def test_sign_convention(self):
         rng = np.random.default_rng(4)
-        res = report.pca_project(EmbeddingTable(rng.standard_normal((20, 4))), k=2)
+        res = report.pca_project(rng.standard_normal((20, 4)), k=2)
         for component in res.components:
             assert component[np.argmax(np.abs(component))] > 0
 
@@ -75,10 +75,10 @@ class TestPca:
         a = np.sqrt(1.0 - 1e-6)
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, a], [0.0, -a]])
         for k in (1, 2):
-            res = report.pca_project(EmbeddingTable(X), k=k)
+            res = report.pca_project(X, k=k)
             eigenvalues, _ = _svd_oracle(X, k)
             np.testing.assert_allclose(res.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
-        res = report.pca_project(EmbeddingTable(X), k=2)
+        res = report.pca_project(X, k=2)
         for i in range(4):
             for j in range(4):
                 want = np.linalg.norm(X[i] - X[j])
@@ -87,7 +87,7 @@ class TestPca:
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
-            report.pca_project(EmbeddingTable(np.ones((2, 3))), k=2)
+            report.pca_project(np.ones((2, 3)), k=2)
 
 
 class TestRareWords:
@@ -101,7 +101,7 @@ class TestRareWords:
 
     def test_identical_tables_have_zero_deltas(self):
         vocab = self._vocab([100, 50, 3, 2])
-        table = init_embeddings(5, 4, seed=0, vocab=vocab)
+        table = init_embeddings(5, 4, seed=0)
         rep = report.rare_word_report(table, table, vocab, rare_quantile=0.5)
         assert rep.rows
         assert rep.mean_delta() == 0.0
@@ -110,12 +110,8 @@ class TestRareWords:
 
     def test_matches_manual_cosines_on_hand_tables(self):
         vocab = self._vocab([9, 5, 1])  # t2 is the rare one
-        before = EmbeddingTable(
-            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]), vocab=vocab
-        )
-        after = EmbeddingTable(
-            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]]), vocab=vocab
-        )
+        before = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        after = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])
         rep = report.rare_word_report(before, after, vocab, rare_quantile=0.05)
         assert [r.token for r in rep.rows] == ["t2"]
         # token t2 is id 3: nearest neighbor before is id 0 (cos 1/sqrt 2),
@@ -126,15 +122,15 @@ class TestRareWords:
 
     def test_quantile_picks_low_frequency_tokens(self):
         vocab = self._vocab([100, 90, 80, 5, 4])
-        table = init_embeddings(6, 4, seed=1, vocab=vocab)
+        table = init_embeddings(6, 4, seed=1)
         rep = report.rare_word_report(table, table, vocab, rare_quantile=0.25)
         assert {r.token for r in rep.rows} == {"t3", "t4"}
         assert corpus.UNK_TOKEN not in {r.token for r in rep.rows}
 
     def test_shape_mismatch_rejected(self):
         vocab = self._vocab([3, 2])
-        a = init_embeddings(3, 4, seed=0, vocab=vocab)
-        b = init_embeddings(3, 5, seed=0, vocab=vocab)
+        a = init_embeddings(3, 4, seed=0)
+        b = init_embeddings(3, 5, seed=0)
         with pytest.raises(ValueError):
             report.rare_word_report(a, b, vocab)
 
@@ -166,8 +162,8 @@ class TestHistograms:
 def _toy_artifacts(toy_vocab):
     rng = np.random.default_rng(6)
     scores = [(epoch, float(rng.uniform(0, 1))) for epoch in range(1, 13) for _ in range(4)]
-    before = init_embeddings(len(toy_vocab), 6, seed=1, vocab=toy_vocab)
-    after = init_embeddings(len(toy_vocab), 6, seed=2, vocab=toy_vocab)
+    before = init_embeddings(len(toy_vocab), 6, seed=1)
+    after = init_embeddings(len(toy_vocab), 6, seed=2)
     summary = {"seed": 1, "lambda": 0.0, "loss_final": float(np.exp(-3.0))}
     return scores, before, after, toy_vocab, summary
 

@@ -4,7 +4,7 @@ import pytest
 from oracles import spectral_project, state_fields
 from sca import corpus, lm, trainer
 from sca.coherence import compute_batch_state
-from sca.embedding import EmbeddingTable, init_embeddings
+from sca.embedding import init_embeddings
 from sca.kernel import KernelSpec
 from sca.trainer import EpochLog, TrainConfig, TrainingError
 
@@ -90,29 +90,48 @@ def _repeated_token_docs(n_tokens=64):
     return [corpus.Document("d0", "c", np.zeros(n_tokens, dtype=np.int64))]
 
 
+class TestInputsLeftAlone:
+    # the trainers update copies; cmd_train saves initial_model.json after training
+    @pytest.mark.parametrize("joint", [False, True], ids=["train_sca", "train_joint"])
+    def test_table_and_bias_are_bit_identical_after_training(self, small_docs, joint):
+        docs, vocab = small_docs
+        table = init_embeddings(len(vocab), 6, seed=4)
+        bias = np.random.default_rng(4).standard_normal(len(vocab))
+        kept = table.tobytes(), bias.tobytes()
+        config = TrainConfig(batch_size=8, max_epochs=2, seed=4, tol=None, lam=0.5)
+        if joint:
+            model, _ = lm.train_joint(lm.BigramModel(table, bias), docs, RBF, config)
+            trained = model.table
+            assert model.bias.tobytes() != kept[1]
+        else:
+            trained, _ = trainer.train_sca(table, docs, RBF, config)
+        assert trained.tobytes() != kept[0]
+        assert (table.tobytes(), bias.tobytes()) == kept
+
+
 class TestTrainSca:
     def test_repeated_token_corpus_is_stationary(self):
         table = init_embeddings(3, 4, seed=0)
         config = TrainConfig(batch_size=8, max_epochs=5, seed=1, tol=None)
         trained, logs = trainer.train_sca(table, _repeated_token_docs(), RBF, config)
         assert [log.loss for log in logs] == [0.0] * 5
-        assert np.array_equal(trained.vectors, table.vectors)
+        assert np.array_equal(trained, table)
 
     def test_deterministic_for_fixed_seed(self, small_docs):
         docs, vocab = small_docs
         config = TrainConfig(batch_size=8, max_epochs=4, seed=3, tol=None)
         results = []
         for _ in range(2):
-            table = init_embeddings(len(vocab), 6, seed=3, vocab=vocab)
+            table = init_embeddings(len(vocab), 6, seed=3)
             spec = KernelSpec("rbf", 0.5)
             trained, logs = trainer.train_sca(table, docs, spec, config)
-            results.append((trained.vectors, [(l.loss, l.coherence, l.lr) for l in logs]))
+            results.append((trained, [(l.loss, l.coherence, l.lr) for l in logs]))
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
 
     def test_tokens_outside_batches_are_unchanged(self, small_docs):
         docs, vocab = small_docs
-        table = init_embeddings(len(vocab), 6, seed=0, vocab=vocab)
+        table = init_embeddings(len(vocab), 6, seed=0)
         seen: set[int] = set()
         config = TrainConfig(batch_size=8, max_epochs=1, seed=5, tol=None)
 
@@ -125,11 +144,11 @@ class TestTrainSca:
         trained, _ = trainer.train_sca(table, docs, KernelSpec("rbf", 0.5), config, on_batch=collect)
         untouched = [i for i in range(len(vocab)) if i not in seen]
         for i in untouched:
-            assert np.array_equal(trained.vectors[i], table.vectors[i])
+            assert np.array_equal(trained[i], table[i])
 
     def test_early_stop_on_convergence(self, small_docs):
         docs, vocab = small_docs
-        table = init_embeddings(len(vocab), 6, seed=2, vocab=vocab)
+        table = init_embeddings(len(vocab), 6, seed=2)
         config = TrainConfig(batch_size=8, max_epochs=200, window=2, tol=0.5, seed=2)
         _, logs = trainer.train_sca(table, docs, KernelSpec("rbf", 0.5), config)
         assert len(logs) < 200
@@ -137,7 +156,7 @@ class TestTrainSca:
     def test_vectorized_projection_matches_field_operation(self):
         rng = np.random.default_rng(4)
         for mode in ("clip", "alg1"):
-            table = EmbeddingTable(rng.standard_normal((10, 5)) * 2.0)
+            table = rng.standard_normal((10, 5)) * 2.0
             ids = rng.integers(0, 10, size=8)
             fields_before = state_fields(compute_batch_state(RBF, table, ids))
             state = compute_batch_state(RBF, table, ids, rho=1.0, mode=mode)
@@ -148,7 +167,7 @@ class TestTrainSca:
 
     def test_alg1_mode_runs(self, small_docs):
         docs, vocab = small_docs
-        table = init_embeddings(len(vocab), 6, seed=2, vocab=vocab)
+        table = init_embeddings(len(vocab), 6, seed=2)
         config = TrainConfig(batch_size=8, max_epochs=3, seed=2, tol=None, spectral_mode="alg1")
         _, logs = trainer.train_sca(table, docs, KernelSpec("rbf", 0.5), config)
         assert all(np.isfinite(log.loss) for log in logs)
@@ -156,15 +175,15 @@ class TestTrainSca:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_aborts_with_location(self, small_docs):
         docs, vocab = small_docs
-        table = init_embeddings(len(vocab), 6, seed=0, vocab=vocab)
-        table.vectors[1, 0] = np.inf  # most frequent real token, sampled immediately
+        table = init_embeddings(len(vocab), 6, seed=0)
+        table[1, 0] = np.inf  # most frequent real token, sampled immediately
         config = TrainConfig(batch_size=8, max_epochs=2, seed=0, tol=None)
         with pytest.raises(TrainingError, match=r"epoch 1, batch \d+"):
             trainer.train_sca(table, docs, KernelSpec("rbf", 0.5), config)
 
     def test_unresolved_bandwidth_rejected(self, small_docs):
         docs, vocab = small_docs
-        table = init_embeddings(len(vocab), 6, seed=0, vocab=vocab)
+        table = init_embeddings(len(vocab), 6, seed=0)
         with pytest.raises(ValueError, match="bandwidth"):
             trainer.train_sca(table, docs, KernelSpec("rbf"), TrainConfig())
 
@@ -185,7 +204,7 @@ class TestTrainSca:
         )
         for pools, train in runs:
             calls.clear()
-            _, logs = train(init_embeddings(len(vocab), 6, seed=1, vocab=vocab))
+            _, logs = train(init_embeddings(len(vocab), 6, seed=1))
             assert len(logs) == 3
             assert len(calls) == int(pools(docs).masses.sum()) // config.batch_size
 
@@ -198,7 +217,7 @@ class TestTrainSca:
 
 def _stepped(table, state, dt):
     """A copy of the table after one in-place gradient_flow_step."""
-    stepped = EmbeddingTable(table.vectors.copy())
+    stepped = table.copy()
     trainer.gradient_flow_step(stepped, state, dt)
     return stepped
 
@@ -206,14 +225,14 @@ def _stepped(table, state, dt):
 class TestGradientFlowStep:
     def test_zero_gradient_leaves_table_unchanged(self):
         rng = np.random.default_rng(0)
-        table = EmbeddingTable(rng.standard_normal((4, 3)))
+        table = rng.standard_normal((4, 3))
         state = compute_batch_state(RBF, table, np.full(6, 1))
         stepped = _stepped(table, state, dt=0.1)
-        assert np.array_equal(stepped.vectors, table.vectors)
+        assert np.array_equal(stepped, table)
 
     def test_small_step_decreases_loss(self):
         rng = np.random.default_rng(1)
-        table = EmbeddingTable(rng.standard_normal((8, 4)))
+        table = rng.standard_normal((8, 4))
         batch = np.arange(6)
         state = compute_batch_state(RBF, table, batch)
         stepped = _stepped(table, state, dt=1e-4)
@@ -222,7 +241,7 @@ class TestGradientFlowStep:
 
     def test_half_step_difference_shrinks_quadratically(self):
         rng = np.random.default_rng(2)
-        table = EmbeddingTable(rng.standard_normal((8, 4)))
+        table = rng.standard_normal((8, 4))
         batch = np.arange(6)
 
         def endpoint(dt, halves):
@@ -231,7 +250,7 @@ class TestGradientFlowStep:
             for _ in range(halves):
                 state = compute_batch_state(RBF, current, batch)
                 current = _stepped(current, state, step)
-            return current.vectors
+            return current
 
         def gap(dt):
             return np.linalg.norm(endpoint(dt, 1) - endpoint(dt, 2))
@@ -243,7 +262,7 @@ class TestGradientFlowStep:
         # pick a step by backtracking, then the same batch's loss must
         # decrease monotonically for at least 50 repeated steps
         rng = np.random.default_rng(3)
-        table = EmbeddingTable(rng.standard_normal((12, 5)))
+        table = rng.standard_normal((12, 5))
         batch = rng.integers(0, 12, size=10)
         dt = 0.5
         base = compute_batch_state(RBF, table, batch)
@@ -252,7 +271,7 @@ class TestGradientFlowStep:
             if compute_batch_state(RBF, stepped, batch).loss < base.loss:
                 break
             dt /= 2.0
-        current = EmbeddingTable(table.vectors.copy())
+        current = table.copy()
         last = np.inf
         for _ in range(50):
             state = compute_batch_state(RBF, current, batch)
@@ -263,18 +282,18 @@ class TestGradientFlowStep:
     def test_one_batch_training_is_one_step(self, small_docs):
         # a one-batch, one-epoch train_sca applies exactly the Euler step
         docs, vocab = small_docs
-        table = init_embeddings(len(vocab), 6, seed=2, vocab=vocab)
+        table = init_embeddings(len(vocab), 6, seed=2)
         total = int(corpus.token_pools(docs).masses.sum())
         config = TrainConfig(lr=0.3, batch_size=total, max_epochs=1, seed=4, tol=None)
         trained, logs = trainer.train_sca(table, docs, RBF, config)
         ids = corpus.sample_from_pools(corpus.token_pools(docs), total, config.seed, 0)
         state = compute_batch_state(RBF, table, ids, config.rho, config.spectral_mode)
         expected = _stepped(table, state, config.lr)
-        assert np.array_equal(trained.vectors, expected.vectors)
+        assert np.array_equal(trained, expected)
         assert logs[0].loss == state.loss
 
     def test_bad_dt_rejected(self):
-        table = EmbeddingTable(np.ones((2, 2)))
+        table = np.ones((2, 2))
         state = compute_batch_state(RBF, table, np.array([0]))
         with pytest.raises(ValueError):
             trainer.gradient_flow_step(table, state, dt=0.0)
