@@ -150,27 +150,25 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str
     report.write_json(out / "manifest.json", payload)
 
 
-def _lm_metrics(table: np.ndarray, bias, split) -> dict:
+def _metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dict:
+    """A model's perplexities on the train and test parts, next-token accuracy and coherence score."""
     model = lm.BigramModel(table=table, bias=bias if bias is not None else np.zeros(len(table)))
     return {
         "perplexity_train": lm.corpus_perplexity(model, split.train),
         "perplexity_heldout": lm.corpus_perplexity(model, split.test),
         "accuracy": lm.classification_accuracy(model, lm.corpus_pairs(split.test)),
+        "coherence_score": coherence.evaluate_coherence(
+            table, split.train, spec, cfg["batch"], cfg["seed"]
+        ),
     }
-
-
-def _model_metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dict:
-    """The LM metrics plus the coherence score that `sca eval` reports."""
-    metrics = _lm_metrics(table, bias, split)
-    metrics["coherence_score"] = coherence.evaluate_coherence(
-        table, split.train, spec, cfg["batch"], cfg["seed"]
-    )
-    return metrics
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "train")
     vocab, split = _build_corpus(cfg)
+    if len(vocab) < 3:  # a rare word needs a nearest neighbour, and pca.csv three rows
+        raise CorpusError(f"the vocabulary has {len(vocab)} entries; training needs at least 3 "
+                          "(the unknown token and two real tokens)")
     initial = embedding.init_embeddings(len(vocab), cfg["dim"], cfg["seed"], cfg["sigma_init"])
     spec = _resolve_kernel(cfg, initial)
     joint = cfg["lambda"] is not None
@@ -217,15 +215,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
         trained, bias = result, None
 
-    save(result, out / "model.json")
-    save(initial, out / "initial_model.json")
-    corpus.write_vocabulary(vocab, out / "vocab.json")
-    report.write_csv(
-        out / "loss_curve.csv",
-        ["epoch", "loss", "coherence", "lr", "seconds"],
-        [[e.epoch, e.loss, e.coherence, e.lr, e.seconds] for e in logs],
-    )
-
+    final = _metrics(trained, bias, split, spec, cfg)
     summary = {
         "seed": config.seed,
         "lambda": config.lam,
@@ -237,13 +227,22 @@ def cmd_train(args: argparse.Namespace) -> int:
         "coherence_initial": coherence.evaluate_coherence(
             initial, split.train, spec, config.batch_size, config.seed
         ),
-        "coherence_final": coherence.evaluate_coherence(
-            trained, split.train, spec, config.batch_size, config.seed
-        ),
+        "coherence_final": final.pop("coherence_score"),
         "coherence_score_note": report.COHERENCE_SCORE_NOTE,
+        **final,
     }
-    summary.update(_lm_metrics(trained, bias, split))
-    report.emit_reports(out / "reports", batch_scores, initial, trained, vocab, summary)
+    rare = report.rare_word_report(initial, trained, vocab)
+    pca = report.pca_project(trained)
+
+    save(result, out / "model.json")
+    save(initial, out / "initial_model.json")
+    corpus.write_vocabulary(vocab, out / "vocab.json")
+    report.write_csv(
+        out / "loss_curve.csv",
+        ["epoch", "loss", "coherence", "lr", "seconds"],
+        [[e.epoch, e.loss, e.coherence, e.lr, e.seconds] for e in logs],
+    )
+    report.emit_reports(out / "reports", batch_scores, rare, pca, vocab, summary)
 
     artifact_paths = {
         "model": "model.json",
@@ -315,29 +314,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # everything is computed before --out is created, so a bad model, kernel or batch leaves none
     models = [load_checked(p) for p in ([args.model] if single else [args.before, args.after])]
     spec = _resolve_kernel(cfg, models[0][0])
-    if single:
-        table, bias = models[0]
-        summary = _model_metrics(table, bias, split, spec, cfg)
-    else:
-        (before, bias_before), (after, bias_after) = models
+    metrics = [_metrics(table, bias, split, spec, cfg) for table, bias in models]
+    summary = metrics[0] if single else {"before": metrics[0], "after": metrics[1]}
+    rare = pca = None
+    if not single:
+        (before, _), (after, _) = models
         rare = report.rare_word_report(before, after, vocab)
         pca = report.pca_project(after)
-        summary = {
-            "before": _model_metrics(before, bias_before, split, spec, cfg),
-            "after": _model_metrics(after, bias_after, split, spec, cfg),
-            "rare_word_mean_delta": rare.mean_delta(),
-        }
+        summary["rare_word_mean_delta"] = float(np.mean([a - b for _, _, b, a in rare]))
     summary.update({"lambda": cfg["lambda"], "seed": cfg["seed"]})
     summary["coherence_score_note"] = report.COHERENCE_SCORE_NOTE
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = {"summary": "summary.json"}
-    if not single:
-        report.write_rare_words(rare, out / "rare_words.csv")
-        report.write_pca(pca, vocab, out / "pca.csv")
-        artifacts.update({"rare_words": "rare_words.csv", "pca": "pca.csv"})
-    report.write_json(out / "summary.json", summary)
-    _write_manifest(out, "eval", cfg, artifacts)
+    paths = report.emit_reports(cfg["out"], [], rare, pca, vocab, summary)
+    _write_manifest(Path(cfg["out"]), "eval", cfg, {name: p.name for name, p in paths.items()})
     return 0
 
 

@@ -19,6 +19,7 @@ import re
 import numpy as np
 
 UNK_TOKEN = "<unk>"
+UNK_ID = 0  # the unknown token's id in every vocabulary
 
 # word runs, or single non-word non-space characters (punctuation et al.)
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -59,15 +60,13 @@ class Vocabulary:
     token_to_id: dict[str, int]
     id_to_token: list[str]
     frequencies: np.ndarray
-    unk_id: int = 0
 
     def __len__(self) -> int:
         return len(self.id_to_token)
 
     def encode(self, tokens: list[str]) -> np.ndarray:
-        unk = self.unk_id
         table = self.token_to_id
-        return np.array([table.get(t, unk) for t in tokens], dtype=np.int64)
+        return np.array([table.get(t, UNK_ID) for t in tokens], dtype=np.int64)
 
     def to_records(self) -> list[dict]:
         return [

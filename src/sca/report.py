@@ -1,5 +1,6 @@
-"""Report emitters: coherence histograms, rare-word similarity tables,
-and 2-D principal-component projections.
+"""Reports: coherence histogram rows, rare-word similarity rows, 2-D
+principal-component projections, and emit_reports, the one writer of the
+report files of both `sca train` and `sca eval`.
 
 Plots are out of scope; deterministic CSV/JSON files are the contract.
 Every float is written with repr precision so re-emission from the same
@@ -16,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import UNK_ID, Vocabulary
 from .embedding import nearest_neighbor_similarity
 
 HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 21)  # 0.05-wide bins over [0, 1]
 HISTOGRAM_SEGMENTS = 4  # contiguous epoch segments, one histogram each
+RARE_QUANTILE = 0.05  # rare words: real tokens at or below this frequency quantile
 
 COHERENCE_SCORE_NOTE = (
     "coherence score is artifact-defined: mean Frobenius cosine between "
@@ -33,28 +35,6 @@ class PCAResult:
     coordinates: np.ndarray  # (n, k)
     eigenvalues: np.ndarray  # (k,)
     components: np.ndarray  # (k, d)
-
-
-@dataclass
-class CoherenceHistogram:
-    checkpoint: str
-    counts: np.ndarray
-
-
-@dataclass
-class RareWordRow:
-    token: str
-    frequency: int
-    similarity_before: float
-    similarity_after: float
-
-
-@dataclass
-class RareWordReport:
-    rows: list[RareWordRow]
-
-    def mean_delta(self) -> float:
-        return float(np.mean([r.similarity_after - r.similarity_before for r in self.rows]))
 
 
 def pca_project(table: np.ndarray, k: int = 2) -> PCAResult:
@@ -85,61 +65,60 @@ def pca_project(table: np.ndarray, k: int = 2) -> PCAResult:
 
 
 def rare_word_report(
-    table_before: np.ndarray,
-    table_after: np.ndarray,
-    vocab: Vocabulary,
-    rare_quantile: float = 0.05,
-) -> RareWordReport:
+    table_before: np.ndarray, table_after: np.ndarray, vocab: Vocabulary
+) -> list[list]:
     """Nearest-neighbor similarities, before vs after, for low-frequency tokens.
 
     The rare set is every real token (the reserved unknown id is excluded)
-    whose frequency sits at or below the requested quantile. Rows are
-    ordered by ascending frequency, then token.
+    whose frequency sits at or below the RARE_QUANTILE quantile. Returns
+    the rare_words.csv rows [token, frequency, similarity_before,
+    similarity_after], ordered by ascending frequency, then token.
     """
     if table_before.shape != table_after.shape:
         raise ValueError("tables must share vocabulary size and dimension")
     if len(vocab) != len(table_before):
         raise ValueError("vocabulary does not match the tables")
-    if not 0 < rare_quantile <= 1:
-        raise ValueError("rare_quantile must lie in (0, 1]")
-    real_ids = [i for i in range(len(vocab)) if i != vocab.unk_id]
+    real_ids = [i for i in range(len(vocab)) if i != UNK_ID]
     if not real_ids:
         raise ValueError("vocabulary has no real tokens")
-    threshold = float(np.quantile(vocab.frequencies[real_ids], rare_quantile))
+    threshold = float(np.quantile(vocab.frequencies[real_ids], RARE_QUANTILE))
     rare = [i for i in real_ids if vocab.frequencies[i] <= threshold]
     if not rare:
         raise ValueError("rare set is empty")
     rare.sort(key=lambda i: (int(vocab.frequencies[i]), vocab.id_to_token[i]))
-    rows = [
-        RareWordRow(
-            token=vocab.id_to_token[i],
-            frequency=int(vocab.frequencies[i]),
-            similarity_before=nearest_neighbor_similarity(table_before, i)[1],
-            similarity_after=nearest_neighbor_similarity(table_after, i)[1],
-        )
+    return [
+        [
+            vocab.id_to_token[i],
+            int(vocab.frequencies[i]),
+            nearest_neighbor_similarity(table_before, i)[1],
+            nearest_neighbor_similarity(table_after, i)[1],
+        ]
         for i in rare
     ]
-    return RareWordReport(rows=rows)
 
 
-def coherence_histograms(batch_scores: list[tuple[int, float]]) -> list[CoherenceHistogram]:
+def coherence_histograms(batch_scores: list[tuple[int, float]]) -> list[list]:
     """Histogram the per-batch scores over HISTOGRAM_SEGMENTS contiguous epoch segments.
 
-    Scores are clipped into [0, 1] so every scored batch lands in some bin
-    and counts are conserved.
+    Returns the coherence_hist.csv rows [checkpoint, bin_lo, bin_hi,
+    count], one per bin of each segment. Scores are clipped into [0, 1] so
+    every scored batch lands in some bin and counts are conserved.
     """
     if not batch_scores:
         raise ValueError("no batch scores to histogram")
     last_epoch = max(e for e, _ in batch_scores)
     segments = np.array_split(np.arange(1, last_epoch + 1), HISTOGRAM_SEGMENTS)
-    out = []
+    rows = []
     for segment in (s for s in segments if s.size):
         lo, hi = int(segment[0]), int(segment[-1])
         scores = np.array([s for e, s in batch_scores if lo <= e <= hi])
         clipped = np.clip(scores, HISTOGRAM_EDGES[0], HISTOGRAM_EDGES[-1])
         counts, _ = np.histogram(clipped, bins=HISTOGRAM_EDGES)
-        out.append(CoherenceHistogram(checkpoint=f"epochs {lo}-{hi}", counts=counts))
-    return out
+        rows += [
+            [f"epochs {lo}-{hi}", HISTOGRAM_EDGES[b], HISTOGRAM_EDGES[b + 1], int(count)]
+            for b, count in enumerate(counts)
+        ]
+    return rows
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -156,49 +135,37 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
-def write_coherence_histograms(histograms: list[CoherenceHistogram], path: Path) -> None:
-    rows = [
-        [hist.checkpoint, HISTOGRAM_EDGES[b], HISTOGRAM_EDGES[b + 1], int(count)]
-        for hist in histograms
-        for b, count in enumerate(hist.counts)
-    ]
-    write_csv(path, ["checkpoint", "bin_lo", "bin_hi", "count"], rows)
-
-
-def write_rare_words(rep: RareWordReport, path: Path) -> None:
-    rows = [[r.token, r.frequency, r.similarity_before, r.similarity_after] for r in rep.rows]
-    write_csv(path, ["token", "frequency", "similarity_before", "similarity_after"], rows)
-
-
-def write_pca(result: PCAResult, vocab: Vocabulary, path: Path) -> None:
-    rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(result.coordinates[:, :2])]
-    write_csv(path, ["token", "x", "y"], rows)
-
-
 def emit_reports(
-    out_dir: str | Path, batch_scores: list[tuple[int, float]], table_before: np.ndarray,
-    table_after: np.ndarray, vocab: Vocabulary, summary: dict,
+    out_dir: str | Path, batch_scores: list[tuple[int, float]], rare_rows: list[list] | None,
+    pca: PCAResult | None, vocab: Vocabulary, summary: dict,
 ) -> dict[str, Path]:
-    """Write the report files for a completed run.
+    """Write the report files and return their paths by name.
 
     coherence_hist.csv (from the (epoch, coherence score) pair of every
-    batch), rare_words.csv, pca.csv, and summary.json; coherence_hist.csv
-    only when some batch was scored (a lam = 0 joint run scores none). The
-    loss curve is the run's own loss_curve.csv, outside these reports.
-    Emission is a pure function of the arguments, so re-emitting yields
-    byte-identical files.
+    batch) only when some batch was scored (a lam = 0 joint run and eval
+    score none); rare_words.csv (rare_word_report's rows) and pca.csv (the
+    first two coordinates of each token) only when given; summary.json
+    always. Every row is built before out_dir is created. Emission is a
+    pure function of the arguments, so re-emitting yields byte-identical
+    files.
     """
+    tables = {}  # file stem: (header, rows)
+    if batch_scores:
+        hist = coherence_histograms(batch_scores)
+        tables["coherence_hist"] = (["checkpoint", "bin_lo", "bin_hi", "count"], hist)
+    if rare_rows is not None:
+        tables["rare_words"] = (
+            ["token", "frequency", "similarity_before", "similarity_after"], rare_rows
+        )
+    if pca is not None:
+        rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(pca.coordinates[:, :2])]
+        tables["pca"] = (["token", "x", "y"], rows)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "rare_words": out / "rare_words.csv",
-        "pca": out / "pca.csv",
-        "summary": out / "summary.json",
-    }
-    if batch_scores:
-        paths["coherence_hist"] = out / "coherence_hist.csv"
-        write_coherence_histograms(coherence_histograms(batch_scores), paths["coherence_hist"])
-    write_rare_words(rare_word_report(table_before, table_after, vocab), paths["rare_words"])
-    write_pca(pca_project(table_after), vocab, paths["pca"])
+    paths = {}
+    for name, (header, rows) in tables.items():
+        paths[name] = out / f"{name}.csv"
+        write_csv(paths[name], header, rows)
+    paths["summary"] = out / "summary.json"
     write_json(paths["summary"], summary)
     return paths

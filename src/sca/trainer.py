@@ -5,8 +5,8 @@ owns the adaptive learning rate, the windowed stopping rule and the
 observers; each trainer supplies a per-batch step. coherence_step is the
 coherence part those steps share: the one batch pass (kernel rows,
 context vectors, spectrally bounded fields, mean field, loss, gradients,
-score) and the finite check. gradient_flow_step, one explicit Euler step
-of the gradient flow, is the update train_sca applies to the table.
+score) and the finite check. train_sca's step is one explicit Euler step
+of the gradient flow de/dt = -g at the current learning rate.
 """
 
 from __future__ import annotations
@@ -126,17 +126,6 @@ def coherence_step(
     return state
 
 
-def gradient_flow_step(table: np.ndarray, state: BatchState, dt: float) -> None:
-    """One explicit Euler step of de/dt = -g along the batch gradients, in place.
-
-    Repeated tokens accumulate their rows' steps. The state's finiteness is
-    checked where it is made (coherence_step).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    np.add.at(table, state.token_ids, -dt * state.gradients)
-
-
 def check_config(config: TrainConfig, pools: corpus.Pools) -> None:
     """Validate the config and check that one batch fits in the pools (TrainingError if not)."""
     config.validate()
@@ -210,16 +199,17 @@ def train_sca(
     """Train the (n, d) embedding table against the coherence objective.
 
     Runs the shared epoch loop (run_epochs) over stratified token batches;
-    each step moves the batch tokens' rows along their coherence gradients.
-    The input array is left untouched: the steps update a copy, which is
-    returned together with the per-epoch logs. The coherence score passed to on_batch is
-    that of the bounded fields, at the same snapshot as the loss.
+    each step moves the batch tokens' rows along their coherence gradients,
+    a repeated token by the sum of its rows' steps. The input array is left
+    untouched: the steps update a copy, which is returned together with the
+    per-epoch logs. The coherence score passed to on_batch is that of the
+    bounded fields, at the same snapshot as the loss.
     """
     work = table.copy()
 
     def step(ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
         state = coherence_step(spec, work, ids, config, epoch, b)
-        gradient_flow_step(work, state, lr)
+        np.add.at(work, state.token_ids, -lr * state.gradients)
         return state.loss, state.score
 
     logs = run_epochs(work, corpus.token_pools(documents), config, step, on_batch, on_epoch)

@@ -136,8 +136,8 @@ def test_criterion_5_rare_word_direction(toy_runs, toy_vocab):
     deltas = []
     for seed in TOY_SEEDS:
         run = toy_runs[seed]
-        rep = report.rare_word_report(run["initial"], run["trained"], toy_vocab)
-        deltas.append(rep.mean_delta())
+        rows = report.rare_word_report(run["initial"], run["trained"], toy_vocab)
+        deltas.append(float(np.mean([after - before for _, _, before, after in rows])))
     positive = sum(1 for d in deltas if d > 0)
     assert positive >= 4, f"mean deltas {deltas}"
     _pass(5, f"rare-word mean similarity delta positive on {positive} of {len(deltas)} seeds")

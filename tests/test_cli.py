@@ -285,6 +285,21 @@ class TestTrain:
         )
         assert bad == 1
 
+    def test_vocabulary_under_three_entries_exits_one_before_out(self, corpus_dir, tmp_path,
+                                                                 capsys):
+        # one word type gives <unk> plus one token; a min_count above every count leaves <unk>
+        one_type = _text_corpus(tmp_path / "one", [
+            (f"{c}-{k}", c, "word word word word") for c in ("prose", "news") for k in range(10)
+        ])
+        (tmp_path / "config.json").write_text(json.dumps({"min_count": 1000}))
+        cosine = ["--corpus", str(corpus_dir), "--config", str(tmp_path / "config.json"),
+                  "--kernel", "cosine"]
+        for flags, entries in ((["--corpus", str(one_type)], 2), (cosine, 1)):
+            out = tmp_path / "out"
+            assert cli.main(["train", *flags, "--out", str(out), *TRAIN_ARGS]) == 1
+            assert not out.exists()
+            assert f"vocabulary has {entries} entries" in capsys.readouterr().err
+
     def test_alternative_kernel_families(self, corpus_dir, tmp_path):
         for family in ("dot", "cosine"):
             out = tmp_path / family
@@ -507,6 +522,21 @@ class TestEval:
         flags = ["--model", str(fresh_model[0]), "--out", str(unset)]
         assert cli.main(["eval", "--corpus", str(corpus_dir), *flags]) == 0
         assert json.loads((unset / "summary.json").read_text())["lambda"] is None
+
+    def test_before_after_reproduces_the_train_reports(self, corpus_dir, train_run, tmp_path):
+        run = train_run(*DEFAULT)
+        out = tmp_path / "eval"
+        flags = ["--config", str(run / "manifest.json"), "--before", str(run / "initial_model.json"),
+                 "--after", str(run / "model.json")]
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 0
+        for name in ("rare_words.csv", "pca.csv"):
+            assert (out / name).read_bytes() == (run / "reports" / name).read_bytes()
+        trained = json.loads((run / "reports" / "summary.json").read_text())
+        evaluated = json.loads((out / "summary.json").read_text())
+        assert evaluated["before"]["coherence_score"] == trained["coherence_initial"]
+        assert evaluated["after"]["coherence_score"] == trained["coherence_final"]
+        for key in ("perplexity_train", "perplexity_heldout", "accuracy"):
+            assert evaluated["after"][key] == trained[key]
 
     def test_requires_model_arguments(self, corpus_dir, tmp_path):
         code = cli.main(["eval", "--corpus", str(corpus_dir), "--out", str(tmp_path / "y")])

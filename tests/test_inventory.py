@@ -1,7 +1,8 @@
 """Every public top-level name in src/sca is used by the program; oracles live in tests/oracles.py.
 
-A name that no code in src/sca references is either a second copy of a job
-the program already does or a reference implementation; the references live
+A function, class or constant that no code in src/sca references is either
+left over (a setting nothing reads, a second copy of a job the program
+already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. The signatures that benchmarks/child.py hooks into are
 pinned here too.
@@ -22,12 +23,24 @@ def _parse_modules():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 
 
+def _defined_names(node):
+    """The names a module-level statement defines: a function, a class, or assigned constants."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _public_definitions(modules):
     return {
-        f"{name}.{node.name}"
+        f"{name}.{defined}"
         for name, tree in modules.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        for defined in _defined_names(node)
+        if not defined.startswith("_")
     }
 
 
@@ -35,8 +48,8 @@ def _referenced_names(modules):
     names = set()
     for tree in modules.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)  # a Store is the definition itself
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):

@@ -99,33 +99,35 @@ class TestRareWords:
             frequencies=np.array([0] + list(freqs), dtype=np.int64),
         )
 
-    def test_identical_tables_have_zero_deltas(self):
+    def test_identical_tables_have_zero_deltas(self, monkeypatch):
+        monkeypatch.setattr(report, "RARE_QUANTILE", 0.5)
         vocab = self._vocab([100, 50, 3, 2])
         table = init_embeddings(5, 4, seed=0)
-        rep = report.rare_word_report(table, table, vocab, rare_quantile=0.5)
-        assert rep.rows
-        assert rep.mean_delta() == 0.0
-        for row in rep.rows:
-            assert row.similarity_before == row.similarity_after
+        rows = report.rare_word_report(table, table, vocab)
+        assert rows
+        assert np.mean([after - before for _, _, before, after in rows]) == 0.0
+        for _, _, before, after in rows:
+            assert before == after
 
     def test_matches_manual_cosines_on_hand_tables(self):
         vocab = self._vocab([9, 5, 1])  # t2 is the rare one
         before = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
         after = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])
-        rep = report.rare_word_report(before, after, vocab, rare_quantile=0.05)
-        assert [r.token for r in rep.rows] == ["t2"]
+        rows = report.rare_word_report(before, after, vocab)  # at RARE_QUANTILE 0.05
+        assert [(token, frequency) for token, frequency, _, _ in rows] == [("t2", 1)]
         # token t2 is id 3: nearest neighbor before is id 0 (cos 1/sqrt 2),
         # after is id 2 (cos 1.5 / (sqrt(1.25) sqrt(2)))
-        assert rep.rows[0].similarity_before == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+        assert rows[0][2] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         want_after = 1.5 / (np.sqrt(1.25) * np.sqrt(2.0))
-        assert rep.rows[0].similarity_after == pytest.approx(want_after, abs=1e-12)
+        assert rows[0][3] == pytest.approx(want_after, abs=1e-12)
 
-    def test_quantile_picks_low_frequency_tokens(self):
+    def test_quantile_picks_low_frequency_tokens(self, monkeypatch):
+        monkeypatch.setattr(report, "RARE_QUANTILE", 0.25)
         vocab = self._vocab([100, 90, 80, 5, 4])
         table = init_embeddings(6, 4, seed=1)
-        rep = report.rare_word_report(table, table, vocab, rare_quantile=0.25)
-        assert {r.token for r in rep.rows} == {"t3", "t4"}
-        assert corpus.UNK_TOKEN not in {r.token for r in rep.rows}
+        rows = report.rare_word_report(table, table, vocab)
+        assert [row[0] for row in rows] == ["t4", "t3"]  # ascending frequency
+        assert corpus.UNK_TOKEN not in {row[0] for row in rows}
 
     def test_shape_mismatch_rejected(self):
         vocab = self._vocab([3, 2])
@@ -142,12 +144,13 @@ class TestHistograms:
 
     def test_counts_conserved(self):
         scores = self._scores()
-        hists = report.coherence_histograms(scores)
-        assert sum(int(h.counts.sum()) for h in hists) == len(scores)
+        rows = report.coherence_histograms(scores)
+        assert sum(count for _, _, _, count in rows) == len(scores)
 
     def test_checkpoint_segments_cover_epochs(self):
-        hists = report.coherence_histograms(self._scores())
-        assert [h.checkpoint for h in hists] == [
+        rows = report.coherence_histograms(self._scores())
+        assert len(rows) == 4 * (len(report.HISTOGRAM_EDGES) - 1)
+        assert list(dict.fromkeys(row[0] for row in rows)) == [
             "epochs 1-10",
             "epochs 11-20",
             "epochs 21-30",
@@ -164,8 +167,9 @@ def _toy_artifacts(toy_vocab):
     scores = [(epoch, float(rng.uniform(0, 1))) for epoch in range(1, 13) for _ in range(4)]
     before = init_embeddings(len(toy_vocab), 6, seed=1)
     after = init_embeddings(len(toy_vocab), 6, seed=2)
+    rare = report.rare_word_report(before, after, toy_vocab)
     summary = {"seed": 1, "lambda": 0.0, "loss_final": float(np.exp(-3.0))}
-    return scores, before, after, toy_vocab, summary
+    return scores, rare, report.pca_project(after), toy_vocab, summary
 
 
 class TestEmitReports:
@@ -180,6 +184,12 @@ class TestEmitReports:
                 assert len(rows) > 1
             else:
                 json.loads(path.read_text(encoding="utf-8"))
+
+    def test_only_given_rows_are_written(self, tmp_path, toy_vocab):
+        _, _, _, vocab, summary = _toy_artifacts(toy_vocab)
+        paths = report.emit_reports(tmp_path / "reports", [], None, None, vocab, summary)
+        assert set(paths) == {"summary"}
+        assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == ["summary.json"]
 
     def test_reemission_is_byte_identical(self, tmp_path, toy_vocab):
         artifacts = _toy_artifacts(toy_vocab)
