@@ -51,6 +51,8 @@ _number_or_null = _parser("a finite number or null", (*NUMBER, type(None)),
 # text ('median' or a number) is resolved by _resolve_kernel, as from the flag
 _bandwidth = _parser("a string or a finite number", NUMBER,
                      lambda v: v if isinstance(v, str) else float(v))
+# gradcheck's counts; range.index raises ValueError for a value below 1
+_count = _parser("a positive integer", (str,), lambda v: range(1, sys.maxsize).index(int(v)) + 1)
 _ratios = _parser("a list of finite numbers", (list, tuple), lambda v: tuple(map(_number, v)))
 
 # one train/eval setting: config and manifest key, and flag unless help is None (config file only)
@@ -125,10 +127,13 @@ def _resolve_kernel(cfg: dict, table: np.ndarray) -> KernelSpec:
     return KernelSpec("rbf", float(bandwidth))
 
 
-def _build_corpus(cfg: dict):
+def _build_corpus(cfg: dict, reports: bool):
     """Vocabulary and split; both the train and test parts need a document of two tokens or more."""
     raw = corpus.read_manifest(cfg["corpus"])
     vocab = corpus.build_vocabulary(raw, min_count=cfg["min_count"])
+    if reports and len(vocab) < 3:  # a rare word needs a nearest neighbour, pca.csv three rows
+        raise CorpusError(f"the vocabulary has {len(vocab)} entries; the reports need at least 3 "
+                          "(the unknown token and two real tokens)")
     docs = corpus.encode_documents(raw, vocab)
     split = corpus.stratified_split(docs, cfg["ratios"], seed=cfg["seed"])
     for part in ("train", "test"):
@@ -165,10 +170,7 @@ def _metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dic
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "train")
-    vocab, split = _build_corpus(cfg)
-    if len(vocab) < 3:  # a rare word needs a nearest neighbour, and pca.csv three rows
-        raise CorpusError(f"the vocabulary has {len(vocab)} entries; training needs at least 3 "
-                          "(the unknown token and two real tokens)")
+    vocab, split = _build_corpus(cfg, reports=True)
     initial = embedding.init_embeddings(len(vocab), cfg["dim"], cfg["seed"], cfg["sigma_init"])
     spec = _resolve_kernel(cfg, initial)
     joint = cfg["lambda"] is not None
@@ -303,8 +305,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     paired = args.before is not None or args.after is not None
     if single == paired or (paired and (args.before is None or args.after is None)):
         raise ValueError("pass either --model, or both --before and --after")
-    vocab, split = _build_corpus(cfg)
-
+    vocab, split = _build_corpus(cfg, reports=paired)
+    
     def load_checked(path: str):
         table, names, bias = embedding.load_model(path)
         if names != vocab.id_to_token:
@@ -329,13 +331,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
 def _add_knob_flags(parser: argparse.ArgumentParser, command: str) -> None:
     """--config, then a flag for each of the command's knobs that has a help."""
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
@@ -358,9 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     grad = sub.add_parser("gradcheck", help="verify the closed-form gradient numerically")
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--epsilon", type=float, default=1e-5)
-    grad.add_argument("--dim", type=_positive_int, default=8)
-    grad.add_argument("--batch", type=_positive_int, default=16)
-    grad.add_argument("--trials", type=_positive_int, default=20)
+    grad.add_argument("--dim", type=_count, default=8)
+    grad.add_argument("--batch", type=_count, default=16)
+    grad.add_argument("--trials", type=_count, default=20)
     grad.set_defaults(func=cmd_gradcheck)
 
     ev = sub.add_parser("eval", help="evaluate trained model files against a corpus")

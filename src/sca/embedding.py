@@ -20,18 +20,26 @@ def init_embeddings(n: int, d: int, seed: int, scale: float = 0.1) -> np.ndarray
     return np.random.default_rng(seed).normal(0.0, scale, size=(n, d))
 
 
-def nearest_neighbor_similarity(table: np.ndarray, token: int) -> tuple[int, float]:
-    """Most-cosine-similar other token, ties broken by smallest id."""
+def nearest_neighbor_similarity(
+    table: np.ndarray, tokens: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Most-cosine-similar other token of each of tokens, ties broken by smallest id.
+
+    Returns (ids, sims), one entry per token, from one (r, n) product of
+    the r queried rows with the whole table.
+    """
     if len(table) < 2:
         raise ValueError("need at least two embeddings")
     norms = np.sqrt(np.sum(table * table, axis=1))
     zero_rows = np.flatnonzero(norms == 0.0)
     if zero_rows.size:
         raise ValueError(f"zero-norm embedding row {int(zero_rows[0])}")
-    sims = np.sum(table * table[token], axis=1) / (norms * norms[token])
-    sims[token] = -np.inf
-    best = int(np.argmax(sims))
-    return best, float(sims[best])
+    tokens = np.asarray(tokens, dtype=np.int64)
+    queries = np.arange(tokens.shape[0])
+    sims = table[tokens] @ table.T / np.outer(norms[tokens], norms)
+    sims[queries, tokens] = -np.inf
+    ids = np.argmax(sims, axis=1)
+    return ids, sims[queries, ids]
 
 
 def save_model(
@@ -46,12 +54,12 @@ def save_model(
         "dim": table.shape[1],
         "seed": seed,
         "tokens": [
-            {"token": names[i], "id": i, "vector": [float(x) for x in table[i]]}
-            for i in range(len(table))
+            {"token": names[i], "id": i, "vector": vector}
+            for i, vector in enumerate(np.asarray(table, dtype=float).tolist())
         ],
     }
     if bias is not None:
-        payload["bias"] = [float(x) for x in bias]
+        payload["bias"] = np.asarray(bias, dtype=float).tolist()
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 

@@ -5,6 +5,11 @@ table E on both sides. Cross-entropy gradients are analytic; joint
 training adds lam * (coherence gradient) over the batch's distinct source
 tokens. A lam of 0 (or no kernel spec) skips the coherence machinery
 entirely, so such a run is plain cross-entropy training.
+
+Perplexity and accuracy depend on a pair's source only through its row
+of logits, so evaluation builds one vocabulary-wide row per distinct
+source, SOURCE_BLOCK sources at a time, and gathers every pair's target
+logit and argmax from it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from . import corpus, trainer
 from .kernel import KernelSpec
 from .trainer import EpochLog, TrainConfig
 
-PAIR_BLOCK = 1024  # pairs scored per block of vocabulary-wide logits
+SOURCE_BLOCK = 1024  # distinct sources per block of vocabulary-wide logit rows
 
 
 @dataclass
@@ -32,20 +37,27 @@ def make_model(table: np.ndarray) -> BigramModel:
     return BigramModel(table=table, bias=np.zeros(len(table)))
 
 
-def _logit_blocks(model: BigramModel, sources: np.ndarray):
-    """Yield (rows, logits) for PAIR_BLOCK sources at a time, so memory stays bounded."""
+def _source_blocks(model: BigramModel, sources: np.ndarray):
+    """Yield (members, rows, logits) per block of at most SOURCE_BLOCK distinct sources.
+
+    logits has one row per source of the block; members are the pairs with
+    a source in the block, and rows gives each member's row of logits.
+    """
     E = model.table
-    for start in range(0, sources.shape[0], PAIR_BLOCK):
-        rows = slice(start, start + PAIR_BLOCK)
-        yield rows, E[sources[rows]] @ E.T + model.bias
+    unique, inverse = np.unique(sources, return_inverse=True)
+    for start in range(0, unique.shape[0], SOURCE_BLOCK):
+        block = unique[start:start + SOURCE_BLOCK]
+        members = np.flatnonzero((inverse >= start) & (inverse < start + block.shape[0]))
+        yield members, inverse[members] - start, E[block] @ E.T + model.bias
 
 
 def _pair_nlls(model: BigramModel, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     nlls = np.empty(sources.shape[0])
-    for rows, Z in _logit_blocks(model, sources):
-        shifted = Z - Z.max(axis=1)[:, None]
+    for members, rows, Z in _source_blocks(model, sources):
+        zmax = Z.max(axis=1)[:, None]
+        shifted = Z - zmax
         log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-        nlls[rows] = log_norm - shifted[np.arange(Z.shape[0]), targets[rows]]
+        nlls[members] = log_norm[rows] - shifted[rows, targets[members]]
     return nlls
 
 
@@ -69,8 +81,8 @@ def classification_accuracy(model: BigramModel, pairs: np.ndarray) -> float:
     if pairs.shape[0] == 0:
         raise ValueError("no pairs to score")
     predicted = np.empty(pairs.shape[0], dtype=np.int64)
-    for rows, Z in _logit_blocks(model, pairs[:, 0]):
-        predicted[rows] = np.argmax(Z, axis=1)
+    for members, rows, Z in _source_blocks(model, pairs[:, 0]):
+        predicted[members] = np.argmax(Z, axis=1)[rows]
     return float(np.mean(predicted == pairs[:, 1]))
 
 

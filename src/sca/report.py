@@ -86,14 +86,11 @@ def rare_word_report(
     if not rare:
         raise ValueError("rare set is empty")
     rare.sort(key=lambda i: (int(vocab.frequencies[i]), vocab.id_to_token[i]))
+    before = nearest_neighbor_similarity(table_before, rare)[1].tolist()
+    after = nearest_neighbor_similarity(table_after, rare)[1].tolist()
     return [
-        [
-            vocab.id_to_token[i],
-            int(vocab.frequencies[i]),
-            nearest_neighbor_similarity(table_before, i)[1],
-            nearest_neighbor_similarity(table_after, i)[1],
-        ]
-        for i in rare
+        [vocab.id_to_token[i], int(vocab.frequencies[i]), b, a]
+        for i, b, a in zip(rare, before, after)
     ]
 
 

@@ -294,11 +294,21 @@ class TestTrain:
         (tmp_path / "config.json").write_text(json.dumps({"min_count": 1000}))
         cosine = ["--corpus", str(corpus_dir), "--config", str(tmp_path / "config.json"),
                   "--kernel", "cosine"]
-        for flags, entries in ((["--corpus", str(one_type)], 2), (cosine, 1)):
+        names = corpus.build_vocabulary(corpus.read_manifest(one_type)).id_to_token
+        model = tmp_path / "model.json"
+        embedding.save_model(embedding.init_embeddings(2, 4, seed=0), model, names, 0)
+        paired = ["eval", "--corpus", str(one_type), "--before", str(model), "--after", str(model)]
+        for args, entries in (
+            (["train", "--corpus", str(one_type), *TRAIN_ARGS], 2),
+            (["train", *cosine, *TRAIN_ARGS], 1),
+            (paired, 2),
+        ):
             out = tmp_path / "out"
-            assert cli.main(["train", *flags, "--out", str(out), *TRAIN_ARGS]) == 1
+            assert cli.main([*args, "--out", str(out)]) == 1
             assert not out.exists()
             assert f"vocabulary has {entries} entries" in capsys.readouterr().err
+        single = ["eval", "--corpus", str(one_type), "--model", str(model)]
+        assert cli.main([*single, "--out", str(tmp_path / "single")]) == 0
 
     def test_alternative_kernel_families(self, corpus_dir, tmp_path):
         for family in ("dot", "cosine"):

@@ -72,33 +72,35 @@ def _nn_bruteforce(table, token):
 class TestNearestNeighbor:
     def test_duplicate_vector_gives_similarity_one(self):
         vectors = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]])
-        neighbor, sim = embedding.nearest_neighbor_similarity(vectors, 0)
-        assert neighbor == 1
-        assert sim == pytest.approx(1.0, abs=1e-12)
+        neighbors, sims = embedding.nearest_neighbor_similarity(vectors, [0])
+        assert neighbors[0] == 1
+        assert sims[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_tokens_returns_the_other(self):
         vectors = np.array([[1.0, 0.0], [0.5, 0.5]])
-        neighbor, _ = embedding.nearest_neighbor_similarity(vectors, 0)
-        assert neighbor == 1
+        neighbors, _ = embedding.nearest_neighbor_similarity(vectors, [0])
+        assert neighbors[0] == 1
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(21)
-        for n in (3, 10, 50):
-            table = rng.standard_normal((n, 5))
+        tables = [rng.standard_normal((n, 5)) for n in (3, 10, 50)]
+        tables.append(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))  # token 0 ties 1 and 2
+        for table in tables:
+            n = len(table)
+            ids, sims = embedding.nearest_neighbor_similarity(table, list(range(n)))
             for token in range(n):
-                got = embedding.nearest_neighbor_similarity(table, token)
                 want = _nn_bruteforce(table, token)
-                assert got[0] == want[0]
-                assert got[1] == pytest.approx(want[1], abs=1e-12)
+                assert ids[token] == want[0]
+                assert sims[token] == pytest.approx(want[1], abs=1e-12)
 
     def test_zero_row_names_the_row(self):
         vectors = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="row 1"):
-            embedding.nearest_neighbor_similarity(vectors, 0)
+            embedding.nearest_neighbor_similarity(vectors, [0])
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
-            embedding.nearest_neighbor_similarity(np.ones((1, 3)), 0)
+            embedding.nearest_neighbor_similarity(np.ones((1, 3)), [0])
 
 
 class TestModelFile:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,12 +80,12 @@ class TestPerplexity:
         model = BigramModel(
             table=rng.standard_normal((9, 4)), bias=rng.standard_normal(9)
         )
-        # 11 sequence pairs and 10 corpus pairs: both end in a ragged block of 3
-        seq = rng.integers(0, 9, size=12)
+        # repeated sources in unsorted order; both pair sets have the 7
+        # distinct sources {0, 1, 2, 3, 5, 7, 8}, so blocks of 3 end ragged
+        seq = np.array([5, 2, 7, 5, 0, 2, 8, 5, 3, 7, 1, 2])
         docs = [corpus.Document("d0", "c", seq[:6]), corpus.Document("d1", "c", seq[6:])]
         pairs = lm.corpus_pairs(docs)
-        accuracy = lm.classification_accuracy(model, pairs)
-        monkeypatch.setattr(lm, "PAIR_BLOCK", 3)
+        monkeypatch.setattr(lm, "SOURCE_BLOCK", 3)
 
         def oracle(pair_list):
             return math.exp(np.mean([nll(model, pair) for pair in pair_list]))
@@ -94,7 +95,24 @@ class TestPerplexity:
             oracle(seq_pairs), rel=1e-12
         )
         assert lm.corpus_perplexity(model, docs) == pytest.approx(oracle(pairs), rel=1e-12)
-        assert lm.classification_accuracy(model, pairs) == accuracy
+        E = model.table
+        argmaxes = np.array([np.argmax(E @ E[s] + model.bias) for s in pairs[:, 0]])
+        assert lm.classification_accuracy(model, pairs) == np.mean(argmaxes == pairs[:, 1])
+        assert lm.classification_accuracy(model, np.column_stack([pairs[:, 0], argmaxes])) == 1.0
+
+    def test_memory_stays_bounded_by_the_source_block(self):
+        # unblocked, one (pairs, n) logit matrix alone would take 20,000 * 4,000 * 8 B = 640 MB
+        rng = np.random.default_rng(5)
+        n = 4000
+        model = BigramModel(table=0.1 * rng.standard_normal((n, 8)), bias=rng.standard_normal(n))
+        docs = [corpus.Document(f"d{k}", "c", rng.integers(0, n, size=201)) for k in range(100)]
+        tracemalloc.start()
+        try:
+            lm.corpus_perplexity(model, docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * lm.SOURCE_BLOCK * n * 8
 
     def test_memorized_bigram_approaches_one(self):
         # the one bigram (0 -> 1), repeated; a tied model can drive its
