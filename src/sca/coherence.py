@@ -8,7 +8,9 @@ with its kernel-weighted context vector, so its largest singular value is
 treats kernel weights, context vectors, and the mean field as constants (the
 update direction used in training); the full finite-difference gradient that
 re-derives everything per perturbation exists as a diagnostic.
-compute_batch_state never forms a field.
+compute_batch_state never forms a field. At toy sizes its cost is its count
+of numpy calls: it works in place, skips the scale arithmetic inside the clip
+ball, and calls np.dot and ufunc reductions, cheaper to dispatch than @.
 """
 
 from __future__ import annotations
@@ -60,39 +62,51 @@ def compute_batch_state(
     """The one batch pass: kernel rows, contexts, bounded fields, mean, loss, gradients, score.
 
     T_i = e_i c_i^T is bounded to s_i T_i, s_i = spectral_scales(|e_i||c_i|, rho, mode)
-    (1 when rho is None). M, the loss sum |s_i T_i - M|^2, the gradients g_i = 2 s_i (s_i T_i - M)
-    c_i and the score come from Gram matrices of A = s E and C in O(m^2 + md + d^2) memory, with
-    T_i - T_0 in rank-2 form: identical rows give exact zeros, and the loss cancels relative to
-    the batch spread, not to |T|^2.
+    (1 when rho is None, or in clip mode when every field is inside the ball). M, the loss
+    sum |s_i T_i - M|^2, the gradients g_i = 2 s_i (s_i T_i - M) c_i and the score come from
+    A = s E and C in O(m^2 + md + d^2) memory, with T_i - T_0 in rank-2 form: identical rows
+    give exact zeros, and the loss cancels relative to the batch spread, not to |T|^2.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("token_ids must be a non-empty 1-D array")
-    if ids.min() < 0 or ids.max() >= len(table):
+    if ids.view(np.uint64).max() >= len(table):  # a negative id reads as one above 2^63
         raise ValueError("token id outside the embedding table")
     m = ids.size
-    E = table[ids]
+    E, C = EC = np.empty((2, m, table.shape[1]))  # one buffer: one pass takes all row norms
+    E[:] = table[ids]
     K = kernel.kernel_block(spec, E)
-    C = (K @ (E - E[0]) + K.sum(axis=1)[:, None] * E[0]) / m  # equal rows of E give equal rows
-    # sigma_i = |e_i||c_i| from the two row norms, not sqrt(|e_i|^2 Gamma_ii)
-    sigma = np.sqrt((E * E).sum(axis=1)) * np.sqrt((C * C).sum(axis=1))
-    scales = np.ones(m) if rho is None else spectral_scales(sigma, rho, mode)
-    A = scales[:, None] * E
-    A0, C0 = A[0], C[0]
-    a, c = A - A0, C - C0
-    c_mean = c.sum(axis=0) / m
-    Gamma = C @ C.T
-    gamma, cC = Gamma.diagonal(), np.einsum("ij,ij->i", c, C)
-    # D_i = a_i C_i^T + A_0 c_i^T; their mean is M - T_0
-    D_mean = (a.T @ C) / m + A0[:, None] * c_mean
-    M = A0[:, None] * C0 + D_mean
-    D_sq = np.einsum("ij,ij,i->", a, a, gamma) + 2.0 * (a @ A0) @ cC + (A0 @ A0) * np.vdot(c, c)
-    # (T_i - M) C_i = A_0 ((c_i - mean c) . C_i) + Gamma_ii a_i - (Gamma a)_i / m
-    g = gamma[:, None] * a - Gamma @ a / m + np.einsum("ij,ij->i", c - c_mean, C)[:, None] * A0
-    loss = float(D_sq - m * np.vdot(D_mean, D_mean))
-    inner = np.einsum("ij,ij->i", A @ M, C)
-    score = float(np.sum(inner / (scales * sigma * np.sqrt(np.vdot(M, M)) + SCORE_GUARD)) / m)
-    return BatchState(ids, E, C, scales, M, loss, (2.0 * scales)[:, None] * g, score)
+    a = E - E[0]
+    np.dot(K, a, out=C)  # C = (K (E - E_0) + K 1 E_0^T) / m: equal rows of E give equal rows
+    C += np.multiply.outer(np.add.reduce(K, axis=1), E[0])
+    C /= m
+    squares = np.add.reduce(EC * EC, axis=2)
+    gamma, sigma = squares[1], np.multiply.reduce(np.sqrt(squares))  # |c_i|^2, |e_i||c_i|
+    A, scales, field_norms, twice = E, np.ones(m), sigma, 2.0
+    # inside the clip ball every scale is exactly 1; elsewhere spectral_scales checks rho and mode
+    if rho is not None and not (mode == "clip" and rho > 0 and sigma.max() <= rho):
+        scales = spectral_scales(sigma, rho, mode)
+        A, field_norms, twice = scales[:, None] * E, scales * sigma, 2.0 * scales[:, None]
+        a = A - A[0]
+    A0, C0, c = A[0], C[0], C - C[0]
+    # D_i = a_i C_i^T + A_0 c_i^T = T_i - T_0, and D = M - T_0 is their mean
+    D = np.dot(a.T, C)
+    D += np.multiply.outer(A0, np.add.reduce(c))
+    D /= m
+    M = D + np.multiply.outer(A0, C0)
+    # (T_i - M) C_i = (D_i - D) C_i = |C_i|^2 a_i + (c_i . C_i) A_0 - D C_i
+    cC = np.add.reduce(c * C, axis=1)
+    g = gamma[:, None] * a
+    g += np.multiply.outer(cC, A0)
+    # |D_i|^2 = a_i . D_i C_i + (a_i . A_0)(c_i . C_i) + |A_0|^2 |c_i|^2, and g_i is D_i C_i so far
+    D_sq = np.vdot(a, g) + np.dot(np.dot(a, A0), cC) + np.dot(A0, A0) * np.vdot(c, c)
+    loss = float(D_sq - m * np.vdot(D, D))
+    g -= np.dot(C, D.T)
+    g *= twice
+    # the score averages <A_i C_i^T, M> = A_i . M C_i over |A_i C_i^T| |M| + SCORE_GUARD
+    denominators = field_norms * np.sqrt(np.vdot(M, M)) + SCORE_GUARD
+    score = float(np.vdot(np.dot(A, M), C / denominators[:, None])) / m
+    return BatchState(ids, E, C, scales, M, loss, g, score)
 
 
 def _central_differences(f, e0: np.ndarray, eps: float) -> np.ndarray:
@@ -114,8 +128,6 @@ def fd_gradient_detached(
     scale: float = 1.0,
 ) -> np.ndarray:
     """Central differences of f(e) = |scale * outer(e, context) - mean|_F^2 at row i."""
-    context = np.asarray(context, dtype=float)
-    mean = np.asarray(mean, dtype=float)
 
     def f(e: np.ndarray) -> float:
         diff = scale * np.outer(e, context) - mean
@@ -132,7 +144,6 @@ def fd_gradient_full(
     Kernel rows, context vectors, and the mean field are all recomputed per
     perturbation, so this is the true gradient of the discrete objective.
     """
-    batch = np.asarray(batch, dtype=np.int64)
     base = np.array(table, dtype=float)
 
     def loss_at(e: np.ndarray) -> float:

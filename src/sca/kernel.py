@@ -1,8 +1,9 @@
 """Contextual-influence kernels over embedding vectors.
 
 All families are symmetric. kernel_block takes a batch's self-block from one
-Gram matrix. Exact cases: the rbf diagonal is 1.0, rows equal to X[0] are at
-rbf distance 0, and a zero row has cosine 0.
+Gram matrix; the rbf chain after it runs in place on two (m, m) buffers. Exact
+cases: the rbf diagonal is 1.0, rows equal to X[0] are at rbf distance 0, and
+a zero row has cosine 0.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def kernel_block(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     z = X[0]
     U = X - z
-    G = U @ U.T
+    G = np.dot(U, U.T)
     if spec.family != "rbf":
         p = U @ z  # x_i . x_j = u_i . u_j + u_i . z + u_j . z + z . z
         G += p[:, None] + p + z @ z
@@ -50,8 +51,12 @@ def kernel_block(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
         return G
     s = G.diagonal()
     if spec.family == "rbf":
-        h = spec.bandwidth
-        return np.exp(np.maximum(s[:, None] + s - 2.0 * G, 0.0) / (-2.0 * h * h))
+        H = np.add.outer(s, s)  # |u_i - u_j|^2, then the kernel, in place on two (m, m) buffers
+        G *= 2.0
+        H -= G
+        np.maximum(H, 0.0, out=H)
+        H /= -2.0 * spec.bandwidth * spec.bandwidth
+        return np.exp(H, out=H)
     denom = np.sqrt(s)[:, None] * np.sqrt(s)
     return np.divide(G, denom, out=np.zeros_like(G), where=denom != 0.0)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import corpus, trainer
+from . import coherence, corpus, trainer
 from .kernel import KernelSpec
 from .trainer import EpochLog, TrainConfig
 
@@ -48,16 +48,17 @@ def _source_blocks(model: BigramModel, sources: np.ndarray):
     for start in range(0, unique.shape[0], SOURCE_BLOCK):
         block = unique[start:start + SOURCE_BLOCK]
         members = np.flatnonzero((inverse >= start) & (inverse < start + block.shape[0]))
-        yield members, inverse[members] - start, E[block] @ E.T + model.bias
+        logits = E[block] @ E.T
+        logits += model.bias  # built, then shifted, in place: two blocks at most are alive
+        yield members, inverse[members] - start, logits
 
 
 def _pair_nlls(model: BigramModel, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     nlls = np.empty(sources.shape[0])
     for members, rows, Z in _source_blocks(model, sources):
-        zmax = Z.max(axis=1)[:, None]
-        shifted = Z - zmax
-        log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-        nlls[members] = log_norm[rows] - shifted[rows, targets[members]]
+        Z -= Z.max(axis=1)[:, None]
+        log_norm = np.log(np.sum(np.exp(Z), axis=1))
+        nlls[members] = log_norm[rows] - Z[rows, targets[members]]
     return nlls
 
 
@@ -135,18 +136,19 @@ def train_joint(
     code path is skipped, which is the pure cross-entropy baseline.
     """
     use_sca = spec is not None and config.lam != 0.0
+    bound = (config.rho, config.spectral_mode)
     work = BigramModel(table=model.table.copy(), bias=model.bias.copy())
 
     def step(pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
         loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs)
-        trainer.check_finite(loss, emb_grad, epoch, b)
         score = float("nan")
         if use_sca:
             sca_ids = np.unique(pairs[:, 0])
-            state = trainer.coherence_step(spec, work.table, sca_ids, config, epoch, b)
+            state = coherence.compute_batch_state(spec, work.table, sca_ids, *bound)
             emb_grad[sca_ids] += config.lam * state.gradients
             loss += config.lam * state.loss
             score = state.score
+        trainer.check_finite(loss, emb_grad, epoch, b)  # a non-finite term carries into the sums
         work.table -= lr * emb_grad
         work.bias -= lr * bias_grad
         return loss, score

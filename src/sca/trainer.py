@@ -2,15 +2,16 @@
 
 run_epochs is the one epoch loop: it draws the batch schedule once and
 owns the adaptive learning rate, the windowed stopping rule and the
-observers; each trainer supplies a per-batch step. coherence_step is the
-coherence part those steps share: the one batch pass (kernel rows,
-context vectors, spectrally bounded fields, mean field, loss, gradients,
-score) and the finite check. train_sca's step is one explicit Euler step
-of the gradient flow de/dt = -g at the current learning rate.
+observers; each trainer supplies a per-batch step. Both steps take the
+coherence part from the one batch pass, coherence.compute_batch_state, with
+the fields bounded by config.rho under config.spectral_mode, and run
+check_finite once on what they apply. train_sca's step is one explicit
+Euler step of the gradient flow de/dt = -g at the current learning rate.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coherence, corpus
-from .coherence import PROJECTION_MODES, BatchState
+from .coherence import PROJECTION_MODES
 from .kernel import KernelSpec
 
 LR_FLOOR = 1e-8
@@ -102,28 +103,12 @@ def adapt_learning_rate(history: list[EpochLog], lr: float) -> float:
 
 
 def check_finite(loss: float, gradients: np.ndarray, epoch: int, batch: int) -> None:
-    """Raise TrainingError, naming the step, on a non-finite loss or gradient."""
-    if not np.isfinite(loss) or not np.all(np.isfinite(gradients)):
-        raise TrainingError(f"non-finite loss or gradient at epoch {epoch}, batch {batch}")
+    """Raise TrainingError, naming the step, on a non-finite loss or gradient.
 
-
-def coherence_step(
-    spec: KernelSpec,
-    table: np.ndarray,
-    ids: np.ndarray,
-    config: TrainConfig,
-    epoch: int,
-    batch: int,
-) -> BatchState:
-    """The coherence part of one training step, shared by both trainers.
-
-    Computes the batch state with the fields bounded by config.rho under
-    config.spectral_mode and checks it is finite. The caller applies the
-    update from state.gradients; state.score is the batch coherence score.
+    A NaN or an infinity shows in the largest or the smallest entry, neither of which overflows.
     """
-    state = coherence.compute_batch_state(spec, table, ids, config.rho, config.spectral_mode)
-    check_finite(state.loss, state.gradients, epoch, batch)
-    return state
+    if not all(map(math.isfinite, (loss, gradients.max(), gradients.min()))):
+        raise TrainingError(f"non-finite loss or gradient at epoch {epoch}, batch {batch}")
 
 
 def check_config(config: TrainConfig, pools: corpus.Pools) -> None:
@@ -171,15 +156,8 @@ def run_epochs(
             scores[b] = score
             if on_batch is not None:
                 on_batch(epoch, b, loss, score)
-        logs.append(
-            EpochLog(
-                epoch=epoch,
-                loss=float(losses.mean()),
-                coherence=float(scores.mean()),
-                lr=lr,
-                seconds=time.perf_counter() - started,
-            )
-        )
+        seconds = time.perf_counter() - started
+        logs.append(EpochLog(epoch, float(losses.mean()), float(scores.mean()), lr, seconds))
         if on_epoch is not None:
             on_epoch(epoch, work, logs[-1])
         if check_convergence(logs, config.window, config.tol):
@@ -206,10 +184,14 @@ def train_sca(
     bounded fields, at the same snapshot as the loss.
     """
     work = table.copy()
+    flat, columns = work.reshape(-1), np.arange(work.shape[1])
 
     def step(ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
-        state = coherence_step(spec, work, ids, config, epoch, b)
-        np.add.at(work, state.token_ids, -lr * state.gradients)
+        state = coherence.compute_batch_state(spec, work, ids, config.rho, config.spectral_mode)
+        check_finite(state.loss, state.gradients, epoch, b)
+        # a 1-D scatter onto the flat entries of the rows adds in the same order as a 2-D one
+        entries = state.token_ids[:, None] * columns.size + columns
+        np.add.at(flat, entries.reshape(-1), state.gradients.reshape(-1) * -lr)
         return state.loss, state.score
 
     logs = run_epochs(work, corpus.token_pools(documents), config, step, on_batch, on_epoch)

@@ -133,6 +133,31 @@ class TestBatchState:
             compute_batch_state(RBF, table, np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
             compute_batch_state(RBF, table, np.array([3]))
+        with pytest.raises(ValueError):
+            compute_batch_state(RBF, table, np.array([-1]))  # table[-1] would read the last row
+        with pytest.raises(ValueError):
+            compute_batch_state(RBF, table, np.array([[0, 1], [1, 2]]))
+
+    @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
+    def test_clip_bound_inside_the_ball_is_exact(self, spec):
+        table, batch, free = _random_state(11, n=9, d=4, m=7, spec=spec)
+        largest = max(spectral_norm(f) for f in state_fields(free))
+        for rho in ((1.0 + 1e-9) * largest, 2.0 * largest):
+            clipped = compute_batch_state(spec, table, batch, rho, "clip")
+            assert np.all(clipped.scales == 1.0)
+            assert clipped.loss == free.loss and clipped.score == free.score
+            assert np.array_equal(clipped.gradients, free.gradients)
+            assert np.array_equal(clipped.mean, free.mean)
+            # alg1 divides by max(sigma, rho), so it rescales every field inside the ball
+            rescaled = compute_batch_state(spec, table, batch, rho, "alg1")
+            assert np.all(rescaled.scales == 1.0 / rho) and rescaled.loss != free.loss
+            with pytest.raises(ValueError):
+                compute_batch_state(spec, table, batch, rho, "trim")
+        with pytest.raises(ValueError):
+            compute_batch_state(spec, table, batch, -largest, "clip")
+        # zero fields: every sigma is 0, so a bound of 0 could not bind, and is still refused
+        with pytest.raises(ValueError):
+            compute_batch_state(spec, np.zeros((3, 4)), np.array([0, 1, 2]), 0.0, "clip")
 
 
 class TestLoss:

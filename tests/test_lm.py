@@ -112,7 +112,7 @@ class TestPerplexity:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * lm.SOURCE_BLOCK * n * 8
+        assert peak < 3 * lm.SOURCE_BLOCK * n * 8
 
     def test_memorized_bigram_approaches_one(self):
         # the one bigram (0 -> 1), repeated; a tied model can drive its

@@ -67,6 +67,25 @@ class TestAdaptLearningRate:
             trainer.adapt_learning_rate([], 0.1)
 
 
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_loss_or_entry_names_the_step(self, bad):
+        with pytest.raises(TrainingError, match="epoch 3, batch 7"):
+            trainer.check_finite(bad, np.ones((4, 3)), 3, 7)
+        for i, j in np.ndindex(4, 3):
+            gradients = np.ones((4, 3))
+            gradients[i, j] = bad
+            with pytest.raises(TrainingError, match="epoch 3, batch 7"):
+                trainer.check_finite(1.0, gradients, 3, 7)
+
+    def test_largest_finite_values_pass(self):
+        # a plain sum of these overflows to inf, and a sum of squares overflows at once
+        for gradients in (np.full((64, 16), 1e308), np.full((64, 16), -1e308)):
+            gradients[::3] *= -1.0
+            trainer.check_finite(1e308, gradients, 1, 0)
+            trainer.check_finite(-1e308, np.abs(gradients), 1, 0)
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
