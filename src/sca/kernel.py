@@ -38,7 +38,8 @@ class KernelSpec:
 def kernel_block(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     """K(x_i, x_j) over the rows of X, shape (m, m), from the Gram matrix U U^T, U = X - X[0].
 
-    Rows equal to X[0] become 0, so their entries are exactly constant.
+    Rows equal to X[0] become 0, so their entries are exactly constant. The
+    cosine takes its norms from the rows of X, so a zero row and column are exactly 0.
     """
     X = np.asarray(X, dtype=float)
     z = X[0]
@@ -49,15 +50,16 @@ def kernel_block(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
         G += p[:, None] + p + z @ z
     if spec.family == "dot":
         return G
-    s = G.diagonal()
     if spec.family == "rbf":
+        s = G.diagonal()
         H = np.add.outer(s, s)  # |u_i - u_j|^2, then the kernel, in place on two (m, m) buffers
         G *= 2.0
         H -= G
         np.maximum(H, 0.0, out=H)
         H /= -2.0 * spec.bandwidth * spec.bandwidth
         return np.exp(H, out=H)
-    denom = np.sqrt(s)[:, None] * np.sqrt(s)
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    denom = norms[:, None] * norms
     return np.divide(G, denom, out=np.zeros_like(G), where=denom != 0.0)
 
 

@@ -6,6 +6,12 @@ training adds lam * (coherence gradient) over the batch's distinct source
 tokens. A lam of 0 (or no kernel spec) skips the coherence machinery
 entirely, so such a run is plain cross-entropy training.
 
+A training step takes the batch's distinct sources once, for both terms.
+ce_batch_gradients builds one exponentiated logit row per distinct source
+and folds the softmax's normalization into the small operands, so no
+normalized (B, n) matrix is formed; the cross-entropy rows and the
+coherence rows go in with one scatter, and the update runs in place.
+
 Perplexity and accuracy depend on a pair's source only through its row
 of logits, so evaluation builds one vocabulary-wide row per distinct
 source, SOURCE_BLOCK sources at a time, and gathers every pair's target
@@ -88,36 +94,62 @@ def classification_accuracy(model: BigramModel, pairs: np.ndarray) -> float:
 
 
 def ce_batch_gradients(
-    model: BigramModel, pairs: np.ndarray
+    model: BigramModel,
+    pairs: np.ndarray,
+    distinct: tuple[np.ndarray, np.ndarray] | None = None,
+    extra: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean cross-entropy loss and its analytic gradients.
 
     Returns (loss, embedding gradient (n, d), bias gradient (n,)). The
     embedding gradient carries both the output-side term (p - y) e_w and
-    the tied input-side term E^T (p - y) scattered onto the source rows.
+    the tied input-side term E^T (p - y) on the source rows.
+
+    Each distinct source u gets one row Z_u = exp(logits_u - max), summing
+    to t_u, and the softmax's normalization moves onto the small operands
+    through r_u = count_u / (t_u B), so no normalized (B, n) matrix is
+    formed. Bias gradient: r Z - bincount(targets) / B. Output side:
+    Z^T (r E_u) on every row, less E[source] / B on each pair's target.
+    Input side: r (Z E) on each distinct source, less E[target] / B on each
+    pair's source. The sparse rows go in with one scatter.
+
+    distinct is np.unique(pairs[:, 0], return_inverse=True), passed by a
+    caller that already has it; extra holds one (d,) row per distinct
+    source, added to its gradient row in the same scatter.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     B = pairs.shape[0]
-    src = pairs[:, 0]
-    tgt = pairs[:, 1]
+    src, tgt = pairs[:, 0], pairs[:, 1]
+    if distinct is None:
+        distinct = np.unique(src, return_inverse=True)
+    sources, inverse = distinct
+    counts = np.bincount(inverse)
     E = model.table
-    W = E[src]
-    # one (B, n) buffer holds the logits, their exponentials and then delta,
-    # so a step allocates one vocabulary-wide array instead of four
-    delta = W @ E.T
-    delta += model.bias
-    zmax = delta.max(axis=1, keepdims=True)
-    target_logits = delta[np.arange(B), tgt]
-    delta -= zmax
-    np.exp(delta, out=delta)
-    totals = delta.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(totals[:, 0]) + zmax[:, 0] - target_logits))
-    delta /= totals
-    delta[np.arange(B), tgt] -= 1.0
-    delta /= B
-    bias_grad = delta.sum(axis=0)
-    emb_grad = delta.T @ W
-    np.add.at(emb_grad, src, delta @ E)
+    n, d = E.shape
+    W = E[sources]
+    # one (r, n) buffer holds the logits, shifted, then their exponentials; it is cut from B
+    # rows, so each step asks malloc for the same size and reuses the heap instead of growing
+    # and trimming it, which costs page faults
+    Z = np.dot(W, E.T, out=np.empty((B, n))[: sources.shape[0]])
+    Z += model.bias
+    Z -= Z.max(axis=1)[:, None]
+    picked = Z[inverse, tgt]
+    np.exp(Z, out=Z)
+    totals = np.dot(Z, np.ones(n))  # row sums; the matrix-vector product is faster than np.sum
+    loss = float(np.mean(np.log(totals)[inverse] - picked))
+    r = counts / (totals * B)
+    bias_grad = np.dot(r, Z)
+    bias_grad -= np.bincount(tgt, minlength=n) / B
+    W *= r[:, None]
+    emb_grad = np.dot(Z.T, W)
+    inside = np.dot(Z, E)
+    inside *= r[:, None]
+    if extra is not None:
+        inside += extra
+    rows = np.concatenate((E[src], E[tgt], inside))
+    rows[: 2 * B] *= -1.0 / B
+    entries = np.concatenate((tgt, src, sources))[:, None] * d + np.arange(d)
+    np.add.at(emb_grad.reshape(-1), entries.reshape(-1), rows.reshape(-1))
     return loss, emb_grad, bias_grad
 
 
@@ -140,17 +172,19 @@ def train_joint(
     work = BigramModel(table=model.table.copy(), bias=model.bias.copy())
 
     def step(pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
-        loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs)
-        score = float("nan")
+        distinct = np.unique(pairs[:, 0], return_inverse=True)
+        extra, sca_loss, score = None, 0.0, float("nan")
         if use_sca:
-            sca_ids = np.unique(pairs[:, 0])
-            state = coherence.compute_batch_state(spec, work.table, sca_ids, *bound)
-            emb_grad[sca_ids] += config.lam * state.gradients
-            loss += config.lam * state.loss
-            score = state.score
+            state = coherence.compute_batch_state(spec, work.table, distinct[0], *bound)
+            extra, score = config.lam * state.gradients, state.score
+            sca_loss = config.lam * state.loss
+        loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs, distinct, extra)
+        loss += sca_loss
         trainer.check_finite(loss, emb_grad, epoch, b)  # a non-finite term carries into the sums
-        work.table -= lr * emb_grad
-        work.bias -= lr * bias_grad
+        emb_grad *= lr
+        work.table -= emb_grad
+        bias_grad *= lr
+        work.bias -= bias_grad
         return loss, score
 
     logs = trainer.run_epochs(work, corpus.bigram_pools(documents), config, step, on_batch, on_epoch)

@@ -1,11 +1,11 @@
 """Reference implementations that the tests hold the program to.
 
-Each one follows its definition directly, on one pair, one token or one dense
-(d, d) field at a time, and nothing here imports sca, so no oracle runs the
-code it checks. Embedding tables are plain (n, d) arrays; other program
-objects are read through their attributes only: spec.family and
-spec.bandwidth, model.table and model.bias, and a batch state's lefts,
-rights and scales.
+Each one follows its definition directly, on one pair, one token, one dense
+(d, d) field or one dense (B, n) softmax delta at a time, and nothing here
+imports sca, so no oracle runs the code it checks. Embedding tables are
+plain (n, d) arrays; other program objects are read through their
+attributes only: spec.family and spec.bandwidth, model.table and
+model.bias, and a batch state's lefts, rights and scales.
 """
 
 from __future__ import annotations
@@ -144,3 +144,28 @@ def nll(model, pair) -> float:
     z = E @ E[w] + model.bias
     shifted = z - z.max()
     return float(np.log(np.sum(np.exp(shifted)))) - float(shifted[nxt])
+
+
+def ce_gradients(model, pairs) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch-mean cross-entropy loss and its gradients from the dense (B, n) delta.
+
+    delta = (softmax(E e_source + b) - onehot(target)) / B, one row per pair.
+    The bias gradient is delta's column sum; the embedding gradient is the
+    output-side delta^T E[sources] plus, pair by pair, the input-side
+    delta_k E added onto the pair's source row.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    B = pairs.shape[0]
+    src, tgt = pairs[:, 0], pairs[:, 1]
+    E = model.table
+    logits = E[src] @ E.T + model.bias
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    delta = p.copy()
+    delta[np.arange(B), tgt] -= 1.0
+    delta /= B
+    emb_grad = delta.T @ E[src]
+    for k in range(B):
+        emb_grad[src[k]] += delta[k] @ E
+    loss = float(np.mean([nll(model, pair) for pair in pairs]))
+    return loss, emb_grad, delta.sum(axis=0)

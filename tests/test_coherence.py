@@ -223,8 +223,11 @@ class TestGradient:
     def test_matches_detached_finite_differences(self):
         for seed in range(20):
             table, batch, state = _random_state(seed, n=10, d=5, m=6)
-            # the bound also runs at the median field norm, so s_i != 1 is covered
-            rho = float(np.median([spectral_norm(f) for f in state_fields(state)]))
+            # the bound also runs halfway between the smallest and the largest field norm, so
+            # the largest field's s_i != 1 is covered by a margin, not by rounding
+            norms = [spectral_norm(f) for f in state_fields(state)]
+            rho = (min(norms) + max(norms)) / 2.0
+            assert min(norms) < rho < max(norms)
             for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
                 state = compute_batch_state(RBF, table, batch, *bound)
                 assert bound[0] is None or np.any(state.scales != 1.0)

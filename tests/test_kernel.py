@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ class TestBlock:
         X[2] = 0.0
         block = kernel.kernel_block(COS, X)
         assert np.all(block[2] == 0.0) and np.all(block[:, 2] == 0.0)
+        # a zero row anywhere, exactly and without a warning: its anchored Gram diagonal is a
+        # rounding residue, which can be negative, so the norms must come from the rows
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((rng.integers(2, 41), rng.integers(2, 41)))
+            i = rng.integers(0, X.shape[0])
+            X[i] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                block = kernel.kernel_block(COS, X)
+            assert np.all(block[i] == 0.0) and np.all(block[:, i] == 0.0)
 
 
 class TestMedianBandwidth:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import nll
+from oracles import ce_gradients, nll
 from sca import coherence, corpus, lm
 from sca.embedding import init_embeddings
 from sca.kernel import KernelSpec
@@ -187,6 +187,31 @@ class TestCeGradients:
                 minus[i] -= eps
                 fd = (loss_with(vectors, plus) - loss_with(vectors, minus)) / (2 * eps)
                 assert bias_grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+    def test_batch_matches_dense_delta_oracle(self):
+        # repeated sources (3, 5), repeated targets (0, 3), a pair with source == target (3, 3)
+        # and one with the source of another pair as target (5, 3)
+        pairs = np.array([[3, 0], [5, 3], [3, 3], [1, 0], [5, 7], [3, 0], [9, 5], [3, 8]])
+        rng = np.random.default_rng(21)
+        for trial in range(5):
+            model = BigramModel(rng.standard_normal((12, 6)), rng.standard_normal(12))
+            loss, emb_grad, bias_grad = lm.ce_batch_gradients(model, pairs)
+            want_loss, want_emb, want_bias = ce_gradients(model, pairs)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            for got, want in ((emb_grad, want_emb), (bias_grad, want_bias)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_extra_rows_land_on_the_distinct_sources(self):
+        pairs = np.array([[3, 0], [5, 3], [3, 3], [1, 0], [5, 7]])
+        rng = np.random.default_rng(22)
+        model = BigramModel(rng.standard_normal((9, 4)), rng.standard_normal(9))
+        distinct = np.unique(pairs[:, 0], return_inverse=True)
+        extra = rng.standard_normal((3, 4))
+        loss, emb_grad, bias_grad = lm.ce_batch_gradients(model, pairs, distinct, extra)
+        want_loss, want_emb, want_bias = lm.ce_batch_gradients(model, pairs)
+        want_emb[[1, 3, 5]] += extra
+        assert loss == want_loss and np.array_equal(bias_grad, want_bias)
+        np.testing.assert_allclose(emb_grad, want_emb, rtol=0, atol=1e-15)
 
 
 class TestJointTraining:
