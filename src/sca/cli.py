@@ -187,6 +187,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    artifacts = {"model": "model.json", "initial_model": "initial_model.json",
+                 "vocab": "vocab.json", "epoch_log": "loss_curve.csv", "reports": "reports"}
 
     batch_scores: list[tuple[int, float]] = []
 
@@ -194,28 +196,21 @@ def cmd_train(args: argparse.Namespace) -> int:
         if np.isfinite(score):
             batch_scores.append((epoch, score))
 
-    def save(snapshot, path: Path) -> None:
-        """Write a table, or a BigramModel's table and bias, as one of this run's model files."""
-        joint_snapshot = isinstance(snapshot, lm.BigramModel)
-        table, bias = (snapshot.table, snapshot.bias) if joint_snapshot else (snapshot, None)
-        embedding.save_model(table, path, vocab.id_to_token, cfg["seed"], bias)
-
     def checkpoint(epoch, snapshot, _log):
         if checkpoint_every > 0 and epoch % checkpoint_every == 0:
             (out / "checkpoints").mkdir(exist_ok=True)
-            save(snapshot, out / "checkpoints" / f"epoch_{epoch:04d}.json")
+            table, bias = snapshot
+            path = out / "checkpoints" / f"epoch_{epoch:04d}.json"
+            embedding.save_model(table, path, vocab.id_to_token, cfg["seed"], bias)
 
     log.info("training: %d tokens of vocabulary, dim %s, joint=%s", len(vocab), cfg["dim"], joint)
+    observers = {"on_batch": collect, "on_epoch": checkpoint}
     if joint:
-        result, logs = lm.train_joint(
-            lm.make_model(initial), split.train, spec, config, on_batch=collect, on_epoch=checkpoint
-        )
-        trained, bias = result.table, result.bias
+        model, logs = lm.train_joint(lm.make_model(initial), split.train, spec, config, **observers)
+        trained, bias = model.table, model.bias
     else:
-        result, logs = trainer.train_sca(
-            initial, split.train, spec, config, on_batch=collect, on_epoch=checkpoint
-        )
-        trained, bias = result, None
+        trained, logs = trainer.train_sca(initial, split.train, spec, config, **observers)
+        bias = None
 
     final = _metrics(trained, bias, split, spec, cfg)
     summary = {
@@ -236,24 +231,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     rare = report.rare_word_report(initial, trained, vocab)
     pca = report.pca_project(trained)
 
-    save(result, out / "model.json")
-    save(initial, out / "initial_model.json")
-    corpus.write_vocabulary(vocab, out / "vocab.json")
+    embedding.save_model(trained, out / artifacts["model"], vocab.id_to_token, cfg["seed"], bias)
+    embedding.save_model(initial, out / artifacts["initial_model"], vocab.id_to_token, cfg["seed"])
+    corpus.write_vocabulary(vocab, out / artifacts["vocab"])
     report.write_csv(
-        out / "loss_curve.csv",
+        out / artifacts["epoch_log"],
         ["epoch", "loss", "coherence", "lr", "seconds"],
         [[e.epoch, e.loss, e.coherence, e.lr, e.seconds] for e in logs],
     )
-    report.emit_reports(out / "reports", batch_scores, rare, pca, vocab, summary)
-
-    artifact_paths = {
-        "model": "model.json",
-        "initial_model": "initial_model.json",
-        "vocab": "vocab.json",
-        "epoch_log": "loss_curve.csv",
-        "reports": "reports",
-    }
-    _write_manifest(out, "train", {**cfg, "bandwidth_resolved": spec.bandwidth}, artifact_paths)
+    report.emit_reports(out / artifacts["reports"], batch_scores, rare, pca, vocab, summary)
+    _write_manifest(out, "train", {**cfg, "bandwidth_resolved": spec.bandwidth}, artifacts)
     return 0
 
 
@@ -306,7 +293,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if single == paired or (paired and (args.before is None or args.after is None)):
         raise ValueError("pass either --model, or both --before and --after")
     vocab, split = _build_corpus(cfg, reports=paired)
-    
+
     def load_checked(path: str):
         table, names, bias = embedding.load_model(path)
         if names != vocab.id_to_token:

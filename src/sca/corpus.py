@@ -5,12 +5,13 @@ one ``<category><TAB><path>`` line per document. Ingestion lowercases and
 splits text into word and punctuation tokens, builds a frequency-ordered
 vocabulary with a reserved unknown token, and produces integer-encoded
 documents that feed the document splitter and the batch samplers. Every
-sampling operation is seeded and reproducible.
+sampling is seeded and reproducible. write_text is the one file writer.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,12 +68,6 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> np.ndarray:
         table = self.token_to_id
         return np.array([table.get(t, UNK_ID) for t in tokens], dtype=np.int64)
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"token": tok, "id": i, "frequency": int(self.frequencies[i])}
-            for i, tok in enumerate(self.id_to_token)
-        ]
 
 
 @dataclass
@@ -169,10 +164,28 @@ def encode_documents(documents: list[RawDocument], vocab: Vocabulary) -> list[Do
     ]
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write text as UTF-8, without newline translation, whole or not at all.
+
+    The text goes to .<name>.tmp beside path, and os.replace moves it onto path; on any error the
+    temporary file is removed. There is no fsync, so power loss is not covered.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps({"tokens": vocab.to_records()}, indent=2) + "\n", encoding="utf-8"
-    )
+    """Write {tokens: [{token, id, frequency}]} in id order as indented JSON, keys unsorted."""
+    pairs = zip(vocab.id_to_token, vocab.frequencies.tolist())
+    records = [{"token": tok, "id": i, "frequency": freq} for i, (tok, freq) in enumerate(pairs)]
+    write_text(path, json.dumps({"tokens": records}, indent=2) + "\n")
 
 
 def largest_remainder_counts(exact: np.ndarray, total: int) -> np.ndarray:
@@ -229,16 +242,23 @@ def stratified_split(
     return SplitCorpus(train=buckets[0], validation=buckets[1], test=buckets[2])
 
 
-def token_pools(documents: list[Document]) -> Pools:
-    """Group token occurrences by category for stratified batch sampling."""
-    if not documents:
-        raise CorpusError("no documents to sample from")
+def _category_pools(documents: list[Document], rows, what: str) -> Pools:
+    """Concatenate rows(doc) per category, categories sorted; a doc without rows adds none."""
     grouped: dict[str, list[np.ndarray]] = {}
     for doc in documents:
-        grouped.setdefault(doc.category, []).append(doc.token_ids)
-    values = [np.concatenate(grouped[c]) for c in sorted(grouped)]
+        values = rows(doc)
+        if values.shape[0]:
+            grouped.setdefault(doc.category, []).append(values)
+    if not grouped:
+        raise CorpusError(f"no document has {what} to sample from")
+    values = [np.concatenate(grouped[c], axis=0) for c in sorted(grouped)]
     masses = np.array([v.shape[0] for v in values], dtype=np.int64)
     return Pools(values=values, masses=masses)
+
+
+def token_pools(documents: list[Document]) -> Pools:
+    """Group token occurrences by category for stratified batch sampling."""
+    return _category_pools(documents, lambda doc: doc.token_ids, "tokens")
 
 
 def adjacent_pairs(doc: Document) -> np.ndarray:
@@ -249,18 +269,7 @@ def adjacent_pairs(doc: Document) -> np.ndarray:
 
 def bigram_pools(documents: list[Document]) -> Pools:
     """Group adjacent token pairs by category for stratified pair sampling."""
-    if not documents:
-        raise CorpusError("no documents to sample from")
-    grouped: dict[str, list[np.ndarray]] = {}
-    for doc in documents:
-        pairs = adjacent_pairs(doc)
-        if pairs.shape[0]:
-            grouped.setdefault(doc.category, []).append(pairs)
-    if not grouped:
-        raise CorpusError("no document long enough to form token pairs")
-    values = [np.concatenate(grouped[c], axis=0) for c in sorted(grouped)]
-    masses = np.array([v.shape[0] for v in values], dtype=np.int64)
-    return Pools(values=values, masses=masses)
+    return _category_pools(documents, adjacent_pairs, "token pairs")
 
 
 def sample_from_pools(pools: Pools, batch_size: int, seed: int, step: int) -> np.ndarray:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_text
+
 
 def init_embeddings(n: int, d: int, seed: int, scale: float = 0.1) -> np.ndarray:
     """Gaussian-initialized (n, d) table with entries ~ N(0, scale^2), seeded."""
@@ -60,7 +62,7 @@ def save_model(
     }
     if bias is not None:
         payload["bias"] = np.asarray(bias, dtype=float).tolist()
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(payload) + "\n")
 
 
 def _finite_numbers(values, length: int) -> bool:
@@ -74,26 +76,27 @@ def _finite_numbers(values, length: int) -> bool:
 def load_model(path: str | Path) -> tuple[np.ndarray, list[str], np.ndarray | None]:
     """Read a model written by save_model: the (n, d) table, the token names, the bias or None.
 
-    Each vector must be dim finite numbers and a bias n; else a ValueError names the file.
+    dim must be >= 1, each vector dim finite numbers and a bias n; else a ValueError names the file.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    records = payload.get("tokens") if isinstance(payload, dict) and "dim" in payload else None
+    d = payload.get("dim") if isinstance(payload, dict) else None
+    records = payload.get("tokens") if type(d) is int and d >= 1 else None
     if not isinstance(records, list) or not records or not all(
         isinstance(r, dict) and type(r.get("id")) is int and isinstance(r.get("token"), str)
         and "vector" in r
         for r in records
     ):
         raise ValueError(
-            f"{path}: expected an object with dim and tokens, a non-empty list of "
-            "{id: integer, token: string, vector}"
+            f"{path}: expected an object with dim, a positive integer, and tokens, a non-empty "
+            "list of {id: integer, token: string, vector}"
         )
     records = sorted(records, key=lambda r: r["id"])
     if [r["id"] for r in records] != list(range(len(records))):
         raise ValueError(f"{path}: token ids are not dense 0..n-1")
-    d, n = payload["dim"], len(records)
+    n = len(records)
     for r in records:
-        if type(d) is not int or not _finite_numbers(r["vector"], d):
-            raise ValueError(f"{path}: token {r['id']}: vector is not {d!r} numbers, or non-finite")
+        if not _finite_numbers(r["vector"], d):
+            raise ValueError(f"{path}: token {r['id']}: vector is not {d} numbers, or non-finite")
     bias = payload.get("bias")
     if bias is not None and not _finite_numbers(bias, n):
         raise ValueError(f"{path}: bias is not {n} numbers, or non-finite")

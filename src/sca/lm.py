@@ -187,5 +187,6 @@ def train_joint(
         work.bias -= bias_grad
         return loss, score
 
-    logs = trainer.run_epochs(work, corpus.bigram_pools(documents), config, step, on_batch, on_epoch)
+    pools = corpus.bigram_pools(documents)
+    logs = trainer.run_epochs((work.table, work.bias), pools, config, step, on_batch, on_epoch)
     return work, logs

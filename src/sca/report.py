@@ -1,6 +1,6 @@
 """Reports: coherence histogram rows, rare-word similarity rows, 2-D
-principal-component projections, and emit_reports, the one writer of the
-report files of both `sca train` and `sca eval`.
+principal-component projections, the JSON and CSV file formats, and
+emit_reports, which writes the report files of `sca train` and `sca eval`.
 
 Plots are out of scope; deterministic CSV/JSON files are the contract.
 Every float is written with repr precision so re-emission from the same
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import UNK_ID, Vocabulary
+from .corpus import UNK_ID, Vocabulary, write_text
 from .embedding import nearest_neighbor_similarity
 
 HISTOGRAM_EDGES = np.linspace(0.0, 1.0, 21)  # 0.05-wide bins over [0, 1]
@@ -120,7 +120,7 @@ def coherence_histograms(batch_scores: list[tuple[int, float]]) -> list[list]:
 
 def write_json(path: Path, payload: dict) -> None:
     """Write indented JSON with sorted keys and a trailing newline."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -129,7 +129,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
-    path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+    write_text(path, buffer.getvalue())
 
 
 def emit_reports(

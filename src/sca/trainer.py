@@ -120,7 +120,7 @@ def check_config(config: TrainConfig, pools: corpus.Pools) -> None:
 
 
 def run_epochs(
-    work,
+    snapshot: tuple[np.ndarray, np.ndarray | None],
     pools: corpus.Pools,
     config: TrainConfig,
     step: Callable[[np.ndarray, float, int, int], tuple[float, float]],
@@ -131,12 +131,12 @@ def run_epochs(
 
     Draws the seeded batch schedule from the pools once, total // batch_size
     stratified batches, and runs it every epoch, so epoch losses stay
-    directly comparable. step(batch, lr, epoch, b) updates work
-    in place and returns the batch loss and coherence score (NaN when no
-    coherence term is trained). Training stops at max_epochs or on the
-    windowed convergence rule; the learning rate halves after a loss uptick.
+    directly comparable. step(batch, lr, epoch, b) updates the snapshot, a
+    (table, bias or None) pair, in place and returns the batch loss and coherence
+    score (NaN when no coherence term is trained). Training stops at max_epochs or
+    on the windowed convergence rule; the learning rate halves after a loss uptick.
 
-    on_batch(epoch, b, loss, score) and on_epoch(epoch, work, log) are
+    on_batch(epoch, b, loss, score) and on_epoch(epoch, snapshot, log) are
     optional observers.
     """
     check_config(config, pools)
@@ -159,7 +159,7 @@ def run_epochs(
         seconds = time.perf_counter() - started
         logs.append(EpochLog(epoch, float(losses.mean()), float(scores.mean()), lr, seconds))
         if on_epoch is not None:
-            on_epoch(epoch, work, logs[-1])
+            on_epoch(epoch, snapshot, logs[-1])
         if check_convergence(logs, config.window, config.tol):
             break
         lr = adapt_learning_rate(logs, lr)
@@ -194,5 +194,5 @@ def train_sca(
         np.add.at(flat, entries.reshape(-1), state.gradients.reshape(-1) * -lr)
         return state.loss, state.score
 
-    logs = run_epochs(work, corpus.token_pools(documents), config, step, on_batch, on_epoch)
+    logs = run_epochs((work, None), corpus.token_pools(documents), config, step, on_batch, on_epoch)
     return work, logs

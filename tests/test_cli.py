@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -246,6 +247,44 @@ class TestTrain:
         assert (out / "checkpoints" / "epoch_0002.json").is_file()
         assert (out / "checkpoints" / "epoch_0004.json").is_file()
 
+    @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
+    def test_failed_write_leaves_whole_files(self, corpus_dir, tmp_path, monkeypatch, capsys,
+                                             flags):
+        # the run's k-th file move raises, for each k: the run exits 1, every file it leaves
+        # equals the one an unbroken run writes (loss_curve.csv's seconds aside), none is a .tmp
+        flags = [*flags, "--checkpoint-every", "1"]
+        replace, moved, fail_at = os.replace, [], [0]
+
+        def failing_replace(src, dst):
+            moved.append(os.path.relpath(dst, out))
+            if len(moved) == fail_at[0]:
+                raise OSError("injected failure")
+            replace(src, dst)
+
+        def files(run):
+            contents = {}
+            for path in (p for p in run.rglob("*") if p.is_file()):
+                text = path.read_text(encoding="utf-8")
+                assert text.endswith("\n")
+                if path.name == "loss_curve.csv":  # drop the wall-clock seconds column
+                    text = [line.rsplit(",", 1)[0] for line in text.splitlines()]
+                contents[path.relative_to(run).as_posix()] = text
+            return contents
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        out = tmp_path / "whole"
+        assert _train(corpus_dir, out, flags) == 0
+        whole, order = files(out), list(moved)
+        assert sorted(order) == sorted(whole) and len(order) == 13
+        for k in range(1, len(order) + 1):
+            moved.clear()
+            fail_at[0], out = k, tmp_path / f"fail{k}"
+            assert _train(corpus_dir, out, flags) == 1
+            assert "injected failure" in capsys.readouterr().err
+            left = files(out)
+            assert sorted(left) == sorted(order[: k - 1])
+            assert left == {name: whole[name] for name in left}
+
     def test_joint_training_stores_bias(self, corpus_dir, tmp_path):
         out = tmp_path / "joint"
         assert _train(corpus_dir, out, extra=["--lambda", "0.5"]) == 0
@@ -481,6 +520,8 @@ class TestEval:
             {**fresh, "bias": [0.0] * (n + 1)},
             with_vector(fresh["tokens"][1]["vector"][:-1]),  # ragged
             with_vector(["0.5"] * d),
+            # dim 0: every vector is empty
+            {**fresh, "dim": 0, "tokens": [{**r, "vector": []} for r in fresh["tokens"]]},
         )
         malformed = [tmp_path / f"malformed{k}.json" for k in range(len(payloads))]
         for bad, payload in zip(malformed, payloads):

@@ -1,3 +1,5 @@
+import stat
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,21 @@ class TestManifestIngestion:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["tokens"][0] == {"token": corpus.UNK_TOKEN, "id": 0, "frequency": 0}
         assert {r["token"]: r["frequency"] for r in payload["tokens"]}["b"] == 2
+
+
+class TestWriteText:
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.txt"
+        corpus.write_text(path, "old")
+        with pytest.raises(UnicodeEncodeError):
+            corpus.write_text(path, "new\udc80")  # a lone surrogate has no UTF-8 encoding
+        assert path.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_bytes_and_mode_match_a_plain_write(self, tmp_path):
+        plain, written = tmp_path / "plain.txt", tmp_path / "written.txt"
+        with open(plain, "w", encoding="utf-8", newline="") as f:
+            f.write("a\r\nb\ncé\n")
+        corpus.write_text(written, "a\r\nb\ncé\n")
+        assert written.read_bytes() == plain.read_bytes() == "a\r\nb\ncé\n".encode()
+        assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)

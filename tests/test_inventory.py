@@ -5,7 +5,7 @@ left over (a setting nothing reads, a second copy of a job the program
 already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. The signatures that benchmarks/child.py hooks into are
-pinned here too.
+pinned here too, and so is the one function that writes files.
 """
 
 import ast
@@ -66,6 +66,36 @@ def test_every_public_name_is_used_or_an_oracle():
         if qualified.split(".", 1)[1] not in referenced
     )
     assert unused == []
+
+
+def _file_calls(node, function=None):
+    """(innermost enclosing function, callee) of each call under node that opens or writes a file.
+
+    Those are open(...) and the methods open, fdopen, write_text and write_bytes; a bare
+    write_text(...) calls the program's writer, corpus.write_text. None stands for module level.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        function = getattr(node, "name", "<lambda>")
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            yield function, "open"
+        elif isinstance(func, ast.Attribute) and func.attr in (
+            "open", "fdopen", "write_text", "write_bytes"
+        ):
+            yield function, func.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _file_calls(child, function)
+
+
+def test_one_function_writes_files():
+    # every artifact goes through corpus.write_text, which writes whole files or none
+    calls = {
+        (f"{name}.{function}", callee)
+        for name, tree in _parse_modules().items()
+        for function, callee in _file_calls(tree)
+    }
+    assert calls == {("corpus.write_text", "open")}
 
 
 def test_oracles_import_nothing_from_sca():
