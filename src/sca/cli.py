@@ -72,7 +72,7 @@ KNOBS = (
     Knob("lambda", _number_or_null, None, BOTH,
          "joint LM weight; omit: embeddings only (eval: a label for the summary)"),
     Knob("seed", _integer, TrainConfig.seed, BOTH, "seed of the split, init and batches"),
-    Knob("out", _text, None, BOTH, "output directory"),
+    Knob("out", _text, None, BOTH, "output directory: new, or an empty directory"),
     Knob("checkpoint_every", _integer, 0, ("train",), "save the model every N epochs; 0: never"),
     Knob("min_count", _integer, 1, BOTH, None),
     Knob("ratios", _ratios, (0.8, 0.1, 0.1), BOTH, None),
@@ -108,6 +108,9 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
             cfg[key] = flag
     if not cfg["corpus"] or not cfg["out"]:
         raise ValueError(f"{command} requires --corpus and --out")
+    out = Path(cfg["out"])  # each run directory holds one run
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ValueError(f"--out {out} exists and is not an empty directory")
     return cfg
 
 
@@ -187,8 +190,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = {"model": "model.json", "initial_model": "initial_model.json",
-                 "vocab": "vocab.json", "epoch_log": "loss_curve.csv", "reports": "reports"}
+    artifacts = {"model": "model.json", "initial_model": "initial_model.json", "vocab": "vocab.json",
+                 "epoch_log": "loss_curve.csv", "timing": "timing.json", "reports": "reports"}
 
     batch_scores: list[tuple[int, float]] = []
 
@@ -198,6 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     def checkpoint(epoch, snapshot, _log):
         if checkpoint_every > 0 and epoch % checkpoint_every == 0:
+            artifacts["checkpoints"] = "checkpoints"
             (out / "checkpoints").mkdir(exist_ok=True)
             table, bias = snapshot
             path = out / "checkpoints" / f"epoch_{epoch:04d}.json"
@@ -234,11 +238,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     embedding.save_model(trained, out / artifacts["model"], vocab.id_to_token, cfg["seed"], bias)
     embedding.save_model(initial, out / artifacts["initial_model"], vocab.id_to_token, cfg["seed"])
     corpus.write_vocabulary(vocab, out / artifacts["vocab"])
-    report.write_csv(
-        out / artifacts["epoch_log"],
-        ["epoch", "loss", "coherence", "lr", "seconds"],
-        [[e.epoch, e.loss, e.coherence, e.lr, e.seconds] for e in logs],
-    )
+    report.write_csv(out / artifacts["epoch_log"], ["epoch", "loss", "coherence", "lr"],
+                     [[e.epoch, e.loss, e.coherence, e.lr] for e in logs])
+    report.write_json(out / artifacts["timing"], {"epoch_seconds": [e.seconds for e in logs]})
     report.emit_reports(out / artifacts["reports"], batch_scores, rare, pca, vocab, summary)
     _write_manifest(out, "train", {**cfg, "bandwidth_resolved": spec.bandwidth}, artifacts)
     return 0

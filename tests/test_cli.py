@@ -34,6 +34,22 @@ def _checkpoints(out):
     return sorted(p.name for p in out.glob("checkpoints/*"))
 
 
+def _files(out):
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+
+
+def _same_run(a, b):
+    """Two runs of one config: the same file names, each file byte-identical but timing.json,
+    the one file that holds clock readings, and manifests equal once config.out is removed."""
+    assert _files(a) == _files(b)
+    differ = {name for name in _files(a) if (a / name).read_bytes() != (b / name).read_bytes()}
+    assert differ <= {"timing.json", "manifest.json"}
+    manifests = [json.loads((run / "manifest.json").read_text()) for run in (a, b)]
+    for manifest in manifests:
+        del manifest["config"]["out"]
+    assert manifests[0] == manifests[1]
+
+
 DEFAULT = ((), {})
 # (base run, run with one knob moved, documented output, whether it changes); a run is
 # (flags after TRAIN_ARGS, config file). This corpus' fields have spectral norms of about
@@ -98,6 +114,7 @@ class TestTrain:
             "model.json",
             "initial_model.json",
             "loss_curve.csv",
+            "timing.json",
             "manifest.json",
             "vocab.json",
         ):
@@ -111,17 +128,21 @@ class TestTrain:
             assert (out / "reports" / name).is_file()
         assert not (out / "reports" / "loss_curve.csv").exists()
         rows = (out / "loss_curve.csv").read_text().splitlines()
-        assert rows[0] == "epoch,loss,coherence,lr,seconds"
+        assert rows[0] == "epoch,loss,coherence,lr"
         assert len(rows) == 1 + 4
+        assert len(json.loads((out / "timing.json").read_text())["epoch_seconds"]) == 4
 
-    def test_repeated_run_gives_identical_model(self, corpus_dir, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert _train(corpus_dir, a) == 0
-        assert _train(corpus_dir, b) == 0
-        assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
-        assert (a / "reports" / "summary.json").read_bytes() == (
-            b / "reports" / "summary.json"
-        ).read_bytes()
+    @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
+    def test_rerun_gives_identical_directory(self, corpus_dir, tmp_path, flags):
+        runs, evals = [tmp_path / "a", tmp_path / "b"], [tmp_path / "eval_a", tmp_path / "eval_b"]
+        for run, ev in zip(runs, evals):
+            assert _train(corpus_dir, run, [*flags, "--checkpoint-every", "2"]) == 0
+            assert cli.main(["eval", "--config", str(run / "manifest.json"), "--before",
+                             str(run / "initial_model.json"), "--after", str(run / "model.json"),
+                             "--out", str(ev)]) == 0
+        assert _checkpoints(runs[0]) == ["epoch_0002.json", "epoch_0004.json"]
+        _same_run(*runs)
+        _same_run(*evals)
 
     @pytest.mark.parametrize("base, moved, read, acts", KNOB_CASES)
     def test_knob_acts(self, train_run, base, moved, read, acts):
@@ -213,7 +234,7 @@ class TestTrain:
                 ]
             )
             assert code == 0
-            assert (first / "model.json").read_bytes() == (second / "model.json").read_bytes()
+            _same_run(first, second)
 
     def test_flags_override_config_file(self, corpus_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -247,11 +268,38 @@ class TestTrain:
         assert (out / "checkpoints" / "epoch_0002.json").is_file()
         assert (out / "checkpoints" / "epoch_0004.json").is_file()
 
+    def test_used_out_exits_one_and_keeps_its_files(self, corpus_dir, tmp_path, capsys):
+        # each run directory holds one run: an --out that is a file or a non-empty directory
+        # exits 1 before any work, and what it holds stays as it was
+        run, paired, single = tmp_path / "run", tmp_path / "paired", tmp_path / "single"
+        assert _train(corpus_dir, run, ["--lambda", "0.5", "--checkpoint-every", "2"]) == 0
+        models = ["--before", str(run / "initial_model.json"), "--after", str(run / "model.json")]
+        evaluate = ["eval", "--corpus", str(corpus_dir)]
+        assert cli.main([*evaluate, *models, "--out", str(paired)]) == 0
+        (tmp_path / "file").write_text("kept\n")
+        before = {out: {n: (out / n).read_bytes() for n in _files(out)} for out in (run, paired)}
+        for args, out in (
+            (["train", "--corpus", str(corpus_dir), *TRAIN_ARGS, "--lambda", "0", "--epochs", "5"],
+             run),
+            ([*evaluate, "--model", str(run / "model.json")], paired),
+            ([*evaluate, *models], run),
+            ([*evaluate, "--model", str(run / "model.json")], tmp_path / "file"),
+        ):
+            assert cli.main([*args, "--out", str(out)]) == 1
+            assert f"--out {out} exists and is not an empty directory" in capsys.readouterr().err
+        assert before == {out: {n: (out / n).read_bytes() for n in _files(out)} for out in before}
+        assert (tmp_path / "file").read_text() == "kept\n"
+        for out in (single, tmp_path / "empty"):  # an empty directory made beforehand is new
+            out.mkdir()
+        assert cli.main([*evaluate, "--model", str(run / "model.json"), "--out", str(single)]) == 0
+        assert _train(corpus_dir, tmp_path / "empty") == 0
+
     @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
     def test_failed_write_leaves_whole_files(self, corpus_dir, tmp_path, monkeypatch, capsys,
                                              flags):
         # the run's k-th file move raises, for each k: the run exits 1, every file it leaves
-        # equals the one an unbroken run writes (loss_curve.csv's seconds aside), none is a .tmp
+        # equals the one an unbroken run writes (timing.json, the clock readings, by name only),
+        # none is a .tmp
         flags = [*flags, "--checkpoint-every", "1"]
         replace, moved, fail_at = os.replace, [], [0]
 
@@ -266,16 +314,16 @@ class TestTrain:
             for path in (p for p in run.rglob("*") if p.is_file()):
                 text = path.read_text(encoding="utf-8")
                 assert text.endswith("\n")
-                if path.name == "loss_curve.csv":  # drop the wall-clock seconds column
-                    text = [line.rsplit(",", 1)[0] for line in text.splitlines()]
-                contents[path.relative_to(run).as_posix()] = text
+                contents[path.relative_to(run).as_posix()] = (
+                    None if path.name == "timing.json" else text
+                )
             return contents
 
         monkeypatch.setattr(os, "replace", failing_replace)
         out = tmp_path / "whole"
         assert _train(corpus_dir, out, flags) == 0
         whole, order = files(out), list(moved)
-        assert sorted(order) == sorted(whole) and len(order) == 13
+        assert sorted(order) == sorted(whole) and len(order) == 14
         for k in range(1, len(order) + 1):
             moved.clear()
             fail_at[0], out = k, tmp_path / f"fail{k}"
@@ -393,6 +441,37 @@ class TestReadmeExample:
             assert cli.main([*command, "--corpus", str(manifest), "--out", str(out)]) == 1
             assert not out.exists()
             assert "(0.8, 0.1, 0.1) leave the test part" in capsys.readouterr().err
+
+
+def _unlisted(out):
+    """Files under out that the manifest lists neither by name nor under a listed directory;
+    every listed entry must exist."""
+    listed = json.loads((out / "manifest.json").read_text())["artifacts"].values()
+    assert all((out / entry).exists() for entry in listed)
+    return [name for name in _files(out) if name != "manifest.json"
+            and not any(name == entry or name.startswith(entry + "/") for entry in listed)]
+
+
+class TestManifest:
+    # with 4 epochs, checkpoint-every 5 writes no checkpoint, so none is listed
+    @pytest.mark.parametrize("flags, listed", [
+        ((), False), (("--checkpoint-every", "2"), True), (("--checkpoint-every", "5"), False),
+    ], ids=["plain", "checkpoints", "no_checkpoint_due"])
+    def test_train_lists_every_file(self, train_run, flags, listed):
+        out = train_run(flags, {})
+        assert _unlisted(out) == []
+        artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert ("checkpoints" in artifacts) == listed
+
+    @pytest.mark.parametrize("models", [("--model", "model.json"),
+                                        ("--before", "initial_model.json", "--after", "model.json")],
+                             ids=["model", "pair"])
+    def test_eval_lists_every_file(self, corpus_dir, train_run, tmp_path, models):
+        run = train_run(*DEFAULT)
+        flags = [str(run / arg) if arg.endswith(".json") else arg for arg in models]
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 0
+        assert _unlisted(out) == []
 
 
 class TestGradcheck:

@@ -5,7 +5,8 @@ left over (a setting nothing reads, a second copy of a job the program
 already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. The signatures that benchmarks/child.py hooks into are
-pinned here too, and so is the one function that writes files.
+pinned here too, and so are the one function that writes files and the one
+that reads a clock.
 """
 
 import ast
@@ -68,34 +69,65 @@ def test_every_public_name_is_used_or_an_oracle():
     assert unused == []
 
 
-def _file_calls(node, function=None):
-    """(innermost enclosing function, callee) of each call under node that opens or writes a file.
+def _calls(node, callee, function=None):
+    """(innermost enclosing function, callee(func)) of each call under node that callee names.
 
-    Those are open(...) and the methods open, fdopen, write_text and write_bytes; a bare
-    write_text(...) calls the program's writer, corpus.write_text. None stands for module level.
+    None stands for module level.
     """
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         function = getattr(node, "name", "<lambda>")
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            yield function, "open"
-        elif isinstance(func, ast.Attribute) and func.attr in (
-            "open", "fdopen", "write_text", "write_bytes"
-        ):
-            yield function, func.attr
+    if isinstance(node, ast.Call) and (called := callee(node.func)):
+        yield function, called
     for child in ast.iter_child_nodes(node):
-        yield from _file_calls(child, function)
+        yield from _calls(child, callee, function)
+
+
+def _called_in_src(callee):
+    return {
+        (f"{name}.{function}", called)
+        for name, tree in _parse_modules().items()
+        for function, called in _calls(tree, callee)
+    }
+
+
+def _file_callee(func):
+    """open(...) and the methods open, fdopen, write_text and write_bytes.
+
+    A bare write_text(...) calls the program's writer, corpus.write_text.
+    """
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "open"
+    if isinstance(func, ast.Attribute) and func.attr in ("open", "fdopen", "write_text",
+                                                         "write_bytes"):
+        return func.attr
+    return None
+
+
+CLOCKS = ("time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns",
+          "process_time", "process_time_ns", "thread_time", "thread_time_ns")
+
+
+def _clock_callee(func):
+    """Any time.* or datetime.* call (datetime.datetime.now too), and a bare clock name."""
+    if isinstance(func, ast.Name):
+        return func.id if func.id in CLOCKS else None
+    root = func
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    if isinstance(root, ast.Name) and root.id in ("time", "datetime"):
+        return func.attr
+    return None
 
 
 def test_one_function_writes_files():
     # every artifact goes through corpus.write_text, which writes whole files or none
-    calls = {
-        (f"{name}.{function}", callee)
-        for name, tree in _parse_modules().items()
-        for function, callee in _file_calls(tree)
-    }
-    assert calls == {("corpus.write_text", "open")}
+    assert _called_in_src(_file_callee) == {("corpus.write_text", "open")}
+
+
+def test_one_function_reads_a_clock():
+    # clock readings reach a run directory only through EpochLog.seconds, which cli writes to
+    # timing.json alone; a new reading must change this pin
+    assert _called_in_src(_clock_callee) == {("trainer.run_epochs", "perf_counter")}
 
 
 def test_oracles_import_nothing_from_sca():
