@@ -131,7 +131,7 @@ def _resolve_kernel(cfg: dict, table: np.ndarray) -> KernelSpec:
 
 
 def _build_corpus(cfg: dict, reports: bool):
-    """Vocabulary and split; both the train and test parts need a document of two tokens or more."""
+    """Vocabulary and split; train, test and (ratio > 0) validation need a document of 2+ tokens."""
     raw = corpus.read_manifest(cfg["corpus"])
     vocab = corpus.build_vocabulary(raw, min_count=cfg["min_count"])
     if reports and len(vocab) < 3:  # a rare word needs a nearest neighbour, pca.csv three rows
@@ -139,7 +139,8 @@ def _build_corpus(cfg: dict, reports: bool):
                           "(the unknown token and two real tokens)")
     docs = corpus.encode_documents(raw, vocab)
     split = corpus.stratified_split(docs, cfg["ratios"], seed=cfg["seed"])
-    for part in ("train", "test"):
+    parts = ("train", "test", "validation") if cfg["ratios"][1] > 0 else ("train", "test")
+    for part in parts:
         if not any(doc.token_ids.shape[0] >= 2 for doc in getattr(split, part)):
             raise CorpusError(
                 f"split ratios {cfg['ratios']} leave the {part} part without a document "
@@ -159,12 +160,16 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str
 
 
 def _metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dict:
-    """A model's perplexities on the train and test parts, next-token accuracy and coherence score."""
+    """Perplexity and accuracy of each split part, from one scoring call, and coherence score."""
     model = lm.BigramModel(table=table, bias=bias if bias is not None else np.zeros(len(table)))
+    pairs = [lm.corpus_pairs(docs) for docs in (split.train, split.test, split.validation) if docs]
+    nlls, hits = lm.score_pairs(model, np.concatenate(pairs))
+    ends = np.cumsum([len(p) for p in pairs])[:-1]
+    ppl = [float(np.exp(np.mean(part))) for part in np.split(nlls, ends)] + [None]
+    acc = [float(np.mean(part)) for part in np.split(hits, ends)] + [None]
     return {
-        "perplexity_train": lm.corpus_perplexity(model, split.train),
-        "perplexity_heldout": lm.corpus_perplexity(model, split.test),
-        "accuracy": lm.classification_accuracy(model, lm.corpus_pairs(split.test)),
+        "perplexity_train": ppl[0], "perplexity_heldout": ppl[1], "accuracy": acc[1],
+        "perplexity_validation": ppl[2], "accuracy_validation": acc[2],
         "coherence_score": coherence.evaluate_coherence(
             table, split.train, spec, cfg["batch"], cfg["seed"]
         ),

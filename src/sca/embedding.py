@@ -10,6 +10,8 @@ import numpy as np
 
 from .corpus import write_text
 
+NN_BLOCK = 512  # queried rows per block of the (rows, n) cosine matrix
+
 
 def init_embeddings(n: int, d: int, seed: int, scale: float = 0.1) -> np.ndarray:
     """Gaussian-initialized (n, d) table with entries ~ N(0, scale^2), seeded."""
@@ -27,8 +29,8 @@ def nearest_neighbor_similarity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Most-cosine-similar other token of each of tokens, ties broken by smallest id.
 
-    Returns (ids, sims), one entry per token, from one (r, n) product of
-    the r queried rows with the whole table.
+    Returns (ids, sims), one entry per token, from the product of the
+    queried rows with the whole table, NN_BLOCK rows at a time.
     """
     if len(table) < 2:
         raise ValueError("need at least two embeddings")
@@ -37,11 +39,15 @@ def nearest_neighbor_similarity(
     if zero_rows.size:
         raise ValueError(f"zero-norm embedding row {int(zero_rows[0])}")
     tokens = np.asarray(tokens, dtype=np.int64)
-    queries = np.arange(tokens.shape[0])
-    sims = table[tokens] @ table.T / np.outer(norms[tokens], norms)
-    sims[queries, tokens] = -np.inf
-    ids = np.argmax(sims, axis=1)
-    return ids, sims[queries, ids]
+    ids, best = [], []
+    for block in np.split(tokens, range(NN_BLOCK, tokens.shape[0], NN_BLOCK)):
+        queries = np.arange(block.shape[0])
+        sims = table[block] @ table.T
+        sims /= np.outer(norms[block], norms)  # in place: two (block, n) arrays at most are alive
+        sims[queries, block] = -np.inf
+        ids.append(np.argmax(sims, axis=1))
+        best.append(sims[queries, ids[-1]])
+    return np.concatenate(ids), np.concatenate(best)
 
 
 def save_model(

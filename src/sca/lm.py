@@ -12,10 +12,11 @@ and folds the softmax's normalization into the small operands, so no
 normalized (B, n) matrix is formed; the cross-entropy rows and the
 coherence rows go in with one scatter, and the update runs in place.
 
-Perplexity and accuracy depend on a pair's source only through its row
-of logits, so evaluation builds one vocabulary-wide row per distinct
-source, SOURCE_BLOCK sources at a time, and gathers every pair's target
-logit and argmax from it.
+Evaluation is one pass, score_pairs: a pair's nll and top-1 hit depend
+on its source only through its row of logits, so one vocabulary-wide row
+is built per distinct source, SOURCE_BLOCK sources at a time, and every
+pair's target logit and argmax are gathered from it. Perplexity is exp of
+a part's mean nll, accuracy the mean of its hits.
 """
 
 from __future__ import annotations
@@ -43,31 +44,6 @@ def make_model(table: np.ndarray) -> BigramModel:
     return BigramModel(table=table, bias=np.zeros(len(table)))
 
 
-def _source_blocks(model: BigramModel, sources: np.ndarray):
-    """Yield (members, rows, logits) per block of at most SOURCE_BLOCK distinct sources.
-
-    logits has one row per source of the block; members are the pairs with
-    a source in the block, and rows gives each member's row of logits.
-    """
-    E = model.table
-    unique, inverse = np.unique(sources, return_inverse=True)
-    for start in range(0, unique.shape[0], SOURCE_BLOCK):
-        block = unique[start:start + SOURCE_BLOCK]
-        members = np.flatnonzero((inverse >= start) & (inverse < start + block.shape[0]))
-        logits = E[block] @ E.T
-        logits += model.bias  # built, then shifted, in place: two blocks at most are alive
-        yield members, inverse[members] - start, logits
-
-
-def _pair_nlls(model: BigramModel, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    nlls = np.empty(sources.shape[0])
-    for members, rows, Z in _source_blocks(model, sources):
-        Z -= Z.max(axis=1)[:, None]
-        log_norm = np.log(np.sum(np.exp(Z), axis=1))
-        nlls[members] = log_norm[rows] - Z[rows, targets[members]]
-    return nlls
-
-
 def corpus_pairs(documents: list[corpus.Document]) -> np.ndarray:
     """All within-document adjacent pairs, shape (k, 2)."""
     chunks = [pairs for pairs in map(corpus.adjacent_pairs, documents) if pairs.shape[0]]
@@ -76,21 +52,28 @@ def corpus_pairs(documents: list[corpus.Document]) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def corpus_perplexity(model: BigramModel, documents: list[corpus.Document]) -> float:
-    """Perplexity over every within-document adjacent pair."""
-    pairs = corpus_pairs(documents)
-    return float(np.exp(np.mean(_pair_nlls(model, pairs[:, 0], pairs[:, 1]))))
+def score_pairs(model: BigramModel, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's negative log-likelihood, and whether its target is the top-1 prediction.
 
-
-def classification_accuracy(model: BigramModel, pairs: np.ndarray) -> float:
-    """Top-1 next-token accuracy; argmax ties resolve to the smallest id."""
+    Argmax ties resolve to the smallest id. One row of logits is built per
+    distinct source, SOURCE_BLOCK sources at a time; the argmax is read
+    before the row is shifted by its max, the target logit after.
+    """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.shape[0] == 0:
-        raise ValueError("no pairs to score")
-    predicted = np.empty(pairs.shape[0], dtype=np.int64)
-    for members, rows, Z in _source_blocks(model, pairs[:, 0]):
-        predicted[members] = np.argmax(Z, axis=1)[rows]
-    return float(np.mean(predicted == pairs[:, 1]))
+    targets = pairs[:, 1]
+    nlls, hits = np.empty(pairs.shape[0]), np.empty(pairs.shape[0], dtype=bool)
+    unique, inverse = np.unique(pairs[:, 0], return_inverse=True)
+    for start in range(0, unique.shape[0], SOURCE_BLOCK):
+        block = unique[start:start + SOURCE_BLOCK]
+        members = np.flatnonzero((inverse >= start) & (inverse < start + block.shape[0]))
+        rows = inverse[members] - start
+        Z = model.table[block] @ model.table.T
+        Z += model.bias  # built, then shifted, in place: two blocks at most are alive
+        hits[members] = np.argmax(Z, axis=1)[rows] == targets[members]
+        Z -= Z.max(axis=1)[:, None]
+        log_norm = np.log(np.sum(np.exp(Z), axis=1))
+        nlls[members] = log_norm[rows] - Z[rows, targets[members]]
+    return nlls, hits
 
 
 def ce_batch_gradients(

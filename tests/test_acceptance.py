@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines. The toy runs share session fixtures, so the whole suite stays
-within its runtime budgets.
+lines. The toy runs share a session fixture, which builds them in a
+two-process pool, so the whole suite stays within its runtime budgets.
 """
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -24,27 +25,35 @@ def _pass(number: int, message: str) -> None:
     print(f"\nACCEPTANCE CRITERION {number}: PASS - {message}")
 
 
+def _toy_run(seed, toy_docs, n):
+    """One toy training run (n-token vocabulary, d=16, B=32, 150 epochs)."""
+    split = corpus.stratified_split(toy_docs, (0.8, 0.1, 0.1), seed=seed)
+    initial = init_embeddings(n, 16, seed=seed, scale=0.1)
+    spec = KernelSpec("rbf", kernel.median_bandwidth(initial, seed=seed))
+    config = TrainConfig(batch_size=32, max_epochs=150, seed=seed, tol=None)
+    started = time.perf_counter()
+    trained, logs = trainer.train_sca(initial, split.train, spec, config)
+    elapsed = time.perf_counter() - started
+    return {
+        "initial": initial,
+        "trained": trained,
+        "logs": logs,
+        "spec": spec,
+        "split": split,
+        "seconds": elapsed,
+    }
+
+
 @pytest.fixture(scope="session")
 def toy_runs(toy_docs, toy_vocab):
-    """Toy training runs (n=100 vocabulary, d=16, B=32, 150 epochs) per seed."""
-    runs = {}
-    for seed in TOY_SEEDS + (7,):
-        split = corpus.stratified_split(toy_docs, (0.8, 0.1, 0.1), seed=seed)
-        initial = init_embeddings(len(toy_vocab), 16, seed=seed, scale=0.1)
-        spec = KernelSpec("rbf", kernel.median_bandwidth(initial, seed=seed))
-        config = TrainConfig(batch_size=32, max_epochs=150, seed=seed, tol=None)
-        started = time.perf_counter()
-        trained, logs = trainer.train_sca(initial, split.train, spec, config)
-        elapsed = time.perf_counter() - started
-        runs[seed] = {
-            "initial": initial,
-            "trained": trained,
-            "logs": logs,
-            "spec": spec,
-            "split": split,
-            "seconds": elapsed,
-        }
-    return runs
+    """Toy training runs per seed, built two at a time in worker processes.
+
+    The workers are spawned, not forked, since this process may already run BLAS threads.
+    """
+    seeds = TOY_SEEDS + (7,)
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        runs = pool.starmap(_toy_run, [(seed, toy_docs, len(toy_vocab)) for seed in seeds])
+    return dict(zip(seeds, runs))
 
 
 def test_criterion_1_gradient_correctness():

@@ -1,9 +1,13 @@
 import json
+import math
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conftest import make_small_raw_docs, write_corpus_files
+from oracles import nll
 from sca import cli, coherence, corpus, embedding
 
 TRAIN_ARGS = ["--dim", "6", "--epochs", "4", "--batch", "8", "--seed", "11"]
@@ -671,6 +675,57 @@ class TestEval:
     def test_requires_model_arguments(self, corpus_dir, tmp_path):
         code = cli.main(["eval", "--corpus", str(corpus_dir), "--out", str(tmp_path / "y")])
         assert code == 1
+
+
+class TestValidationPart:
+    @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
+    def test_figures_match_the_oracle(self, corpus_dir, train_run, tmp_path, flags):
+        run = train_run(flags, {})
+        table, _, bias = embedding.load_model(run / "model.json")
+        model = SimpleNamespace(table=table, bias=np.zeros(len(table)) if bias is None else bias)
+        raw = corpus.read_manifest(corpus_dir)
+        docs = corpus.encode_documents(raw, corpus.build_vocabulary(raw, min_count=1))
+        validation = corpus.stratified_split(docs, (0.8, 0.1, 0.1), seed=11).validation
+        pairs = [(a, b) for doc in validation
+                 for a, b in zip(doc.token_ids[:-1].tolist(), doc.token_ids[1:].tolist())]
+        perplexity = math.exp(np.mean([nll(model, pair) for pair in pairs]))
+        accuracy = np.mean([np.argmax(table @ table[a] + model.bias) == b for a, b in pairs])
+        out = tmp_path / "eval"
+        flags = ["--config", str(run / "manifest.json"), "--model", str(run / "model.json")]
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 0
+        for summary in (run / "reports" / "summary.json", out / "summary.json"):
+            summary = json.loads(summary.read_text())
+            assert summary["perplexity_validation"] == pytest.approx(perplexity, rel=1e-12)
+            assert summary["accuracy_validation"] == accuracy
+            assert summary["perplexity_validation"] != summary["perplexity_heldout"]
+
+    def test_zero_ratio_gives_nulls(self, corpus_dir, train_run, tmp_path):
+        run = train_run((), {"ratios": [0.8, 0, 0.2]})
+        out = tmp_path / "eval"
+        flags = ["--config", str(run / "manifest.json"), "--before", str(run / "initial_model.json"),
+                 "--after", str(run / "model.json")]
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 0
+        evaluated = json.loads((out / "summary.json").read_text())
+        trained = json.loads((run / "reports" / "summary.json").read_text())
+        for summary in (trained, evaluated["before"], evaluated["after"]):
+            assert summary["perplexity_validation"] is None
+            assert summary["accuracy_validation"] is None
+            assert summary["perplexity_heldout"] > 1.0
+
+    def test_without_two_token_document_exits_one_before_out(self, tmp_path, capsys):
+        # at 0.45/0.1/0.45 the two long documents go to train and test, whatever the seed,
+        # and the validation part gets one of the ten one-token documents
+        docs = [("long0", "long", "the cat sat on the mat."), ("long1", "long", "the dog sat too.")]
+        docs += [(f"short{k}", "short", word) for k, word in enumerate("abcdefghij")]
+        manifest = _text_corpus(tmp_path, docs)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ratios": [0.45, 0.1, 0.45]}))
+        out = tmp_path / "run"
+        for command in (["train"], ["eval", "--model", str(tmp_path / "model.json")]):
+            flags = ["--corpus", str(manifest), "--config", str(config), "--batch", "4"]
+            assert cli.main([*command, *flags, "--out", str(out)]) == 1
+            assert not out.exists()
+            assert "(0.45, 0.1, 0.45) leave the validation part" in capsys.readouterr().err
 
 
 class TestInterface:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ class TestNearestNeighbor:
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
             embedding.nearest_neighbor_similarity(np.ones((1, 3)), [0])
+
+    def test_ragged_blocks_match_one_block_in_bounded_memory(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        n = 3000
+        table = rng.standard_normal((n, 8))
+        tokens = rng.integers(0, n, size=23)  # blocks of 5: four full, one of 3; repeats allowed
+        whole_ids, whole_sims = embedding.nearest_neighbor_similarity(table, tokens)
+        monkeypatch.setattr(embedding, "NN_BLOCK", 5)
+        tracemalloc.start()
+        try:
+            ids, sims = embedding.nearest_neighbor_similarity(table, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ids, whole_ids) and np.array_equal(sims, whole_sims)
+        assert peak < 3 * embedding.NN_BLOCK * n * 8
 
 
 class TestModelFile:

@@ -58,11 +58,20 @@ def _one_doc(seq):
     return [corpus.Document("d0", "c", np.asarray(seq, dtype=np.int64))]
 
 
+def _perplexity(model, docs):
+    """exp of the mean nll over the documents' pairs, as the run summaries report it."""
+    return float(np.exp(np.mean(lm.score_pairs(model, lm.corpus_pairs(docs))[0])))
+
+
+def _accuracy(model, pairs):
+    return float(np.mean(lm.score_pairs(model, pairs)[1]))
+
+
 class TestPerplexity:
     def test_uniform_model_equals_vocabulary_size(self):
         model = _uniform_model(n=9)
         seq = np.array([0, 1, 2, 3, 4])
-        assert lm.corpus_perplexity(model, _one_doc(seq)) == pytest.approx(9.0, rel=1e-12)
+        assert _perplexity(model, _one_doc(seq)) == pytest.approx(9.0, rel=1e-12)
 
     def test_matches_per_pair_oracle(self):
         rng = np.random.default_rng(2)
@@ -73,7 +82,7 @@ class TestPerplexity:
         want = math.exp(
             np.mean([nll(model, (seq[i], seq[i + 1])) for i in range(len(seq) - 1)])
         )
-        assert lm.corpus_perplexity(model, _one_doc(seq)) == pytest.approx(want, rel=1e-12)
+        assert _perplexity(model, _one_doc(seq)) == pytest.approx(want, rel=1e-12)
 
     def test_small_blocks_match_per_pair_oracle(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -91,14 +100,14 @@ class TestPerplexity:
             return math.exp(np.mean([nll(model, pair) for pair in pair_list]))
 
         seq_pairs = [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        assert lm.corpus_perplexity(model, _one_doc(seq)) == pytest.approx(
+        assert _perplexity(model, _one_doc(seq)) == pytest.approx(
             oracle(seq_pairs), rel=1e-12
         )
-        assert lm.corpus_perplexity(model, docs) == pytest.approx(oracle(pairs), rel=1e-12)
+        assert _perplexity(model, docs) == pytest.approx(oracle(pairs), rel=1e-12)
         E = model.table
         argmaxes = np.array([np.argmax(E @ E[s] + model.bias) for s in pairs[:, 0]])
-        assert lm.classification_accuracy(model, pairs) == np.mean(argmaxes == pairs[:, 1])
-        assert lm.classification_accuracy(model, np.column_stack([pairs[:, 0], argmaxes])) == 1.0
+        assert _accuracy(model, pairs) == np.mean(argmaxes == pairs[:, 1])
+        assert _accuracy(model, np.column_stack([pairs[:, 0], argmaxes])) == 1.0
 
     def test_memory_stays_bounded_by_the_source_block(self):
         # unblocked, one (pairs, n) logit matrix alone would take 20,000 * 4,000 * 8 B = 640 MB
@@ -108,7 +117,7 @@ class TestPerplexity:
         docs = [corpus.Document(f"d{k}", "c", rng.integers(0, n, size=201)) for k in range(100)]
         tracemalloc.start()
         try:
-            lm.corpus_perplexity(model, docs)
+            _perplexity(model, docs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -123,11 +132,25 @@ class TestPerplexity:
         model = lm.make_model(init_embeddings(2, 4, seed=0))
         config = TrainConfig(lr=0.5, batch_size=8, max_epochs=80, seed=0, tol=None)
         trained, _ = lm.train_joint(model, docs, None, config)
-        assert lm.corpus_perplexity(trained, docs) < 1.05
+        assert _perplexity(trained, docs) < 1.05
 
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError, match="no document long enough"):
-            lm.corpus_perplexity(_uniform_model(), _one_doc([1]))
+            _perplexity(_uniform_model(), _one_doc([1]))
+
+
+class TestScorePairs:
+    def test_each_pair_matches_the_oracle(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        model = BigramModel(table=rng.standard_normal((11, 4)), bias=rng.standard_normal(11))
+        pairs = rng.integers(0, 11, size=(40, 2))
+        monkeypatch.setattr(lm, "SOURCE_BLOCK", 4)  # ragged blocks over up to 11 sources
+        nlls, hits = lm.score_pairs(model, pairs)
+        want = [nll(model, pair) for pair in pairs]
+        np.testing.assert_allclose(nlls, want, rtol=1e-12, atol=1e-14)
+        E = model.table
+        argmaxes = [np.argmax(E @ E[s] + model.bias) for s in pairs[:, 0]]
+        assert hits.tolist() == [int(a) == t for a, t in zip(argmaxes, pairs[:, 1])]
 
 
 class TestAccuracy:
@@ -137,24 +160,24 @@ class TestAccuracy:
         # separate each source deterministically via huge pairwise logits
         model.table[:] = np.eye(4)[:, :4] * 10.0
         pairs = np.array([[0, 0], [1, 1], [2, 2], [3, 3]])
-        assert lm.classification_accuracy(model, pairs) == 1.0
+        assert _accuracy(model, pairs) == 1.0
 
     def test_never_correct_set(self):
         model = _uniform_model(n=4)
         model.bias[3] = 10.0
         pairs = np.array([[0, 0], [1, 1], [2, 2]])
-        assert lm.classification_accuracy(model, pairs) == 0.0
+        assert _accuracy(model, pairs) == 0.0
 
     def test_hand_counted_fraction(self):
         model = _uniform_model(n=3)
         model.bias[:] = [0.0, 1.0, 2.0]  # argmax always token 2
         pairs = np.array([[0, 2], [1, 2], [2, 2], [0, 1], [1, 0]])
-        assert lm.classification_accuracy(model, pairs) == pytest.approx(3 / 5)
+        assert _accuracy(model, pairs) == pytest.approx(3 / 5)
 
     def test_argmax_ties_take_smallest_id(self):
         model = _uniform_model(n=4)  # all logits equal
         pairs = np.array([[1, 0], [2, 0], [3, 1]])
-        assert lm.classification_accuracy(model, pairs) == pytest.approx(2 / 3)
+        assert _accuracy(model, pairs) == pytest.approx(2 / 3)
 
 
 class TestCeGradients:
@@ -251,7 +274,7 @@ class TestJointTraining:
                 RBF,
                 config,
             )
-            ppl = lm.corpus_perplexity(model, docs)
+            ppl = _perplexity(model, docs)
             assert np.isfinite(ppl) and ppl >= 1.0
 
     def test_joint_and_baseline_sample_identical_batches(self, small_docs):
