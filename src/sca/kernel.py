@@ -82,7 +82,10 @@ def median_bandwidth(table: np.ndarray, seed: int = 0) -> float:
         ju = rng.integers(0, n - 1, size=BANDWIDTH_PAIRS)
         ju = np.where(ju >= iu, ju + 1, ju)
     diff = table[iu] - table[ju]
-    med = float(np.median(np.sqrt(np.sum(diff * diff, axis=1))))
+    dists = np.sqrt(np.sum(diff * diff, axis=1))
+    lo, hi = (len(dists) - 1) // 2, len(dists) // 2  # as np.median, minus its numpy.ma NaN check
+    mid = np.partition(dists, [lo, hi])
+    med = float((mid[lo] + mid[hi]) / 2)
     if med < BANDWIDTH_FLOOR:
         warnings.warn(
             f"median pairwise distance {med:.3g} below floor; using {BANDWIDTH_FLOOR}",

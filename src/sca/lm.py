@@ -9,8 +9,9 @@ entirely, so such a run is plain cross-entropy training.
 A training step takes the batch's distinct sources once, for both terms.
 ce_batch_gradients builds one exponentiated logit row per distinct source
 and folds the softmax's normalization into the small operands, so no
-normalized (B, n) matrix is formed; the cross-entropy rows and the
-coherence rows go in with one scatter, and the update runs in place.
+normalized (B, n) matrix is formed; the one-hot targets are one subtraction
+per pair, the coherence rows are added onto the distinct sources, and the
+update runs in place.
 
 Evaluation is one pass, score_pairs: a pair's nll and top-1 hit depend
 on its source only through its row of logits, so one vocabulary-wide row
@@ -80,7 +81,6 @@ def ce_batch_gradients(
     model: BigramModel,
     pairs: np.ndarray,
     distinct: tuple[np.ndarray, np.ndarray] | None = None,
-    extra: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean cross-entropy loss and its analytic gradients.
 
@@ -89,16 +89,12 @@ def ce_batch_gradients(
     the tied input-side term E^T (p - y) on the source rows.
 
     Each distinct source u gets one row Z_u = exp(logits_u - max), summing
-    to t_u, and the softmax's normalization moves onto the small operands
-    through r_u = count_u / (t_u B), so no normalized (B, n) matrix is
-    formed. Bias gradient: r Z - bincount(targets) / B. Output side:
-    Z^T (r E_u) on every row, less E[source] / B on each pair's target.
-    Input side: r (Z E) on each distinct source, less E[target] / B on each
-    pair's source. The sparse rows go in with one scatter.
+    to t_u. Subtracting t_u / count_u at each of u's pairs' targets (repeats
+    accumulate) and scaling by r_u = count_u / (t_u B) gives u's rows of
+    (P - Y) / B without a normalized (B, n) matrix. Bias gradient: r Z.
+    Output side: Z^T (r E_u). Input side: r (Z E), onto the distinct sources.
 
-    distinct is np.unique(pairs[:, 0], return_inverse=True), passed by a
-    caller that already has it; extra holds one (d,) row per distinct
-    source, added to its gradient row in the same scatter.
+    distinct, if given, is np.unique(pairs[:, 0], return_inverse=True).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     B = pairs.shape[0]
@@ -108,7 +104,7 @@ def ce_batch_gradients(
     sources, inverse = distinct
     counts = np.bincount(inverse)
     E = model.table
-    n, d = E.shape
+    n = E.shape[0]
     W = E[sources]
     # one (r, n) buffer holds the logits, shifted, then their exponentials; it is cut from B
     # rows, so each step asks malloc for the same size and reuses the heap instead of growing
@@ -120,19 +116,15 @@ def ce_batch_gradients(
     np.exp(Z, out=Z)
     totals = np.dot(Z, np.ones(n))  # row sums; the matrix-vector product is faster than np.sum
     loss = float(np.mean(np.log(totals)[inverse] - picked))
+    # a 2-D index, so an out-of-range target raises instead of reading the next row
+    np.subtract.at(Z, (inverse, tgt), (totals / counts)[inverse])
     r = counts / (totals * B)
     bias_grad = np.dot(r, Z)
-    bias_grad -= np.bincount(tgt, minlength=n) / B
     W *= r[:, None]
     emb_grad = np.dot(Z.T, W)
     inside = np.dot(Z, E)
     inside *= r[:, None]
-    if extra is not None:
-        inside += extra
-    rows = np.concatenate((E[src], E[tgt], inside))
-    rows[: 2 * B] *= -1.0 / B
-    entries = np.concatenate((tgt, src, sources))[:, None] * d + np.arange(d)
-    np.add.at(emb_grad.reshape(-1), entries.reshape(-1), rows.reshape(-1))
+    emb_grad[sources] += inside  # the sources are distinct: no accumulating scatter
     return loss, emb_grad, bias_grad
 
 
@@ -156,13 +148,13 @@ def train_joint(
 
     def step(pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
         distinct = np.unique(pairs[:, 0], return_inverse=True)
-        extra, sca_loss, score = None, 0.0, float("nan")
+        loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs, distinct)
+        score = float("nan")
         if use_sca:
             state = coherence.compute_batch_state(spec, work.table, distinct[0], *bound)
-            extra, score = config.lam * state.gradients, state.score
-            sca_loss = config.lam * state.loss
-        loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs, distinct, extra)
-        loss += sca_loss
+            emb_grad[distinct[0]] += config.lam * state.gradients
+            loss += config.lam * state.loss
+            score = state.score
         trainer.check_finite(loss, emb_grad, epoch, b)  # a non-finite term carries into the sums
         emb_grad *= lr
         work.table -= emb_grad

@@ -81,7 +81,8 @@ def rare_word_report(
     real_ids = [i for i in range(len(vocab)) if i != UNK_ID]
     if not real_ids:
         raise ValueError("vocabulary has no real tokens")
-    threshold = float(np.quantile(vocab.frequencies[real_ids], RARE_QUANTILE))
+    # on integer frequencies "lower" keeps the interpolated quantile's rare set, minus numpy.ma
+    threshold = float(np.quantile(vocab.frequencies[real_ids], RARE_QUANTILE, method="lower"))
     rare = [i for i in real_ids if vocab.frequencies[i] <= threshold]
     if not rare:
         raise ValueError("rare set is empty")

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import make_small_raw_docs, write_corpus_files
+from conftest import make_small_raw_docs, make_toy_raw_docs, write_corpus_files
 from oracles import nll
 from sca import cli, coherence, corpus, embedding
 
@@ -755,3 +758,23 @@ class TestInterface:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+    def test_runs_never_import_numpy_ma(self, tmp_path):
+        # np.median, and np.quantile's default method, import numpy.ma (~14 ms) for their NaN
+        # check; a fresh interpreter shows whether a train or eval run reaches either
+        manifest = write_corpus_files(make_toy_raw_docs(), tmp_path / "corpus")
+        script = """
+import sys
+from sca import cli
+manifest, root = sys.argv[1:]
+common = ["--corpus", manifest, "--dim", "16", "--epochs", "2", "--seed", "7"]
+for name, extra in (("rbf", []), ("joint", ["--lambda", "0.5", "--kernel", "cosine"])):
+    assert cli.main(["train", *common, *extra, "--out", f"{root}/{name}"]) == 0
+models = ["--before", f"{root}/rbf/initial_model.json", "--after", f"{root}/rbf/model.json"]
+assert cli.main(["eval", "--corpus", manifest, *models, "--out", f"{root}/eval"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(manifest), str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.split()[-1] == "False"

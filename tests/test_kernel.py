@@ -126,6 +126,20 @@ class TestMedianBandwidth:
         got = kernel.median_bandwidth(table)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [5, 6, 80], ids=["10_pairs", "15_pairs", "2000_sampled"])
+    def test_equals_numpy_median_bit_for_bit(self, n):
+        table = np.random.default_rng(14).standard_normal((n, 4))
+        if n * (n - 1) // 2 <= kernel.BANDWIDTH_PAIRS:
+            iu, ju = np.triu_indices(n, k=1)
+        else:  # the sample median_bandwidth draws, redrawn here
+            rng = np.random.default_rng(3)
+            iu = rng.integers(0, n, size=kernel.BANDWIDTH_PAIRS)
+            ju = rng.integers(0, n - 1, size=kernel.BANDWIDTH_PAIRS)
+            ju = np.where(ju >= iu, ju + 1, ju)
+        diff = table[iu] - table[ju]
+        want = float(np.median(np.sqrt(np.sum(diff * diff, axis=1))))
+        assert kernel.median_bandwidth(table, seed=3) == want
+
     def test_subsample_is_seeded(self):
         rng = np.random.default_rng(13)
         table = rng.standard_normal((80, 4))

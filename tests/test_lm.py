@@ -212,29 +212,22 @@ class TestCeGradients:
                 assert bias_grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_batch_matches_dense_delta_oracle(self):
-        # repeated sources (3, 5), repeated targets (0, 3), a pair with source == target (3, 3)
-        # and one with the source of another pair as target (5, 3)
-        pairs = np.array([[3, 0], [5, 3], [3, 3], [1, 0], [5, 7], [3, 0], [9, 5], [3, 8]])
+        batches = [
+            # repeated sources (3, 5), repeated targets (0, 3), a pair with source == target
+            # (3, 3) and one with the source of another pair as target (5, 3)
+            [[3, 0], [5, 3], [3, 3], [1, 0], [5, 7], [3, 0], [9, 5], [3, 8]],
+            [[4, 2]] * 8,  # one pair B times: the target correction lands B times on one entry
+            [[i, i] for i in (3, 5, 3, 1, 11, 0)],  # every target equals its source
+        ]
         rng = np.random.default_rng(21)
-        for trial in range(5):
-            model = BigramModel(rng.standard_normal((12, 6)), rng.standard_normal(12))
-            loss, emb_grad, bias_grad = lm.ce_batch_gradients(model, pairs)
-            want_loss, want_emb, want_bias = ce_gradients(model, pairs)
-            assert loss == pytest.approx(want_loss, rel=1e-12)
-            for got, want in ((emb_grad, want_emb), (bias_grad, want_bias)):
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def test_extra_rows_land_on_the_distinct_sources(self):
-        pairs = np.array([[3, 0], [5, 3], [3, 3], [1, 0], [5, 7]])
-        rng = np.random.default_rng(22)
-        model = BigramModel(rng.standard_normal((9, 4)), rng.standard_normal(9))
-        distinct = np.unique(pairs[:, 0], return_inverse=True)
-        extra = rng.standard_normal((3, 4))
-        loss, emb_grad, bias_grad = lm.ce_batch_gradients(model, pairs, distinct, extra)
-        want_loss, want_emb, want_bias = lm.ce_batch_gradients(model, pairs)
-        want_emb[[1, 3, 5]] += extra
-        assert loss == want_loss and np.array_equal(bias_grad, want_bias)
-        np.testing.assert_allclose(emb_grad, want_emb, rtol=0, atol=1e-15)
+        for pairs in map(np.array, batches):
+            for trial in range(5):
+                model = BigramModel(rng.standard_normal((12, 6)), rng.standard_normal(12))
+                loss, emb_grad, bias_grad = lm.ce_batch_gradients(model, pairs)
+                want_loss, want_emb, want_bias = ce_gradients(model, pairs)
+                assert loss == pytest.approx(want_loss, rel=1e-12)
+                for got, want in ((emb_grad, want_emb), (bias_grad, want_bias)):
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestJointTraining:
@@ -253,6 +246,29 @@ class TestJointTraining:
         assert np.array_equal(base_model.table, joint_model.table)
         assert np.array_equal(base_model.bias, joint_model.bias)
         assert [l.loss for l in base_logs] == [l.loss for l in joint_logs]
+
+    def test_one_step_applies_both_terms(self, small_docs):
+        # a one-batch, one-epoch joint run applies exactly one update: the cross-entropy
+        # gradient plus lam times the coherence rows of the batch's distinct sources
+        docs, vocab = small_docs
+        pools = corpus.bigram_pools(docs)
+        total = int(pools.masses.sum())
+        config = TrainConfig(lr=0.3, batch_size=total, max_epochs=1, seed=4, tol=None, lam=0.5)
+        model = lm.make_model(init_embeddings(len(vocab), 6, seed=2))
+        model.bias[:] = np.random.default_rng(2).standard_normal(len(vocab))
+        trained, logs = lm.train_joint(model, docs, RBF, config)
+        pairs = corpus.sample_from_pools(pools, total, config.seed, 0)
+        sources = np.unique(pairs[:, 0])
+        assert len(sources) < len(pairs)  # repeated sources: a per-pair scatter would differ
+        loss, emb_grad, bias_grad = lm.ce_batch_gradients(model, pairs)
+        state = coherence.compute_batch_state(
+            RBF, model.table, sources, config.rho, config.spectral_mode
+        )
+        emb_grad[sources] += config.lam * state.gradients
+        assert logs[0].loss == loss + config.lam * state.loss
+        for got, start, grad in ((trained.table, model.table, emb_grad),
+                                 (trained.bias, model.bias, bias_grad)):
+            np.testing.assert_allclose(got, start - config.lr * grad, rtol=0, atol=1e-15)
 
     def test_positive_lambda_raises_coherence(self, toy_docs):
         config = TrainConfig(lr=0.3, batch_size=32, max_epochs=25, seed=4, tol=None, lam=0.5)
