@@ -165,7 +165,9 @@ def _metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dic
     pairs = [lm.corpus_pairs(docs) for docs in (split.train, split.test, split.validation) if docs]
     nlls, hits = lm.score_pairs(model, np.concatenate(pairs))
     ends = np.cumsum([len(p) for p in pairs])[:-1]
-    ppl = [float(np.exp(np.mean(part))) for part in np.split(nlls, ends)] + [None]
+    with np.errstate(over="ignore"):  # a mean nll above ~709.8 has no float perplexity: null
+        ppl = [float(np.exp(np.mean(part))) for part in np.split(nlls, ends)]
+    ppl = [None if p == math.inf else p for p in ppl] + [None]
     acc = [float(np.mean(part)) for part in np.split(hits, ends)] + [None]
     return {
         "perplexity_train": ppl[0], "perplexity_heldout": ppl[1], "accuracy": acc[1],
@@ -198,12 +200,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     artifacts = {"model": "model.json", "initial_model": "initial_model.json", "vocab": "vocab.json",
                  "epoch_log": "loss_curve.csv", "timing": "timing.json", "reports": "reports"}
 
-    batch_scores: list[tuple[int, float]] = []
-
-    def collect(epoch, _step, _loss, score):
-        if np.isfinite(score):
-            batch_scores.append((epoch, score))
-
     def checkpoint(epoch, snapshot, _log):
         if checkpoint_every > 0 and epoch % checkpoint_every == 0:
             artifacts["checkpoints"] = "checkpoints"
@@ -213,18 +209,18 @@ def cmd_train(args: argparse.Namespace) -> int:
             embedding.save_model(table, path, vocab.id_to_token, cfg["seed"], bias)
 
     log.info("training: %d tokens of vocabulary, dim %s, joint=%s", len(vocab), cfg["dim"], joint)
-    observers = {"on_batch": collect, "on_epoch": checkpoint}
     if joint:
-        model, logs = lm.train_joint(lm.make_model(initial), split.train, spec, config, **observers)
+        model, logs = lm.train_joint(lm.make_model(initial), split.train, spec, config,
+                                     on_epoch=checkpoint)
         trained, bias = model.table, model.bias
     else:
-        trained, logs = trainer.train_sca(initial, split.train, spec, config, **observers)
+        trained, logs = trainer.train_sca(initial, split.train, spec, config, on_epoch=checkpoint)
         bias = None
 
     final = _metrics(trained, bias, split, spec, cfg)
     summary = {
         "seed": config.seed,
-        "lambda": config.lam,
+        "lambda": cfg["lambda"],
         "kernel_family": spec.family,
         "bandwidth": spec.bandwidth,
         "epochs_run": len(logs),
@@ -246,7 +242,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     report.write_csv(out / artifacts["epoch_log"], ["epoch", "loss", "coherence", "lr"],
                      [[e.epoch, e.loss, e.coherence, e.lr] for e in logs])
     report.write_json(out / artifacts["timing"], {"epoch_seconds": [e.seconds for e in logs]})
-    report.emit_reports(out / artifacts["reports"], batch_scores, rare, pca, vocab, summary)
+    scores = [e.scores for e in logs]
+    report.emit_reports(out / artifacts["reports"], scores, rare, pca, vocab, summary)
     _write_manifest(out, "train", {**cfg, "bandwidth_resolved": spec.bandwidth}, artifacts)
     return 0
 

@@ -95,22 +95,22 @@ def rare_word_report(
     ]
 
 
-def coherence_histograms(batch_scores: list[tuple[int, float]]) -> list[list]:
+def coherence_histograms(epoch_scores: list[np.ndarray]) -> list[list]:
     """Histogram the per-batch scores over HISTOGRAM_SEGMENTS contiguous epoch segments.
 
-    Returns the coherence_hist.csv rows [checkpoint, bin_lo, bin_hi,
-    count], one per bin of each segment. Scores are clipped into [0, 1] so
-    every scored batch lands in some bin and counts are conserved.
+    epoch_scores holds each epoch's batch scores, epoch 1 first. Returns the
+    coherence_hist.csv rows [checkpoint, bin_lo, bin_hi, count], one per bin
+    of each segment. Non-finite scores (unscored batches) are left out; the
+    rest are clipped into [0, 1] so each lands in some bin and counts are conserved.
     """
-    if not batch_scores:
+    if not epoch_scores:
         raise ValueError("no batch scores to histogram")
-    last_epoch = max(e for e, _ in batch_scores)
-    segments = np.array_split(np.arange(1, last_epoch + 1), HISTOGRAM_SEGMENTS)
+    segments = np.array_split(np.arange(1, len(epoch_scores) + 1), HISTOGRAM_SEGMENTS)
     rows = []
     for segment in (s for s in segments if s.size):
         lo, hi = int(segment[0]), int(segment[-1])
-        scores = np.array([s for e, s in batch_scores if lo <= e <= hi])
-        clipped = np.clip(scores, HISTOGRAM_EDGES[0], HISTOGRAM_EDGES[-1])
+        scores = np.concatenate(epoch_scores[lo - 1 : hi])
+        clipped = np.clip(scores[np.isfinite(scores)], HISTOGRAM_EDGES[0], HISTOGRAM_EDGES[-1])
         counts, _ = np.histogram(clipped, bins=HISTOGRAM_EDGES)
         rows += [
             [f"epochs {lo}-{hi}", HISTOGRAM_EDGES[b], HISTOGRAM_EDGES[b + 1], int(count)]
@@ -120,8 +120,8 @@ def coherence_histograms(batch_scores: list[tuple[int, float]]) -> list[list]:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """Write indented JSON with sorted keys and a trailing newline."""
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write strict JSON (ValueError on NaN or infinity), indented, keys sorted, newline-ended."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -134,22 +134,22 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def emit_reports(
-    out_dir: str | Path, batch_scores: list[tuple[int, float]], rare_rows: list[list] | None,
+    out_dir: str | Path, epoch_scores: list[np.ndarray], rare_rows: list[list] | None,
     pca: PCAResult | None, vocab: Vocabulary, summary: dict,
 ) -> dict[str, Path]:
     """Write the report files and return their paths by name.
 
-    coherence_hist.csv (from the (epoch, coherence score) pair of every
-    batch) only when some batch was scored (a lam = 0 joint run and eval
-    score none); rare_words.csv (rare_word_report's rows) and pca.csv (the
+    coherence_hist.csv (from each epoch's batch coherence scores) only when
+    some score is finite (a lam = 0 joint run and eval score no batch);
+    rare_words.csv (rare_word_report's rows) and pca.csv (the
     first two coordinates of each token) only when given; summary.json
     always. Every row is built before out_dir is created. Emission is a
     pure function of the arguments, so re-emitting yields byte-identical
     files.
     """
     tables = {}  # file stem: (header, rows)
-    if batch_scores:
-        hist = coherence_histograms(batch_scores)
+    if any(np.isfinite(scores).any() for scores in epoch_scores):
+        hist = coherence_histograms(epoch_scores)
         tables["coherence_hist"] = (["checkpoint", "bin_lo", "bin_hi", "count"], hist)
     if rare_rows is not None:
         tables["rare_words"] = (

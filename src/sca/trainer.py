@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,13 +64,14 @@ class TrainConfig:
 
 @dataclass
 class EpochLog:
-    """Per-epoch training record."""
+    """Per-epoch training record; scores holds each batch's coherence score, in schedule order."""
 
     epoch: int
     loss: float
     coherence: float
     lr: float
     seconds: float
+    scores: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
 
 
 def check_convergence(history: list[EpochLog], window: int, tol: float | None) -> bool:
@@ -157,7 +158,8 @@ def run_epochs(
             if on_batch is not None:
                 on_batch(epoch, b, loss, score)
         seconds = time.perf_counter() - started
-        logs.append(EpochLog(epoch, float(losses.mean()), float(scores.mean()), lr, seconds))
+        logs.append(EpochLog(epoch, float(losses.mean()), float(scores.mean()), lr, seconds,
+                             scores))
         if on_epoch is not None:
             on_epoch(epoch, snapshot, logs[-1])
         if check_convergence(logs, config.window, config.tol):

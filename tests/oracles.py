@@ -169,3 +169,24 @@ def ce_gradients(model, pairs) -> tuple[float, np.ndarray, np.ndarray]:
         emb_grad[src[k]] += delta[k] @ E
     loss = float(np.mean([nll(model, pair) for pair in pairs]))
     return loss, emb_grad, delta.sum(axis=0)
+
+
+def batch_histograms(batch_scores, edges, segments: int) -> list[list]:
+    """coherence_hist.csv rows from the (epoch, score) pair of every batch, segment by segment.
+
+    Non-finite scores are dropped; the epochs 1 to the last scored one are cut into `segments`
+    contiguous runs, and each run's scores, clipped into [edges[0], edges[-1]], are counted
+    per bin. A row is [f"epochs {lo}-{hi}", bin_lo, bin_hi, count].
+    """
+    scored = [(e, s) for e, s in batch_scores if np.isfinite(s)]
+    last_epoch = max(e for e, _ in scored)
+    rows = []
+    for segment in np.array_split(np.arange(1, last_epoch + 1), segments):
+        if not segment.size:
+            continue
+        lo, hi = int(segment[0]), int(segment[-1])
+        scores = np.array([s for e, s in scored if lo <= e <= hi])
+        counts, _ = np.histogram(np.clip(scores, edges[0], edges[-1]), bins=edges)
+        rows += [[f"epochs {lo}-{hi}", edges[b], edges[b + 1], int(count)]
+                 for b, count in enumerate(counts)]
+    return rows

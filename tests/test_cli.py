@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import make_small_raw_docs, make_toy_raw_docs, write_corpus_files
-from oracles import nll
-from sca import cli, coherence, corpus, embedding
+from oracles import batch_histograms, nll
+from sca import cli, coherence, corpus, embedding, lm, report, trainer
 
 TRAIN_ARGS = ["--dim", "6", "--epochs", "4", "--batch", "8", "--seed", "11"]
 
@@ -356,6 +357,47 @@ class TestTrain:
         # no batch is coherence-scored at lambda 0, so there is nothing to histogram
         assert not (out / "reports" / "coherence_hist.csv").exists()
 
+    @pytest.mark.parametrize("flags, config, epochs", [
+        ((), {}, 4),
+        (("--lambda", "0.5"), {}, 4),
+        (("--epochs", "6"), {"tol": 1.0, "window": 2}, 4),  # stops early
+        (("--epochs", "3"), {}, 3),  # fewer epochs than histogram segments
+    ], ids=["embeddings", "joint", "early_stop", "three_epochs"])
+    def test_histogram_counts_every_batch_of_the_run(self, corpus_dir, tmp_path, monkeypatch,
+                                                     flags, config, epochs):
+        # each trainer is wrapped, as benchmarks/child.py wraps it, to see every batch's score
+        batch_scores = []
+
+        def observed(train):
+            def run(*args, on_batch=None, **kwargs):
+                def collect(epoch, b, loss, score):
+                    batch_scores.append((epoch, score))
+                    if on_batch is not None:
+                        on_batch(epoch, b, loss, score)
+
+                return train(*args, on_batch=collect, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(trainer, "train_sca", observed(trainer.train_sca))
+        monkeypatch.setattr(lm, "train_joint", observed(lm.train_joint))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert _train(corpus_dir, out, [*flags, "--config", str(tmp_path / "config.json")]) == 0
+        assert _epochs_run(out) == epochs
+        assert {e for e, _ in batch_scores} == set(range(1, epochs + 1))
+        text = (out / "reports" / "coherence_hist.csv").read_text(encoding="utf-8")
+        rows = [[label, float(lo), float(hi), int(count)]
+                for label, lo, hi, count in (line.split(",") for line in text.splitlines()[1:])]
+        want = batch_histograms(batch_scores, report.HISTOGRAM_EDGES, report.HISTOGRAM_SEGMENTS)
+        assert rows == want
+
+    def test_embeddings_only_summary_has_null_lambda(self, train_run):
+        # as in the manifest; a --lambda 0 run, the cross-entropy baseline, records 0.0
+        out = train_run(*DEFAULT)
+        assert json.loads((out / "reports" / "summary.json").read_text())["lambda"] is None
+        assert json.loads((out / "manifest.json").read_text())["config"]["lambda"] is None
+
     def test_coherence_evaluated_twice(self, corpus_dir, tmp_path, monkeypatch):
         calls = []
         evaluate = coherence.evaluate_coherence
@@ -417,6 +459,17 @@ def _text_corpus(root, docs):
     return write_corpus_files(raw, root)
 
 
+def _readme_corpus(root):
+    """The README's demo corpus: ten prose and ten news documents."""
+    return _text_corpus(root, [
+        doc for i in range(1, 11) for doc in (
+            (f"prose_{i}", "prose", f"the cat {i} sat on the mat. the dog sat too."),
+            (f"news_{i}", "news",
+             f"stocks rose {i} points today, analysts said. markets closed higher."),
+        )
+    ])
+
+
 class TestReadmeExample:
     def test_runs_as_written(self, tmp_path):
         docs = []
@@ -432,6 +485,28 @@ class TestReadmeExample:
         assert cli.main(["train", "--corpus", str(manifest), *args]) == 0
         assert (out / "manifest.json").is_file()
         assert (out / "reports" / "summary.json").is_file()
+
+    def test_overflowed_perplexity_is_null_in_strict_json(self, tmp_path):
+        # the trained table's logits are so large that every mean nll exceeds log(float max)
+        manifest = _readme_corpus(tmp_path / "corpus")
+        run, ev = tmp_path / "run", tmp_path / "eval"
+        flags = ["--epochs", "2", "--rho", "0.000001", "--spectral-mode", "alg1", "--lr", "100"]
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["train", "--corpus", str(manifest), *flags, "--out", str(run)]) == 0
+            model = str(run / "model.json")
+            assert cli.main(["eval", "--corpus", str(manifest), "--model", model,
+                             "--out", str(ev)]) == 0
+        for path in [*run.rglob("*.json"), *ev.rglob("*.json")]:
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+        for summary in (run / "reports" / "summary.json", ev / "summary.json"):
+            payload = json.loads(summary.read_text(encoding="utf-8"))
+            parts = ("train", "heldout", "validation")
+            assert [payload[f"perplexity_{part}"] for part in parts] == [None] * 3
 
     def test_split_without_test_document_exits_one_before_out(self, tmp_path, capsys):
         # the earlier two-document example: the 0.8/0.1/0.1 split leaves the test part empty

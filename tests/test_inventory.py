@@ -5,8 +5,8 @@ left over (a setting nothing reads, a second copy of a job the program
 already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. The signatures that benchmarks/child.py hooks into are
-pinned here too, and so are the one function that writes files and the one
-that reads a clock.
+pinned here too, and so are the one function that writes files, the one
+that reads a clock, and the CLI's use of the epoch logs as its record of batch scores.
 """
 
 import ast
@@ -128,6 +128,12 @@ def test_one_function_reads_a_clock():
     # clock readings reach a run directory only through EpochLog.seconds, which cli writes to
     # timing.json alone; a new reading must change this pin
     assert _called_in_src(_clock_callee) == {("trainer.run_epochs", "perf_counter")}
+
+
+def test_cli_observes_no_batch():
+    # each EpochLog keeps its batch scores, the one record that coherence_hist.csv is built from;
+    # a per-batch observer in the CLI must change this pin
+    assert "on_batch" not in (SRC / "cli.py").read_text(encoding="utf-8")
 
 
 def test_oracles_import_nothing_from_sca():

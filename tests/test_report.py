@@ -140,12 +140,12 @@ class TestRareWords:
 class TestHistograms:
     def _scores(self):
         rng = np.random.default_rng(5)
-        return [(epoch, float(rng.uniform(-0.1, 1.0))) for epoch in range(1, 41) for _ in range(3)]
+        return [rng.uniform(-0.1, 1.0, size=3) for _ in range(40)]
 
     def test_counts_conserved(self):
         scores = self._scores()
         rows = report.coherence_histograms(scores)
-        assert sum(count for _, _, _, count in rows) == len(scores)
+        assert sum(count for _, _, _, count in rows) == sum(s.size for s in scores)
 
     def test_checkpoint_segments_cover_epochs(self):
         rows = report.coherence_histograms(self._scores())
@@ -161,10 +161,20 @@ class TestHistograms:
         with pytest.raises(ValueError):
             report.coherence_histograms([])
 
+    def test_non_finite_scores_are_left_out(self):
+        scores = self._scores()
+        unscored = [s.copy() for s in scores]
+        unscored[12] = np.array([scores[12][0], np.nan, scores[12][2], np.inf])
+        counted = [s.copy() for s in scores]
+        counted[12] = scores[12][[0, 2]]
+        rows = report.coherence_histograms(unscored)
+        assert rows == report.coherence_histograms(counted)
+        assert sum(count for _, _, _, count in rows) == sum(s.size for s in scores) - 1
+
 
 def _toy_artifacts(toy_vocab):
     rng = np.random.default_rng(6)
-    scores = [(epoch, float(rng.uniform(0, 1))) for epoch in range(1, 13) for _ in range(4)]
+    scores = [rng.uniform(0, 1, size=4) for _ in range(12)]
     before = init_embeddings(len(toy_vocab), 6, seed=1)
     after = init_embeddings(len(toy_vocab), 6, seed=2)
     rare = report.rare_word_report(before, after, toy_vocab)
@@ -190,6 +200,19 @@ class TestEmitReports:
         paths = report.emit_reports(tmp_path / "reports", [], None, None, vocab, summary)
         assert set(paths) == {"summary"}
         assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == ["summary.json"]
+
+    def test_unscored_epochs_write_no_histogram(self, tmp_path, toy_vocab):
+        _, rare, pca, vocab, summary = _toy_artifacts(toy_vocab)
+        unscored = [np.full(4, np.nan) for _ in range(12)]
+        paths = report.emit_reports(tmp_path / "reports", unscored, rare, pca, vocab, summary)
+        assert set(paths) == {"rare_words", "pca", "summary"}
+        assert not (tmp_path / "reports" / "coherence_hist.csv").exists()
+
+    def test_non_finite_json_is_refused(self, tmp_path):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                report.write_json(tmp_path / "summary.json", {"perplexity_train": value})
+        assert list(tmp_path.iterdir()) == []
 
     def test_reemission_is_byte_identical(self, tmp_path, toy_vocab):
         artifacts = _toy_artifacts(toy_vocab)
