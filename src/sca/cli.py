@@ -161,9 +161,8 @@ def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str
 
 def _metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dict:
     """Perplexity and accuracy of each split part, from one scoring call, and coherence score."""
-    model = lm.BigramModel(table=table, bias=bias if bias is not None else np.zeros(len(table)))
     pairs = [lm.corpus_pairs(docs) for docs in (split.train, split.test, split.validation) if docs]
-    nlls, hits = lm.score_pairs(model, np.concatenate(pairs))
+    nlls, hits = lm.score_pairs(lm.make_model(table, bias), np.concatenate(pairs))
     ends = np.cumsum([len(p) for p in pairs])[:-1]
     with np.errstate(over="ignore"):  # a mean nll above ~709.8 has no float perplexity: null
         ppl = [float(np.exp(np.mean(part))) for part in np.split(nlls, ends)]
@@ -212,7 +211,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if joint:
         model, logs = lm.train_joint(lm.make_model(initial), split.train, spec, config,
                                      on_epoch=checkpoint)
-        trained, bias = model.table, model.bias
+        trained, bias = model[:, :-1], model[:, -1]
     else:
         trained, logs = trainer.train_sca(initial, split.train, spec, config, on_epoch=checkpoint)
         bias = None

@@ -1,28 +1,28 @@
 """Tied-embedding bigram language model with an optional coherence term.
 
-The model scores the next token as logits(w) = E e_w + b with the same
-table E on both sides. Cross-entropy gradients are analytic; joint
-training adds lam * (coherence gradient) over the batch's distinct source
-tokens. A lam of 0 (or no kernel spec) skips the coherence machinery
-entirely, so such a run is plain cross-entropy training.
+The joint model is one (n, d+1) array [E | b]: the table E with the output
+bias b as its last column. A source u's logits [e_u, 1] [E | b]^T = E e_u + b
+use the same table on both sides, and the bias rides inside the one product.
+Cross-entropy gradients are analytic; joint training adds lam * (coherence
+gradient) over the batch's distinct source tokens. A lam of 0 (or no kernel
+spec) skips the coherence machinery, so such a run is plain cross-entropy.
 
 A training step takes the batch's distinct sources once, for both terms.
-ce_batch_gradients builds one exponentiated logit row per distinct source
-and folds the softmax's normalization into the small operands, so no
-normalized (B, n) matrix is formed; the one-hot targets are one subtraction
-per pair, the coherence rows are added onto the distinct sources, and the
-update runs in place.
+ce_batch_gradients returns (loss, grad), grad (n, d+1) like the model. It
+builds one exponentiated logit row per distinct source and folds the
+softmax's normalization into the small operands, so no normalized (B, n)
+matrix is formed; the one-hot targets are one subtraction per pair, the
+coherence rows are added onto the distinct sources, and the update runs in place.
 
-Evaluation is one pass, score_pairs: a pair's nll and top-1 hit depend
-on its source only through its row of logits, so one vocabulary-wide row
-is built per distinct source, SOURCE_BLOCK sources at a time, and every
-pair's target logit and argmax are gathered from it. Perplexity is exp of
-a part's mean nll, accuracy the mean of its hits.
+Evaluation is one pass, score_pairs: a pair's nll and top-1 hit depend on
+its source only through its row of logits, so one vocabulary-wide row is
+built per distinct source, SOURCE_BLOCK sources at a time, and every pair's
+target logit and argmax are gathered from it. Both passes build their rows
+with _shifted_logits. Perplexity is exp of a part's mean nll, accuracy the
+mean of its hits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +33,9 @@ from .trainer import EpochLog, TrainConfig
 SOURCE_BLOCK = 1024  # distinct sources per block of vocabulary-wide logit rows
 
 
-@dataclass
-class BigramModel:
-    """The (n, d) embedding table plus the per-token output bias (n,)."""
-
-    table: np.ndarray
-    bias: np.ndarray
-
-
-def make_model(table: np.ndarray) -> BigramModel:
-    return BigramModel(table=table, bias=np.zeros(len(table)))
+def make_model(table: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """The joint model [E | b], a new (n, d+1) array; a missing bias is zero."""
+    return np.column_stack([table, np.zeros(len(table)) if bias is None else bias])
 
 
 def corpus_pairs(documents: list[corpus.Document]) -> np.ndarray:
@@ -53,12 +46,25 @@ def corpus_pairs(documents: list[corpus.Document]) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def score_pairs(model: BigramModel, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_logits(model: np.ndarray, sources: np.ndarray, out=None):
+    """The sources' logit rows [e_u, 1] model^T, each shifted by its max, and [e_u, 1].
+
+    A row's max becomes exactly 0 and every smaller finite entry stays
+    strictly negative, so a finite row's argmax survives the shift.
+    """
+    W = model[sources]
+    W[:, -1] = 1.0
+    Z = np.dot(W, model.T, out=out)
+    Z -= Z.max(axis=1)[:, None]
+    return Z, W
+
+
+def score_pairs(model: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each pair's negative log-likelihood, and whether its target is the top-1 prediction.
 
     Argmax ties resolve to the smallest id. One row of logits is built per
-    distinct source, SOURCE_BLOCK sources at a time; the argmax is read
-    before the row is shifted by its max, the target logit after.
+    distinct source, SOURCE_BLOCK sources at a time; the argmax and the
+    target logit are both read from the shifted row.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     targets = pairs[:, 1]
@@ -68,31 +74,29 @@ def score_pairs(model: BigramModel, pairs: np.ndarray) -> tuple[np.ndarray, np.n
         block = unique[start:start + SOURCE_BLOCK]
         members = np.flatnonzero((inverse >= start) & (inverse < start + block.shape[0]))
         rows = inverse[members] - start
-        Z = model.table[block] @ model.table.T
-        Z += model.bias  # built, then shifted, in place: two blocks at most are alive
+        Z, _ = _shifted_logits(model, block)
         hits[members] = np.argmax(Z, axis=1)[rows] == targets[members]
-        Z -= Z.max(axis=1)[:, None]
         log_norm = np.log(np.sum(np.exp(Z), axis=1))
         nlls[members] = log_norm[rows] - Z[rows, targets[members]]
     return nlls, hits
 
 
 def ce_batch_gradients(
-    model: BigramModel,
+    model: np.ndarray,
     pairs: np.ndarray,
     distinct: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batch-mean cross-entropy loss and its analytic gradients.
+) -> tuple[float, np.ndarray]:
+    """Batch-mean cross-entropy loss and its analytic gradient.
 
-    Returns (loss, embedding gradient (n, d), bias gradient (n,)). The
-    embedding gradient carries both the output-side term (p - y) e_w and
-    the tied input-side term E^T (p - y) on the source rows.
+    Returns (loss, grad), grad (n, d+1) like the model. Its table columns
+    carry both the output-side term (p - y) e_w and the tied input-side
+    term E^T (p - y) on the source rows; its last column is the bias's.
 
     Each distinct source u gets one row Z_u = exp(logits_u - max), summing
     to t_u. Subtracting t_u / count_u at each of u's pairs' targets (repeats
     accumulate) and scaling by r_u = count_u / (t_u B) gives u's rows of
-    (P - Y) / B without a normalized (B, n) matrix. Bias gradient: r Z.
-    Output side: Z^T (r E_u). Input side: r (Z E), onto the distinct sources.
+    (P - Y) / B without a normalized (B, n) matrix. Output side and bias:
+    Z^T [r e_u, r]. Input side: r (Z E), onto the distinct sources.
 
     distinct, if given, is np.unique(pairs[:, 0], return_inverse=True).
     """
@@ -103,15 +107,11 @@ def ce_batch_gradients(
         distinct = np.unique(src, return_inverse=True)
     sources, inverse = distinct
     counts = np.bincount(inverse)
-    E = model.table
-    n = E.shape[0]
-    W = E[sources]
+    n = model.shape[0]
     # one (r, n) buffer holds the logits, shifted, then their exponentials; it is cut from B
     # rows, so each step asks malloc for the same size and reuses the heap instead of growing
     # and trimming it, which costs page faults
-    Z = np.dot(W, E.T, out=np.empty((B, n))[: sources.shape[0]])
-    Z += model.bias
-    Z -= Z.max(axis=1)[:, None]
+    Z, W = _shifted_logits(model, sources, out=np.empty((B, n))[: sources.shape[0]])
     picked = Z[inverse, tgt]
     np.exp(Z, out=Z)
     totals = np.dot(Z, np.ones(n))  # row sums; the matrix-vector product is faster than np.sum
@@ -119,24 +119,23 @@ def ce_batch_gradients(
     # a 2-D index, so an out-of-range target raises instead of reading the next row
     np.subtract.at(Z, (inverse, tgt), (totals / counts)[inverse])
     r = counts / (totals * B)
-    bias_grad = np.dot(r, Z)
     W *= r[:, None]
-    emb_grad = np.dot(Z.T, W)
-    inside = np.dot(Z, E)
+    grad = np.dot(Z.T, W)
+    inside = np.dot(Z, model)  # the whole model, not a strided view that np.dot would copy
     inside *= r[:, None]
-    emb_grad[sources] += inside  # the sources are distinct: no accumulating scatter
-    return loss, emb_grad, bias_grad
+    grad[sources, :-1] += inside[:, :-1]  # the sources are distinct: no accumulating scatter
+    return loss, grad
 
 
 def train_joint(
-    model: BigramModel,
+    model: np.ndarray,
     documents: list[corpus.Document],
     spec: KernelSpec | None,
     config: TrainConfig,
     on_batch=None,
     on_epoch=None,
-) -> tuple[BigramModel, list[EpochLog]]:
-    """Cross-entropy plus lam times the coherence objective.
+) -> tuple[np.ndarray, list[EpochLog]]:
+    """Cross-entropy plus lam times the coherence objective, on a copy of [E | b].
 
     The coherence gradient is computed over the batch's distinct source
     tokens and added to their rows; with lam = 0 or no spec the coherence
@@ -144,24 +143,23 @@ def train_joint(
     """
     use_sca = spec is not None and config.lam != 0.0
     bound = (config.rho, config.spectral_mode)
-    work = BigramModel(table=model.table.copy(), bias=model.bias.copy())
+    work = model.copy()
+    table = work[:, :-1]
 
     def step(pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
         distinct = np.unique(pairs[:, 0], return_inverse=True)
-        loss, emb_grad, bias_grad = ce_batch_gradients(work, pairs, distinct)
+        loss, grad = ce_batch_gradients(work, pairs, distinct)
         score = float("nan")
         if use_sca:
-            state = coherence.compute_batch_state(spec, work.table, distinct[0], *bound)
-            emb_grad[distinct[0]] += config.lam * state.gradients
+            state = coherence.compute_batch_state(spec, table, distinct[0], *bound)
+            grad[distinct[0], :-1] += config.lam * state.gradients
             loss += config.lam * state.loss
             score = state.score
-        trainer.check_finite(loss, emb_grad, epoch, b)  # a non-finite term carries into the sums
-        emb_grad *= lr
-        work.table -= emb_grad
-        bias_grad *= lr
-        work.bias -= bias_grad
+        trainer.check_finite(loss, grad, epoch, b)  # a non-finite term carries into the sums
+        grad *= lr
+        np.subtract(work, grad, out=work)
         return loss, score
 
     pools = corpus.bigram_pools(documents)
-    logs = trainer.run_epochs((work.table, work.bias), pools, config, step, on_batch, on_epoch)
+    logs = trainer.run_epochs((table, work[:, -1]), pools, config, step, on_batch, on_epoch)
     return work, logs

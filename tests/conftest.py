@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
-import numpy as np
+# One BLAS thread per process, set before numpy loads its BLAS: the acceptance suite builds
+# its runs in a 2-process pool, and threaded BLAS in each process would oversubscribe the cores.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest
 
 from sca import corpus

@@ -3,9 +3,10 @@
 Each one follows its definition directly, on one pair, one token, one dense
 (d, d) field or one dense (B, n) softmax delta at a time, and nothing here
 imports sca, so no oracle runs the code it checks. Embedding tables are
-plain (n, d) arrays; other program objects are read through their
-attributes only: spec.family and spec.bandwidth, model.table and
-model.bias, and a batch state's lefts, rights and scales.
+plain (n, d) arrays and joint models plain (n, d+1) arrays [E | b], the
+bias as the last column; other program objects are read through their
+attributes only: spec.family and spec.bandwidth, and a batch state's
+lefts, rights and scales.
 """
 
 from __future__ import annotations
@@ -137,28 +138,28 @@ def nll(model, pair) -> float:
     The next-token logits are E e_w + b, with the one table E on both sides.
     """
     w, nxt = int(pair[0]), int(pair[1])
-    E = model.table
+    E, bias = model[:, :-1], model[:, -1]
     n = E.shape[0]
     if not (0 <= w < n and 0 <= nxt < n):
         raise ValueError(f"token pair ({w}, {nxt}) outside vocabulary of size {n}")
-    z = E @ E[w] + model.bias
+    z = E @ E[w] + bias
     shifted = z - z.max()
     return float(np.log(np.sum(np.exp(shifted)))) - float(shifted[nxt])
 
 
-def ce_gradients(model, pairs) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batch-mean cross-entropy loss and its gradients from the dense (B, n) delta.
+def ce_gradients(model, pairs) -> tuple[float, np.ndarray]:
+    """Batch-mean cross-entropy loss and its (n, d+1) gradient from the dense (B, n) delta.
 
     delta = (softmax(E e_source + b) - onehot(target)) / B, one row per pair.
-    The bias gradient is delta's column sum; the embedding gradient is the
-    output-side delta^T E[sources] plus, pair by pair, the input-side
-    delta_k E added onto the pair's source row.
+    The bias gradient (last column) is delta's column sum; the embedding
+    gradient is the output-side delta^T E[sources] plus, pair by pair, the
+    input-side delta_k E added onto the pair's source row.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     B = pairs.shape[0]
     src, tgt = pairs[:, 0], pairs[:, 1]
-    E = model.table
-    logits = E[src] @ E.T + model.bias
+    E = model[:, :-1]
+    logits = E[src] @ E.T + model[:, -1]
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     delta = p.copy()
@@ -168,7 +169,7 @@ def ce_gradients(model, pairs) -> tuple[float, np.ndarray, np.ndarray]:
     for k in range(B):
         emb_grad[src[k]] += delta[k] @ E
     loss = float(np.mean([nll(model, pair) for pair in pairs]))
-    return loss, emb_grad, delta.sum(axis=0)
+    return loss, np.column_stack([emb_grad, delta.sum(axis=0)])
 
 
 def batch_histograms(batch_scores, edges, segments: int) -> list[list]:

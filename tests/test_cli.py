@@ -5,7 +5,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -760,14 +759,14 @@ class TestValidationPart:
     def test_figures_match_the_oracle(self, corpus_dir, train_run, tmp_path, flags):
         run = train_run(flags, {})
         table, _, bias = embedding.load_model(run / "model.json")
-        model = SimpleNamespace(table=table, bias=np.zeros(len(table)) if bias is None else bias)
+        model = np.column_stack([table, np.zeros(len(table)) if bias is None else bias])
         raw = corpus.read_manifest(corpus_dir)
         docs = corpus.encode_documents(raw, corpus.build_vocabulary(raw, min_count=1))
         validation = corpus.stratified_split(docs, (0.8, 0.1, 0.1), seed=11).validation
         pairs = [(a, b) for doc in validation
                  for a, b in zip(doc.token_ids[:-1].tolist(), doc.token_ids[1:].tolist())]
         perplexity = math.exp(np.mean([nll(model, pair) for pair in pairs]))
-        accuracy = np.mean([np.argmax(table @ table[a] + model.bias) == b for a, b in pairs])
+        accuracy = np.mean([np.argmax(table @ table[a] + model[:, -1]) == b for a, b in pairs])
         out = tmp_path / "eval"
         flags = ["--config", str(run / "manifest.json"), "--model", str(run / "model.json")]
         assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 0

@@ -164,7 +164,7 @@ def test_benchmark_hooks_keep_their_signatures():
     ids = list(inspect.signature(coherence.compute_batch_state).parameters.values())[2]
     assert (ids.name, ids.kind) == ("token_ids", inspect.Parameter.POSITIONAL_OR_KEYWORD)
     # The metrics lm.ce_calls and lm.ce_s trace lm.ce_batch_gradients by name, which train_joint's
-    # step calls; a call with (model, pairs) alone returns the full (loss, emb_grad, bias_grad).
+    # step calls; a call with (model, pairs) alone returns (loss, grad), grad (n, d+1) like [E | b].
     params = list(inspect.signature(lm.ce_batch_gradients).parameters.values())
     assert [(p.name, p.kind) for p in params[:2]] == [
         ("model", inspect.Parameter.POSITIONAL_OR_KEYWORD),

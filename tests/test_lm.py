@@ -8,14 +8,13 @@ from oracles import ce_gradients, nll
 from sca import coherence, corpus, lm
 from sca.embedding import init_embeddings
 from sca.kernel import KernelSpec
-from sca.lm import BigramModel
-from sca.trainer import TrainConfig
+from sca.trainer import TrainConfig, TrainingError
 
 RBF = KernelSpec("rbf", 0.5)
 
 
 def _uniform_model(n=7, d=4):
-    return BigramModel(table=np.zeros((n, d)), bias=np.zeros(n))
+    return np.zeros((n, d + 1))
 
 
 class TestNll:
@@ -25,16 +24,13 @@ class TestNll:
 
     def test_dominant_logit_gives_tiny_nll(self):
         model = _uniform_model(n=5)
-        model.bias[2] = 25.0
+        model[2, -1] = 25.0
         assert nll(model, (0, 2)) < 1e-8
 
     def test_nonnegative_for_random_models(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            model = BigramModel(
-                table=rng.standard_normal((6, 3)),
-                bias=rng.standard_normal(6),
-            )
+            model = lm.make_model(rng.standard_normal((6, 3)), rng.standard_normal(6))
             pair = tuple(rng.integers(0, 6, size=2))
             assert nll(model, pair) >= 0.0
 
@@ -46,10 +42,7 @@ class TestNll:
     def test_softmax_normalization(self):
         rng = np.random.default_rng(1)
         for n, d in ((5, 3), (50, 16), (500, 32)):
-            model = BigramModel(
-                table=rng.standard_normal((n, d)),
-                bias=rng.standard_normal(n),
-            )
+            model = lm.make_model(rng.standard_normal((n, d)), rng.standard_normal(n))
             p = np.exp([-nll(model, (0, nxt)) for nxt in range(n)])
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -75,9 +68,7 @@ class TestPerplexity:
 
     def test_matches_per_pair_oracle(self):
         rng = np.random.default_rng(2)
-        model = BigramModel(
-            table=rng.standard_normal((8, 4)), bias=rng.standard_normal(8)
-        )
+        model = lm.make_model(rng.standard_normal((8, 4)), rng.standard_normal(8))
         seq = rng.integers(0, 8, size=10)
         want = math.exp(
             np.mean([nll(model, (seq[i], seq[i + 1])) for i in range(len(seq) - 1)])
@@ -86,9 +77,7 @@ class TestPerplexity:
 
     def test_small_blocks_match_per_pair_oracle(self, monkeypatch):
         rng = np.random.default_rng(4)
-        model = BigramModel(
-            table=rng.standard_normal((9, 4)), bias=rng.standard_normal(9)
-        )
+        model = lm.make_model(rng.standard_normal((9, 4)), rng.standard_normal(9))
         # repeated sources in unsorted order; both pair sets have the 7
         # distinct sources {0, 1, 2, 3, 5, 7, 8}, so blocks of 3 end ragged
         seq = np.array([5, 2, 7, 5, 0, 2, 8, 5, 3, 7, 1, 2])
@@ -104,8 +93,8 @@ class TestPerplexity:
             oracle(seq_pairs), rel=1e-12
         )
         assert _perplexity(model, docs) == pytest.approx(oracle(pairs), rel=1e-12)
-        E = model.table
-        argmaxes = np.array([np.argmax(E @ E[s] + model.bias) for s in pairs[:, 0]])
+        E, bias = model[:, :-1], model[:, -1]
+        argmaxes = np.array([np.argmax(E @ E[s] + bias) for s in pairs[:, 0]])
         assert _accuracy(model, pairs) == np.mean(argmaxes == pairs[:, 1])
         assert _accuracy(model, np.column_stack([pairs[:, 0], argmaxes])) == 1.0
 
@@ -113,7 +102,7 @@ class TestPerplexity:
         # unblocked, one (pairs, n) logit matrix alone would take 20,000 * 4,000 * 8 B = 640 MB
         rng = np.random.default_rng(5)
         n = 4000
-        model = BigramModel(table=0.1 * rng.standard_normal((n, 8)), bias=rng.standard_normal(n))
+        model = lm.make_model(0.1 * rng.standard_normal((n, 8)), rng.standard_normal(n))
         docs = [corpus.Document(f"d{k}", "c", rng.integers(0, n, size=201)) for k in range(100)]
         tracemalloc.start()
         try:
@@ -142,35 +131,58 @@ class TestPerplexity:
 class TestScorePairs:
     def test_each_pair_matches_the_oracle(self, monkeypatch):
         rng = np.random.default_rng(6)
-        model = BigramModel(table=rng.standard_normal((11, 4)), bias=rng.standard_normal(11))
+        model = lm.make_model(rng.standard_normal((11, 4)), rng.standard_normal(11))
         pairs = rng.integers(0, 11, size=(40, 2))
         monkeypatch.setattr(lm, "SOURCE_BLOCK", 4)  # ragged blocks over up to 11 sources
         nlls, hits = lm.score_pairs(model, pairs)
         want = [nll(model, pair) for pair in pairs]
         np.testing.assert_allclose(nlls, want, rtol=1e-12, atol=1e-14)
-        E = model.table
-        argmaxes = [np.argmax(E @ E[s] + model.bias) for s in pairs[:, 0]]
+        E, bias = model[:, :-1], model[:, -1]
+        argmaxes = [np.argmax(E @ E[s] + bias) for s in pairs[:, 0]]
         assert hits.tolist() == [int(a) == t for a, t in zip(argmaxes, pairs[:, 1])]
+
+
+    @pytest.mark.parametrize(
+        "logits",
+        [
+            [0.25, np.nextafter(0.5, 0.0), 0.5, -1.0],  # the two largest one ulp apart
+            [0.5, np.nextafter(0.5, 0.0), 0.25, -1.0],
+            [-7.5, -3.0, np.nextafter(-3.0, 0.0)],
+            [-1.0, 1e300, np.nextafter(1e300, np.inf)],
+            [0.0, -5e-324, 5e-324],  # subnormals: the gap is the smallest float
+            [0.25, 0.75, -0.5, 0.75, 0.75],  # exact ties: the smallest id wins
+        ],
+        ids=["later", "earlier", "negative", "huge", "subnormal", "ties"],
+    )
+    def test_argmax_after_the_shift_matches_the_unshifted_oracle(self, logits):
+        # a zero table makes every source's logits exactly the bias column
+        n = len(logits)
+        model = lm.make_model(np.zeros((n, 3)), np.array(logits))
+        pairs = np.array([(s, t) for s in range(n) for t in range(n)])
+        _, hits = lm.score_pairs(model, pairs)
+        E, bias = model[:, :-1], model[:, -1]
+        argmaxes = np.array([np.argmax(E @ E[s] + bias) for s in pairs[:, 0]])
+        assert hits.tolist() == (argmaxes == pairs[:, 1]).tolist()
+        assert hits.sum() == n
 
 
 class TestAccuracy:
     def test_memorized_set(self):
         model = _uniform_model(n=4)
-        model.bias[:] = 0.0
         # separate each source deterministically via huge pairwise logits
-        model.table[:] = np.eye(4)[:, :4] * 10.0
+        model[:, :-1] = np.eye(4) * 10.0
         pairs = np.array([[0, 0], [1, 1], [2, 2], [3, 3]])
         assert _accuracy(model, pairs) == 1.0
 
     def test_never_correct_set(self):
         model = _uniform_model(n=4)
-        model.bias[3] = 10.0
+        model[3, -1] = 10.0
         pairs = np.array([[0, 0], [1, 1], [2, 2]])
         assert _accuracy(model, pairs) == 0.0
 
     def test_hand_counted_fraction(self):
         model = _uniform_model(n=3)
-        model.bias[:] = [0.0, 1.0, 2.0]  # argmax always token 2
+        model[:, -1] = [0.0, 1.0, 2.0]  # argmax always token 2
         pairs = np.array([[0, 2], [1, 2], [2, 2], [0, 1], [1, 0]])
         assert _accuracy(model, pairs) == pytest.approx(3 / 5)
 
@@ -186,30 +198,16 @@ class TestCeGradients:
         n, d = 12, 6
         eps = 1e-5
         for trial in range(5):
-            vectors = rng.standard_normal((n, d))
-            bias = rng.standard_normal(n)
-            pair = rng.integers(0, n, size=2)
-            model = BigramModel(vectors.copy(), bias.copy())
-            _, emb_grad, bias_grad = lm.ce_batch_gradients(model, pair[None, :])
-
-            def loss_with(vec, b):
-                return nll(BigramModel(vec, b), tuple(pair))
-
-            for i in range(n):
-                for j in range(d):
-                    plus = vectors.copy()
-                    minus = vectors.copy()
-                    plus[i, j] += eps
-                    minus[i, j] -= eps
-                    fd = (loss_with(plus, bias) - loss_with(minus, bias)) / (2 * eps)
-                    assert emb_grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
-            for i in range(n):
-                plus = bias.copy()
-                minus = bias.copy()
-                plus[i] += eps
-                minus[i] -= eps
-                fd = (loss_with(vectors, plus) - loss_with(vectors, minus)) / (2 * eps)
-                assert bias_grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            model = lm.make_model(rng.standard_normal((n, d)), rng.standard_normal(n))
+            pair = tuple(rng.integers(0, n, size=2))
+            _, grad = lm.ce_batch_gradients(model, np.array([pair]))
+            assert grad.shape == (n, d + 1)
+            for i, j in np.ndindex(model.shape):  # the embedding columns, then the bias column
+                plus, minus = model.copy(), model.copy()
+                plus[i, j] += eps
+                minus[i, j] -= eps
+                fd = (nll(plus, pair) - nll(minus, pair)) / (2 * eps)
+                assert grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_batch_matches_dense_delta_oracle(self):
         batches = [
@@ -222,12 +220,13 @@ class TestCeGradients:
         rng = np.random.default_rng(21)
         for pairs in map(np.array, batches):
             for trial in range(5):
-                model = BigramModel(rng.standard_normal((12, 6)), rng.standard_normal(12))
-                loss, emb_grad, bias_grad = lm.ce_batch_gradients(model, pairs)
-                want_loss, want_emb, want_bias = ce_gradients(model, pairs)
+                model = lm.make_model(rng.standard_normal((12, 6)), rng.standard_normal(12))
+                loss, grad = lm.ce_batch_gradients(model, pairs)
+                want_loss, want = ce_gradients(model, pairs)
                 assert loss == pytest.approx(want_loss, rel=1e-12)
-                for got, want in ((emb_grad, want_emb), (bias_grad, want_bias)):
-                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                for part in (np.s_[:, :-1], np.s_[:, -1]):  # the table's columns, the bias's
+                    gap = np.max(np.abs(grad[part] - want[part]))
+                    assert gap <= 1e-12 * np.max(np.abs(want[part]))
 
 
 class TestJointTraining:
@@ -243,8 +242,7 @@ class TestJointTraining:
             RBF,
             config,
         )
-        assert np.array_equal(base_model.table, joint_model.table)
-        assert np.array_equal(base_model.bias, joint_model.bias)
+        assert np.array_equal(base_model, joint_model)
         assert [l.loss for l in base_logs] == [l.loss for l in joint_logs]
 
     def test_one_step_applies_both_terms(self, small_docs):
@@ -255,20 +253,29 @@ class TestJointTraining:
         total = int(pools.masses.sum())
         config = TrainConfig(lr=0.3, batch_size=total, max_epochs=1, seed=4, tol=None, lam=0.5)
         model = lm.make_model(init_embeddings(len(vocab), 6, seed=2))
-        model.bias[:] = np.random.default_rng(2).standard_normal(len(vocab))
+        model[:, -1] = np.random.default_rng(2).standard_normal(len(vocab))
         trained, logs = lm.train_joint(model, docs, RBF, config)
         pairs = corpus.sample_from_pools(pools, total, config.seed, 0)
         sources = np.unique(pairs[:, 0])
         assert len(sources) < len(pairs)  # repeated sources: a per-pair scatter would differ
-        loss, emb_grad, bias_grad = lm.ce_batch_gradients(model, pairs)
+        loss, grad = lm.ce_batch_gradients(model, pairs)
         state = coherence.compute_batch_state(
-            RBF, model.table, sources, config.rho, config.spectral_mode
+            RBF, model[:, :-1], sources, config.rho, config.spectral_mode
         )
-        emb_grad[sources] += config.lam * state.gradients
+        grad[sources, :-1] += config.lam * state.gradients
         assert logs[0].loss == loss + config.lam * state.loss
-        for got, start, grad in ((trained.table, model.table, emb_grad),
-                                 (trained.bias, model.bias, bias_grad)):
-            np.testing.assert_allclose(got, start - config.lr * grad, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(trained, model - config.lr * grad, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("column", [0, -1], ids=["table", "bias"])
+    def test_nonfinite_model_aborts_with_location(self, small_docs, column, lam):
+        # a NaN anywhere in [E | b] reaches every logit row, so the first batch's check fires
+        docs, vocab = small_docs
+        model = lm.make_model(init_embeddings(len(vocab), 6, seed=0))
+        model[1, column] = np.nan
+        config = TrainConfig(batch_size=8, max_epochs=2, seed=0, tol=None, lam=lam)
+        with pytest.raises(TrainingError, match=r"epoch 1, batch 0$"):
+            lm.train_joint(model, docs, RBF, config)
 
     def test_positive_lambda_raises_coherence(self, toy_docs):
         config = TrainConfig(lr=0.3, batch_size=32, max_epochs=25, seed=4, tol=None, lam=0.5)
@@ -276,7 +283,7 @@ class TestJointTraining:
         spec = KernelSpec("rbf", 0.45)
         trained, logs = lm.train_joint(lm.make_model(table), toy_docs, spec, config)
         before = coherence.evaluate_coherence(table, toy_docs, spec, 32, seed=4)
-        after = coherence.evaluate_coherence(trained.table, toy_docs, spec, 32, seed=4)
+        after = coherence.evaluate_coherence(trained[:, :-1], toy_docs, spec, 32, seed=4)
         assert after > before
         assert all(np.isfinite(l.coherence) for l in logs)
 

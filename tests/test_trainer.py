@@ -119,9 +119,12 @@ class TestInputsLeftAlone:
         kept = table.tobytes(), bias.tobytes()
         config = TrainConfig(batch_size=8, max_epochs=2, seed=4, tol=None, lam=0.5)
         if joint:
-            model, _ = lm.train_joint(lm.BigramModel(table, bias), docs, RBF, config)
-            trained = model.table
-            assert model.bias.tobytes() != kept[1]
+            model = lm.make_model(table, bias)
+            kept_model = model.tobytes()
+            trained, _ = lm.train_joint(model, docs, RBF, config)
+            assert model.tobytes() == kept_model
+            assert trained[:, -1].tobytes() != kept[1]
+            trained = trained[:, :-1]
         else:
             trained, _ = trainer.train_sca(table, docs, RBF, config)
         assert trained.tobytes() != kept[0]
