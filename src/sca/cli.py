@@ -80,8 +80,6 @@ KNOBS = (
     Knob("window", _integer, TrainConfig.window, ("train",), None),
     Knob("tol", _number_or_null, TrainConfig.tol, ("train",), None),
 )
-# manifests carry bandwidth_resolved, and older ones the retired threads knob
-MANIFEST_ONLY_KEYS = ("bandwidth_resolved", "threads")
 
 
 def _resolve_config(args: argparse.Namespace, command: str) -> dict:
@@ -95,7 +93,7 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
             raise ValueError(f"config {args.config} must hold a JSON object")
         knobs = {k.name: k for k in KNOBS}
         for key, value in payload.items():
-            if key not in knobs and key not in MANIFEST_ONLY_KEYS:
+            if key not in knobs and key != "bandwidth_resolved":  # a manifest-only key
                 raise ValueError(f"config {args.config}: unknown key {key!r}")
             try:
                 if key in cfg:
@@ -188,21 +186,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         window=cfg["window"], tol=cfg["tol"], seed=cfg["seed"], spectral_mode=cfg["spectral_mode"],
         lam=cfg["lambda"] if joint else TrainConfig.lam,
     )
-    # the config and the batch size are checked before --out is created
-    pools = corpus.bigram_pools if joint else corpus.token_pools
-    trainer.check_config(config, pools(split.train))
     checkpoint_every = cfg["checkpoint_every"]
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     artifacts = {"model": "model.json", "initial_model": "initial_model.json", "vocab": "vocab.json",
                  "epoch_log": "loss_curve.csv", "timing": "timing.json", "reports": "reports"}
 
     def checkpoint(epoch, snapshot, _log):
         if checkpoint_every > 0 and epoch % checkpoint_every == 0:
             artifacts["checkpoints"] = "checkpoints"
-            (out / "checkpoints").mkdir(exist_ok=True)
             table, bias = snapshot
             path = out / "checkpoints" / f"epoch_{epoch:04d}.json"
             embedding.save_model(table, path, vocab.id_to_token, cfg["seed"], bias)

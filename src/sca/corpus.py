@@ -167,10 +167,12 @@ def encode_documents(documents: list[RawDocument], vocab: Vocabulary) -> list[Do
 def write_text(path: str | Path, text: str) -> None:
     """Write text as UTF-8, without newline translation, whole or not at all.
 
-    The text goes to .<name>.tmp beside path, and os.replace moves it onto path; on any error the
+    The parent directory is created first, so a run directory appears with its first file. The
+    text goes to .<name>.tmp beside path, and os.replace moves it onto path; on any error the
     temporary file is removed. There is no fsync, so power loss is not covered.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as f:

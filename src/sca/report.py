@@ -143,7 +143,7 @@ def emit_reports(
     some score is finite (a lam = 0 joint run and eval score no batch);
     rare_words.csv (rare_word_report's rows) and pca.csv (the
     first two coordinates of each token) only when given; summary.json
-    always. Every row is built before out_dir is created. Emission is a
+    always. Every row is built before the first file is written. Emission is a
     pure function of the arguments, so re-emitting yields byte-identical
     files.
     """
@@ -159,7 +159,6 @@ def emit_reports(
         rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(pca.coordinates[:, :2])]
         tables["pca"] = (["token", "x", "y"], rows)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {}
     for name, (header, rows) in tables.items():
         paths[name] = out / f"{name}.csv"

@@ -112,14 +112,6 @@ def check_finite(loss: float, gradients: np.ndarray, epoch: int, batch: int) -> 
         raise TrainingError(f"non-finite loss or gradient at epoch {epoch}, batch {batch}")
 
 
-def check_config(config: TrainConfig, pools: corpus.Pools) -> None:
-    """Validate the config and check that one batch fits in the pools (TrainingError if not)."""
-    config.validate()
-    total = int(pools.masses.sum())
-    if config.batch_size > total:
-        raise TrainingError(f"batch size {config.batch_size} exceeds corpus size {total}")
-
-
 def run_epochs(
     snapshot: tuple[np.ndarray, np.ndarray | None],
     pools: corpus.Pools,
@@ -138,12 +130,18 @@ def run_epochs(
     on the windowed convergence rule; the learning rate halves after a loss uptick.
 
     on_batch(epoch, b, loss, score) and on_epoch(epoch, snapshot, log) are
-    optional observers.
+    optional observers. The config is validated, and one batch must fit in the pools
+    (TrainingError if not), before the first step. A step's overflow shows in the next step's
+    loss; the last step's is caught by one check that the trained snapshot's squared norm is
+    finite (TrainingError if not).
     """
-    check_config(config, pools)
+    config.validate()
+    total = int(pools.masses.sum())
+    if config.batch_size > total:
+        raise TrainingError(f"batch size {config.batch_size} exceeds corpus size {total}")
     schedule = [
         corpus.sample_from_pools(pools, config.batch_size, config.seed, b)
-        for b in range(int(pools.masses.sum()) // config.batch_size)
+        for b in range(total // config.batch_size)
     ]
     logs: list[EpochLog] = []
     lr = config.lr
@@ -165,6 +163,11 @@ def run_epochs(
         if check_convergence(logs, config.window, config.tol):
             break
         lr = adapt_learning_rate(logs, lr)
+    parts = [np.atleast_2d(part) for part in snapshot if part is not None]
+    # einsum reads a strided view in place, where vdot would copy it
+    if not math.isfinite(sum(float(np.einsum("ij,ij->", part, part)) for part in parts)):
+        raise TrainingError(f"the trained model overflows: its squared norm is not finite after "
+                            f"epoch {epoch}, batch {b}")
     return logs
 
 

@@ -175,10 +175,11 @@ class TestTrain:
         ([], {"tol": "abc"}, 1, "tol"),
         ([], {"epochs": 2.9}, 1, "epochs"),
         ([], {"tolerance": None, "windw": 3}, 1, "'tolerance'"),
+        ([], {"threads": 2}, 1, "'threads'"),
         ([], [{"tol": None}], 1, "JSON object"),
     ], ids=["lr_nan", "rho_inf", "lambda_nan", "bandwidth_nan", "bandwidth_inf",
             "checkpoint_every_negative", "cosine_bandwidth_text", "sigma_init_nan", "tol_nan",
-            "tol_text", "epochs_2.9", "unknown_key", "not_an_object"])
+            "tol_text", "epochs_2.9", "unknown_key", "retired_threads_key", "not_an_object"])
     def test_bad_value_exits_before_out(self, corpus_dir, tmp_path, capsys, flags, config, code,
                                         named):
         if config is not None:
@@ -219,29 +220,12 @@ class TestTrain:
         assert payload["config"]["bandwidth_resolved"] > 0
 
     def test_rerun_from_manifest_reproduces_model(self, corpus_dir, tmp_path):
-        first = tmp_path / "first"
+        first, second = tmp_path / "first", tmp_path / "second"
         assert _train(corpus_dir, first) == 0
-        # a manifest from before --threads was removed still loads: threads is an accepted
-        # manifest-only key (any other unknown key exits 1)
-        old = json.loads((first / "manifest.json").read_text())
-        old["config"]["threads"] = 2
-        old_manifest = tmp_path / "old_manifest.json"
-        old_manifest.write_text(json.dumps(old))
-        for k, manifest in enumerate((first / "manifest.json", old_manifest)):
-            second = tmp_path / f"second{k}"
-            code = cli.main(
-                [
-                    "train",
-                    "--config",
-                    str(manifest),
-                    "--corpus",
-                    str(corpus_dir),
-                    "--out",
-                    str(second),
-                ]
-            )
-            assert code == 0
-            _same_run(first, second)
+        code = cli.main(["train", "--config", str(first / "manifest.json"),
+                         "--corpus", str(corpus_dir), "--out", str(second)])
+        assert code == 0
+        _same_run(first, second)
 
     def test_flags_override_config_file(self, corpus_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -339,6 +323,31 @@ class TestTrain:
             left = files(out)
             assert sorted(left) == sorted(order[: k - 1])
             assert left == {name: whole[name] for name in left}
+
+    @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
+    def test_failed_training_leaves_only_written_files(self, corpus_dir, train_run, tmp_path,
+                                                       monkeypatch, capsys, flags):
+        # the first file written creates --out: a run that fails at epoch 2 leaves no --out,
+        # a pre-made empty one as it was, and with checkpoints only epoch 1's, whole
+        whole = train_run((*flags, "--checkpoint-every", "1"), {})
+        check_finite = trainer.check_finite
+
+        def failing(loss, gradients, epoch, batch):
+            if epoch == 2:
+                raise trainer.TrainingError(f"injected failure at epoch {epoch}")
+            check_finite(loss, gradients, epoch, batch)
+
+        monkeypatch.setattr(trainer, "check_finite", failing)
+        (tmp_path / "empty").mkdir()
+        for out, extra in ((tmp_path / "new", ()), (tmp_path / "empty", ()),
+                           (tmp_path / "ck", ("--checkpoint-every", "1"))):
+            assert _train(corpus_dir, out, [*flags, *extra]) == 1
+            assert "injected failure at epoch 2" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        assert _files(tmp_path / "empty") == []
+        assert _files(tmp_path / "ck") == ["checkpoints/epoch_0001.json"]
+        assert _read("checkpoints/epoch_0001.json")(tmp_path / "ck") == \
+            _read("checkpoints/epoch_0001.json")(whole)
 
     def test_joint_training_stores_bias(self, corpus_dir, tmp_path):
         out = tmp_path / "joint"
@@ -506,6 +515,18 @@ class TestReadmeExample:
             payload = json.loads(summary.read_text(encoding="utf-8"))
             parts = ("train", "heldout", "validation")
             assert [payload[f"perplexity_{part}"] for part in parts] == [None] * 3
+
+    @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
+    def test_overflowing_last_update_exits_one_without_out(self, tmp_path, capsys, flags):
+        # one batch per epoch: the only update leaves a finite table whose squared norm
+        # overflows, and no later step's loss shows it
+        manifest = _readme_corpus(tmp_path / "corpus")
+        out = tmp_path / "run"
+        args = ["--dim", "16", "--seed", "7", "--epochs", "1", "--batch", "150", "--lr", "1e308"]
+        assert cli.main(["train", "--corpus", str(manifest), *args, *flags,
+                         "--out", str(out)]) == 1
+        assert "squared norm is not finite after epoch 1, batch 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_split_without_test_document_exits_one_before_out(self, tmp_path, capsys):
         # the earlier two-document example: the 0.8/0.1/0.1 split leaves the test part empty

@@ -5,8 +5,8 @@ left over (a setting nothing reads, a second copy of a job the program
 already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. The signatures that benchmarks/child.py hooks into are
-pinned here too, and so are the one function that writes files, the one
-that reads a clock, and the CLI's use of the epoch logs as its record of batch scores.
+pinned here too, and so are the one function that writes files (and makes directories), the
+one that reads a clock, and the CLI's use of the epoch logs as its record of batch scores.
 """
 
 import ast
@@ -122,6 +122,18 @@ def _clock_callee(func):
 def test_one_function_writes_files():
     # every artifact goes through corpus.write_text, which writes whole files or none
     assert _called_in_src(_file_callee) == {("corpus.write_text", "open")}
+
+
+def _mkdir_callee(func):
+    """The methods mkdir and makedirs (Path.mkdir, os.makedirs)."""
+    if isinstance(func, ast.Attribute) and func.attr in ("mkdir", "makedirs"):
+        return func.attr
+    return None
+
+
+def test_one_function_makes_directories():
+    # write_text creates each file's parent, so a run directory appears with its first file
+    assert _called_in_src(_mkdir_callee) == {("corpus.write_text", "mkdir")}
 
 
 def test_one_function_reads_a_clock():

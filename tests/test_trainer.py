@@ -237,6 +237,28 @@ class TestTrainSca:
             trainer.train_sca(table, _repeated_token_docs(10), RBF, config)
 
 
+class TestRunEpochs:
+    @pytest.mark.parametrize("part", [0, 1], ids=["table", "bias"])
+    def test_overflowing_last_step_names_the_epoch_and_batch(self, small_docs, part):
+        # the last step leaves every entry finite and the squared norm overflowing, which no
+        # later step's loss can show
+        docs, vocab = small_docs
+        snapshot = (np.zeros((len(vocab), 6)), np.zeros(len(vocab)))
+        pools = corpus.token_pools(docs)
+        config = TrainConfig(batch_size=8, max_epochs=2, tol=None)
+        last = int(pools.masses.sum()) // config.batch_size - 1
+
+        def step(batch, lr, epoch, b):
+            if (epoch, b) == (2, last):
+                snapshot[part][:2] = 1e307
+            return 1.0, 0.0
+
+        with pytest.raises(TrainingError, match=f"not finite after epoch 2, batch {last}"):
+            trainer.run_epochs(snapshot, pools, config, step)
+        snapshot[part][:2] = 1e153  # a squared norm near 1e307 is finite
+        assert len(trainer.run_epochs(snapshot, pools, config, lambda *_: (1.0, 0.0))) == 2
+
+
 def _stepped(table, state, dt):
     """A copy of the table after one explicit Euler step of length dt along the batch gradients.
 
