@@ -1,9 +1,9 @@
 """Coherence-aligned token embedding training.
 
-Subpackages cover the full pipeline: corpus ingestion and stratified
-sampling, embedding tables, contextual kernels, rank-1 tensor fields,
-the coherence loss and its gradient, the training loops, a tied-embedding
-bigram language model, and report emitters.
+Modules cover the full pipeline: corpus ingestion and stratified
+sampling, embedding tables, contextual kernels, the coherence batch pass
+(rank-1 fields, loss, gradient and score), the one training loop, a
+tied-embedding bigram language model, report emitters, and the CLI.
 """
 
 __version__ = "0.1.0"

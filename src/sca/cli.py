@@ -147,12 +147,13 @@ def _build_corpus(cfg: dict, reports: bool):
     return vocab, split
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, artifacts: dict[str, str]) -> None:
+def _write_manifest(out: Path, command: str, cfg: dict) -> None:
+    """Written last, so the artifacts it lists by stem are every entry of the (once empty) --out."""
     payload = {
         "version": __version__,
         "command": command,
         "config": cfg,
-        "artifacts": artifacts,
+        "artifacts": {entry.stem: entry.name for entry in out.iterdir()},
     }
     report.write_json(out / "manifest.json", payload)
 
@@ -190,12 +191,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     out = Path(cfg["out"])
-    artifacts = {"model": "model.json", "initial_model": "initial_model.json", "vocab": "vocab.json",
-                 "epoch_log": "loss_curve.csv", "timing": "timing.json", "reports": "reports"}
 
     def checkpoint(epoch, snapshot, _log):
         if checkpoint_every > 0 and epoch % checkpoint_every == 0:
-            artifacts["checkpoints"] = "checkpoints"
             table, bias = snapshot
             path = out / "checkpoints" / f"epoch_{epoch:04d}.json"
             embedding.save_model(table, path, vocab.id_to_token, cfg["seed"], bias)
@@ -228,15 +226,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     rare = report.rare_word_report(initial, trained, vocab)
     pca = report.pca_project(trained)
 
-    embedding.save_model(trained, out / artifacts["model"], vocab.id_to_token, cfg["seed"], bias)
-    embedding.save_model(initial, out / artifacts["initial_model"], vocab.id_to_token, cfg["seed"])
-    corpus.write_vocabulary(vocab, out / artifacts["vocab"])
-    report.write_csv(out / artifacts["epoch_log"], ["epoch", "loss", "coherence", "lr"],
+    embedding.save_model(trained, out / "model.json", vocab.id_to_token, cfg["seed"], bias)
+    embedding.save_model(initial, out / "initial_model.json", vocab.id_to_token, cfg["seed"])
+    corpus.write_vocabulary(vocab, out / "vocab.json")
+    report.write_csv(out / "loss_curve.csv", ["epoch", "loss", "coherence", "lr"],
                      [[e.epoch, e.loss, e.coherence, e.lr] for e in logs])
-    report.write_json(out / artifacts["timing"], {"epoch_seconds": [e.seconds for e in logs]})
-    scores = [e.scores for e in logs]
-    report.emit_reports(out / artifacts["reports"], scores, rare, pca, vocab, summary)
-    _write_manifest(out, "train", {**cfg, "bandwidth_resolved": spec.bandwidth}, artifacts)
+    report.write_json(out / "timing.json", {"epoch_seconds": [e.seconds for e in logs]})
+    report.emit_reports(out / "reports", [e.scores for e in logs], rare, pca, vocab, summary)
+    _write_manifest(out, "train", {**cfg, "bandwidth_resolved": spec.bandwidth})
     return 0
 
 
@@ -244,8 +241,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     eps = args.epsilon
     m = args.batch
     d = args.dim
-    max_detached = 0.0
-    max_gap = 0.0
+    errors, gaps = [], []  # reduced by np.max, which keeps a NaN where max() would drop it
     for trial in range(args.trials):
         rng = np.random.default_rng([args.seed, trial])
         n = max(2 * m, 4)
@@ -265,13 +261,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
                     table, int(ids[p]), checked.rights[p], checked.mean, eps, checked.scales[p]
                 )
                 # floor guards stationary instances where fd is rounding residue
-                rel = np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-6)
-                max_detached = max(max_detached, float(rel))
+                errors.append(np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-6))
         token = int(ids[0])
         fd_full = coherence.fd_gradient_full(spec, table, ids, token, eps)
         semi = state.gradients[ids == token].sum(axis=0)
-        gap = np.linalg.norm(semi - fd_full) / max(np.linalg.norm(fd_full), 1e-12)
-        max_gap = max(max_gap, float(gap))
+        gaps.append(np.linalg.norm(semi - fd_full) / max(np.linalg.norm(fd_full), 1e-12))
+    max_detached, max_gap = float(np.max(errors)), float(np.max(gaps))
     print(f"gradcheck: max relative error vs detached finite differences = {max_detached:.3e}")
     print(f"gradcheck: diagnostic gap vs full-loss finite differences    = {max_gap:.3e}")
     if max_detached < 1e-5:
@@ -309,8 +304,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         summary["rare_word_mean_delta"] = float(np.mean([a - b for _, _, b, a in rare]))
     summary.update({"lambda": cfg["lambda"], "seed": cfg["seed"]})
     summary["coherence_score_note"] = report.COHERENCE_SCORE_NOTE
-    paths = report.emit_reports(cfg["out"], [], rare, pca, vocab, summary)
-    _write_manifest(Path(cfg["out"]), "eval", cfg, {name: p.name for name, p in paths.items()})
+    report.emit_reports(cfg["out"], [], rare, pca, vocab, summary)
+    _write_manifest(Path(cfg["out"]), "eval", cfg)
     return 0
 
 

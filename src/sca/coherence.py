@@ -31,7 +31,6 @@ PROJECTION_MODES = ("clip", "alg1")
 class BatchState:
     """Everything derived from one batch against an embedding snapshot."""
 
-    token_ids: np.ndarray  # (m,)
     lefts: np.ndarray  # (m, d) embeddings
     rights: np.ndarray  # (m, d) context vectors
     scales: np.ndarray  # (m,) spectral bound factors s_i
@@ -106,7 +105,7 @@ def compute_batch_state(
     # the score averages <A_i C_i^T, M> = A_i . M C_i over |A_i C_i^T| |M| + SCORE_GUARD
     denominators = field_norms * np.sqrt(np.vdot(M, M)) + SCORE_GUARD
     score = float(np.vdot(np.dot(A, M), C / denominators[:, None])) / m
-    return BatchState(ids, E, C, scales, M, loss, g, score)
+    return BatchState(E, C, scales, M, loss, g, score)
 
 
 def _central_differences(f, e0: np.ndarray, eps: float) -> np.ndarray:

@@ -4,8 +4,8 @@ The joint model is one (n, d+1) array [E | b]: the table E with the output
 bias b as its last column. A source u's logits [e_u, 1] [E | b]^T = E e_u + b
 use the same table on both sides, and the bias rides inside the one product.
 Cross-entropy gradients are analytic; joint training adds lam * (coherence
-gradient) over the batch's distinct source tokens. A lam of 0 (or no kernel
-spec) skips the coherence machinery, so such a run is plain cross-entropy.
+gradient) over the batch's distinct source tokens. A lam of 0 skips the
+coherence machinery, so such a run is plain cross-entropy.
 
 A training step takes the batch's distinct sources once, for both terms.
 ce_batch_gradients returns (loss, grad), grad (n, d+1) like the model. It
@@ -130,7 +130,7 @@ def ce_batch_gradients(
 def train_joint(
     model: np.ndarray,
     documents: list[corpus.Document],
-    spec: KernelSpec | None,
+    spec: KernelSpec,
     config: TrainConfig,
     on_batch=None,
     on_epoch=None,
@@ -138,10 +138,10 @@ def train_joint(
     """Cross-entropy plus lam times the coherence objective, on a copy of [E | b].
 
     The coherence gradient is computed over the batch's distinct source
-    tokens and added to their rows; with lam = 0 or no spec the coherence
-    code path is skipped, which is the pure cross-entropy baseline.
+    tokens and added to their rows; with lam = 0 the coherence code path
+    is skipped, which is the pure cross-entropy baseline.
     """
-    use_sca = spec is not None and config.lam != 0.0
+    use_sca = config.lam != 0.0
     bound = (config.rho, config.spectral_mode)
     work = model.copy()
     table = work[:, :-1]

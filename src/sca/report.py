@@ -136,8 +136,8 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def emit_reports(
     out_dir: str | Path, epoch_scores: list[np.ndarray], rare_rows: list[list] | None,
     pca: PCAResult | None, vocab: Vocabulary, summary: dict,
-) -> dict[str, Path]:
-    """Write the report files and return their paths by name.
+) -> None:
+    """Write the report files into out_dir.
 
     coherence_hist.csv (from each epoch's batch coherence scores) only when
     some score is finite (a lam = 0 joint run and eval score no batch);
@@ -159,10 +159,6 @@ def emit_reports(
         rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(pca.coordinates[:, :2])]
         tables["pca"] = (["token", "x", "y"], rows)
     out = Path(out_dir)
-    paths = {}
     for name, (header, rows) in tables.items():
-        paths[name] = out / f"{name}.csv"
-        write_csv(paths[name], header, rows)
-    paths["summary"] = out / "summary.json"
-    write_json(paths["summary"], summary)
-    return paths
+        write_csv(out / f"{name}.csv", header, rows)
+    write_json(out / "summary.json", summary)

@@ -195,7 +195,7 @@ def train_sca(
         state = coherence.compute_batch_state(spec, work, ids, config.rho, config.spectral_mode)
         check_finite(state.loss, state.gradients, epoch, b)
         # a 1-D scatter onto the flat entries of the rows adds in the same order as a 2-D one
-        entries = state.token_ids[:, None] * columns.size + columns
+        entries = ids[:, None] * columns.size + columns
         np.add.at(flat, entries.reshape(-1), state.gradients.reshape(-1) * -lr)
         return state.loss, state.score
 

@@ -547,9 +547,10 @@ class TestReadmeExample:
 
 def _unlisted(out):
     """Files under out that the manifest lists neither by name nor under a listed directory;
-    every listed entry must exist."""
-    listed = json.loads((out / "manifest.json").read_text())["artifacts"].values()
-    assert all((out / entry).exists() for entry in listed)
+    the listing must be {stem: name} over the entries of out, so every listed entry exists."""
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert artifacts == {p.stem: p.name for p in out.iterdir() if p.name != "manifest.json"}
+    listed = artifacts.values()
     return [name for name in _files(out) if name != "manifest.json"
             and not any(name == entry or name.startswith(entry + "/") for entry in listed)]
 
@@ -593,14 +594,24 @@ class TestGradcheck:
     def test_perturbed_gradient_fails(self, capsys, monkeypatch):
         compute = coherence.compute_batch_state
 
-        def perturbed(*args, **kwargs):
-            state = compute(*args, **kwargs)
-            state.gradients = state.gradients + 1e-3
-            return state
+        def one_nan(gradients):
+            gradients = gradients.copy()
+            gradients[0, 0] = np.nan
+            return gradients
 
-        monkeypatch.setattr(coherence, "compute_batch_state", perturbed)
-        assert cli.main(["gradcheck", "--trials", "3"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        # max(running, nan) keeps running, so a NaN error folded through max() would pass
+        for perturb, shows_nan in ((lambda g: g + 1e-3, False), (one_nan, True),
+                                   (lambda g: np.full_like(g, np.nan), True)):
+
+            def perturbed(*args, **kwargs):
+                state = compute(*args, **kwargs)
+                state.gradients = perturb(state.gradients)
+                return state
+
+            monkeypatch.setattr(coherence, "compute_batch_state", perturbed)
+            assert cli.main(["gradcheck", "--trials", "3"]) == 1
+            out = capsys.readouterr().out
+            assert "FAIL" in out and ("= nan" in out) == shows_nan
 
 
 @pytest.fixture(scope="module")

@@ -120,7 +120,7 @@ class TestPerplexity:
         ]
         model = lm.make_model(init_embeddings(2, 4, seed=0))
         config = TrainConfig(lr=0.5, batch_size=8, max_epochs=80, seed=0, tol=None)
-        trained, _ = lm.train_joint(model, docs, None, config)
+        trained, _ = lm.train_joint(model, docs, RBF, config)
         assert _perplexity(trained, docs) < 1.05
 
     def test_short_sequence_rejected(self):

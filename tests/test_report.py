@@ -182,9 +182,15 @@ def _toy_artifacts(toy_vocab):
     return scores, rare, report.pca_project(after), toy_vocab, summary
 
 
+def _emit(out_dir, *artifacts):
+    """Run emit_reports into out_dir and return the files it wrote, by stem."""
+    assert report.emit_reports(out_dir, *artifacts) is None
+    return {path.stem: path for path in out_dir.iterdir()}
+
+
 class TestEmitReports:
     def test_all_files_exist_and_parse(self, tmp_path, toy_vocab):
-        paths = report.emit_reports(tmp_path / "reports", *_toy_artifacts(toy_vocab))
+        paths = _emit(tmp_path / "reports", *_toy_artifacts(toy_vocab))
         assert set(paths) == {"coherence_hist", "rare_words", "pca", "summary"}
         assert not (tmp_path / "reports" / "loss_curve.csv").exists()
         for name, path in paths.items():
@@ -197,14 +203,14 @@ class TestEmitReports:
 
     def test_only_given_rows_are_written(self, tmp_path, toy_vocab):
         _, _, _, vocab, summary = _toy_artifacts(toy_vocab)
-        paths = report.emit_reports(tmp_path / "reports", [], None, None, vocab, summary)
+        paths = _emit(tmp_path / "reports", [], None, None, vocab, summary)
         assert set(paths) == {"summary"}
         assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == ["summary.json"]
 
     def test_unscored_epochs_write_no_histogram(self, tmp_path, toy_vocab):
         _, rare, pca, vocab, summary = _toy_artifacts(toy_vocab)
         unscored = [np.full(4, np.nan) for _ in range(12)]
-        paths = report.emit_reports(tmp_path / "reports", unscored, rare, pca, vocab, summary)
+        paths = _emit(tmp_path / "reports", unscored, rare, pca, vocab, summary)
         assert set(paths) == {"rare_words", "pca", "summary"}
         assert not (tmp_path / "reports" / "coherence_hist.csv").exists()
 
@@ -216,13 +222,13 @@ class TestEmitReports:
 
     def test_reemission_is_byte_identical(self, tmp_path, toy_vocab):
         artifacts = _toy_artifacts(toy_vocab)
-        first = report.emit_reports(tmp_path / "a", *artifacts)
-        second = report.emit_reports(tmp_path / "b", *artifacts)
+        first = _emit(tmp_path / "a", *artifacts)
+        second = _emit(tmp_path / "b", *artifacts)
         for name in first:
             assert first[name].read_bytes() == second[name].read_bytes()
 
     def test_csv_round_trip_is_byte_identical(self, tmp_path, toy_vocab):
-        paths = report.emit_reports(tmp_path, *_toy_artifacts(toy_vocab))
+        paths = _emit(tmp_path, *_toy_artifacts(toy_vocab))
         for name, path in paths.items():
             if path.suffix != ".csv":
                 continue

@@ -259,13 +259,13 @@ class TestRunEpochs:
         assert len(trainer.run_epochs(snapshot, pools, config, lambda *_: (1.0, 0.0))) == 2
 
 
-def _stepped(table, state, dt):
-    """A copy of the table after one explicit Euler step of length dt along the batch gradients.
+def _stepped(table, ids, state, dt):
+    """A copy of the table after one explicit Euler step of length dt along batch ids' gradients.
 
     A token repeated in the batch moves by the sum of its rows' steps.
     """
     stepped = table.copy()
-    np.add.at(stepped, state.token_ids, -dt * state.gradients)
+    np.add.at(stepped, ids, -dt * state.gradients)
     return stepped
 
 
@@ -273,8 +273,9 @@ class TestGradientFlowStep:
     def test_zero_gradient_leaves_table_unchanged(self):
         rng = np.random.default_rng(0)
         table = rng.standard_normal((4, 3))
-        state = compute_batch_state(RBF, table, np.full(6, 1))
-        stepped = _stepped(table, state, dt=0.1)
+        ids = np.full(6, 1)
+        state = compute_batch_state(RBF, table, ids)
+        stepped = _stepped(table, ids, state, dt=0.1)
         assert np.array_equal(stepped, table)
 
     def test_small_step_decreases_loss(self):
@@ -282,7 +283,7 @@ class TestGradientFlowStep:
         table = rng.standard_normal((8, 4))
         batch = np.arange(6)
         state = compute_batch_state(RBF, table, batch)
-        stepped = _stepped(table, state, dt=1e-4)
+        stepped = _stepped(table, batch, state, dt=1e-4)
         after = compute_batch_state(RBF, stepped, batch)
         assert after.loss < state.loss
 
@@ -296,7 +297,7 @@ class TestGradientFlowStep:
             step = dt / halves
             for _ in range(halves):
                 state = compute_batch_state(RBF, current, batch)
-                current = _stepped(current, state, step)
+                current = _stepped(current, batch, state, step)
             return current
 
         def gap(dt):
@@ -314,7 +315,7 @@ class TestGradientFlowStep:
         dt = 0.5
         base = compute_batch_state(RBF, table, batch)
         while True:
-            stepped = _stepped(table, base, dt)
+            stepped = _stepped(table, batch, base, dt)
             if compute_batch_state(RBF, stepped, batch).loss < base.loss:
                 break
             dt /= 2.0
@@ -324,7 +325,7 @@ class TestGradientFlowStep:
             state = compute_batch_state(RBF, current, batch)
             assert state.loss < last
             last = state.loss
-            current = _stepped(current, state, dt)
+            current = _stepped(current, batch, state, dt)
 
     def test_one_batch_training_is_one_step(self, small_docs):
         # a one-batch, one-epoch train_sca applies exactly the Euler step
@@ -335,6 +336,6 @@ class TestGradientFlowStep:
         trained, logs = trainer.train_sca(table, docs, RBF, config)
         ids = corpus.sample_from_pools(corpus.token_pools(docs), total, config.seed, 0)
         state = compute_batch_state(RBF, table, ids, config.rho, config.spectral_mode)
-        expected = _stepped(table, state, config.lr)
+        expected = _stepped(table, ids, state, config.lr)
         assert np.array_equal(trained, expected)
         assert logs[0].loss == state.loss
