@@ -44,6 +44,7 @@ def _parser(expected: str, accepts: tuple[type, ...], convert: Callable) -> Call
 
 NUMBER = (str, int, float)
 _text = _parser("a string", (str,), str)
+_path_or_null = _parser("a string or null", (str, type(None)), lambda v: v)  # null: unset
 _integer = _parser("an integer", (str, int), int)
 _number = _parser("a finite number", NUMBER, float)
 _number_or_null = _parser("a finite number or null", (*NUMBER, type(None)),
@@ -60,6 +61,9 @@ Knob = namedtuple("Knob", "name parse default commands help")
 BOTH = ("train", "eval")
 KNOBS = (
     Knob("corpus", _text, None, BOTH, "manifest file: one '<category>\\t<path>' line per document"),
+    Knob("model", _path_or_null, None, ("eval",), "single model JSON to evaluate"),
+    Knob("before", _path_or_null, None, ("eval",), "model JSON before training"),
+    Knob("after", _path_or_null, None, ("eval",), "model JSON after training"),
     Knob("dim", _integer, 16, ("train",), "embedding dimension"),
     Knob("kernel", _text, "rbf", BOTH, "kernel family: " + "/".join(kernel.FAMILIES)),
     Knob("bandwidth", _bandwidth, "median", BOTH, "rbf bandwidth: a number or 'median'"),
@@ -106,6 +110,8 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
             cfg[key] = flag
     if not cfg["corpus"] or not cfg["out"]:
         raise ValueError(f"{command} requires --corpus and --out")
+    # the split and eval's batches use these before any trainer validates its config
+    TrainConfig(batch_size=cfg["batch"], seed=cfg["seed"]).validate()
     out = Path(cfg["out"])  # each run directory holds one run
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ValueError(f"--out {out} exists and is not an empty directory")
@@ -129,7 +135,8 @@ def _resolve_kernel(cfg: dict, table: np.ndarray) -> KernelSpec:
 
 
 def _build_corpus(cfg: dict, reports: bool):
-    """Vocabulary and split; train, test and (ratio > 0) validation need a document of 2+ tokens."""
+    """Vocabulary, split, and the adjacent pairs of each scored part: train, test and (ratio > 0)
+    validation, each of which needs a document of 2+ tokens."""
     raw = corpus.read_manifest(cfg["corpus"])
     vocab = corpus.build_vocabulary(raw, min_count=cfg["min_count"])
     if reports and len(vocab) < 3:  # a rare word needs a nearest neighbour, pca.csv three rows
@@ -138,13 +145,14 @@ def _build_corpus(cfg: dict, reports: bool):
     docs = corpus.encode_documents(raw, vocab)
     split = corpus.stratified_split(docs, cfg["ratios"], seed=cfg["seed"])
     parts = ("train", "test", "validation") if cfg["ratios"][1] > 0 else ("train", "test")
-    for part in parts:
-        if not any(doc.token_ids.shape[0] >= 2 for doc in getattr(split, part)):
+    pairs = [[corpus.adjacent_pairs(doc) for doc in getattr(split, part)] for part in parts]
+    for part, chunks in zip(parts, pairs):
+        if not any(map(len, chunks)):  # checked before np.concatenate, which needs one chunk
             raise CorpusError(
                 f"split ratios {cfg['ratios']} leave the {part} part without a document "
                 "of two or more tokens"
             )
-    return vocab, split
+    return vocab, split, [np.concatenate(chunks) for chunks in pairs]
 
 
 def _write_manifest(out: Path, command: str, cfg: dict) -> None:
@@ -158,9 +166,8 @@ def _write_manifest(out: Path, command: str, cfg: dict) -> None:
     report.write_json(out / "manifest.json", payload)
 
 
-def _metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dict:
-    """Perplexity and accuracy of each split part, from one scoring call, and coherence score."""
-    pairs = [lm.corpus_pairs(docs) for docs in (split.train, split.test, split.validation) if docs]
+def _metrics(table: np.ndarray, bias, pairs: list[np.ndarray]) -> dict:
+    """Perplexity and accuracy of each part that _build_corpus paired, from one scoring call."""
     nlls, hits = lm.score_pairs(lm.make_model(table, bias), np.concatenate(pairs))
     ends = np.cumsum([len(p) for p in pairs])[:-1]
     with np.errstate(over="ignore"):  # a mean nll above ~709.8 has no float perplexity: null
@@ -170,15 +177,12 @@ def _metrics(table: np.ndarray, bias, split, spec: KernelSpec, cfg: dict) -> dic
     return {
         "perplexity_train": ppl[0], "perplexity_heldout": ppl[1], "accuracy": acc[1],
         "perplexity_validation": ppl[2], "accuracy_validation": acc[2],
-        "coherence_score": coherence.evaluate_coherence(
-            table, split.train, spec, cfg["batch"], cfg["seed"]
-        ),
     }
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "train")
-    vocab, split = _build_corpus(cfg, reports=True)
+    vocab, split, pairs = _build_corpus(cfg, reports=True)
     initial = embedding.init_embeddings(len(vocab), cfg["dim"], cfg["seed"], cfg["sigma_init"])
     spec = _resolve_kernel(cfg, initial)
     joint = cfg["lambda"] is not None
@@ -189,7 +193,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     checkpoint_every = cfg["checkpoint_every"]
     if checkpoint_every < 0:
-        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
+        raise ValueError(f"--checkpoint-every must be >= 0, got {checkpoint_every}")
     out = Path(cfg["out"])
 
     def checkpoint(epoch, snapshot, _log):
@@ -207,7 +211,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         trained, logs = trainer.train_sca(initial, split.train, spec, config, on_epoch=checkpoint)
         bias = None
 
-    final = _metrics(trained, bias, split, spec, cfg)
+    coherence_initial, coherence_final = coherence.evaluate_coherence(
+        [initial, trained], split.train, spec, config.batch_size, config.seed
+    )
     summary = {
         "seed": config.seed,
         "lambda": cfg["lambda"],
@@ -216,12 +222,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         "epochs_run": len(logs),
         "loss_first": logs[0].loss,
         "loss_final": logs[-1].loss,
-        "coherence_initial": coherence.evaluate_coherence(
-            initial, split.train, spec, config.batch_size, config.seed
-        ),
-        "coherence_final": final.pop("coherence_score"),
+        "coherence_initial": coherence_initial,
+        "coherence_final": coherence_final,
         "coherence_score_note": report.COHERENCE_SCORE_NOTE,
-        **final,
+        **_metrics(trained, bias, pairs),
     }
     rare = report.rare_word_report(initial, trained, vocab)
     pca = report.pca_project(trained)
@@ -253,8 +257,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         norms = [float(np.linalg.norm(e)) * float(np.linalg.norm(c))
                  for e, c in zip(state.lefts, state.rights)]
         rho = float(np.median(norms))
-        for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
-            checked = coherence.compute_batch_state(spec, table, ids, *bound)
+        for checked in (state, *(coherence.compute_batch_state(spec, table, ids, rho, mode)
+                                 for mode in ("clip", "alg1"))):
             grads = checked.gradients
             for p in range(m):
                 fd = coherence.fd_gradient_detached(
@@ -279,11 +283,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "eval")
-    single = args.model is not None
-    paired = args.before is not None or args.after is not None
-    if single == paired or (paired and (args.before is None or args.after is None)):
+    paths = [cfg[key] for key in ("model", "before", "after") if cfg[key] is not None]
+    single = cfg["model"] is not None
+    if len(paths) != (1 if single else 2):
         raise ValueError("pass either --model, or both --before and --after")
-    vocab, split = _build_corpus(cfg, reports=paired)
+    vocab, split, pairs = _build_corpus(cfg, reports=not single)
 
     def load_checked(path: str):
         table, names, bias = embedding.load_model(path)
@@ -292,9 +296,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return table, bias
 
     # everything is computed before --out is created, so a bad model, kernel or batch leaves none
-    models = [load_checked(p) for p in ([args.model] if single else [args.before, args.after])]
+    models = [load_checked(p) for p in paths]
     spec = _resolve_kernel(cfg, models[0][0])
-    metrics = [_metrics(table, bias, split, spec, cfg) for table, bias in models]
+    scores = coherence.evaluate_coherence([table for table, _ in models], split.train, spec,
+                                          cfg["batch"], cfg["seed"])
+    metrics = [{**_metrics(*m, pairs), "coherence_score": s} for m, s in zip(models, scores)]
     summary = metrics[0] if single else {"before": metrics[0], "after": metrics[1]}
     rare = pca = None
     if not single:
@@ -338,9 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate trained model files against a corpus")
     _add_knob_flags(ev, "eval")
-    ev.add_argument("--model", help="single model JSON to evaluate")
-    ev.add_argument("--before", help="model JSON before training")
-    ev.add_argument("--after", help="model JSON after training")
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -23,7 +23,7 @@ from . import corpus, kernel
 from .kernel import KernelSpec
 
 SCORE_GUARD = 1e-12
-EVAL_BATCHES = 16  # seeded batches per evaluate_coherence
+EVAL_BATCHES = 16  # seeded batches per evaluate_coherence call
 PROJECTION_MODES = ("clip", "alg1")
 
 
@@ -154,12 +154,11 @@ def fd_gradient_full(
 
 
 def evaluate_coherence(
-    table: np.ndarray, documents: list, spec: KernelSpec, batch_size: int, seed: int
-) -> float:
-    """Mean coherence score over EVAL_BATCHES seeded batches."""
+    tables: list[np.ndarray], documents: list, spec: KernelSpec, batch_size: int, seed: int
+) -> list[float]:
+    """Each table's mean coherence score over the same EVAL_BATCHES seeded batches, drawn once."""
     pools = corpus.token_pools(documents)
-    scores = []
-    for step in range(EVAL_BATCHES):
-        ids = corpus.sample_from_pools(pools, batch_size, seed, step)
-        scores.append(compute_batch_state(spec, table, ids).score)
-    return float(np.mean(scores))
+    batches = [corpus.sample_from_pools(pools, batch_size, seed, step)
+               for step in range(EVAL_BATCHES)]
+    return [float(np.mean([compute_batch_state(spec, table, ids).score for ids in batches]))
+            for table in tables]

@@ -18,9 +18,9 @@ def init_embeddings(n: int, d: int, seed: int, scale: float = 0.1) -> np.ndarray
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise ValueError("--dim must be >= 2")
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise ValueError("sigma_init must be positive")
     return np.random.default_rng(seed).normal(0.0, scale, size=(n, d))
 
 

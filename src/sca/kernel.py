@@ -28,7 +28,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
+            raise ValueError(f"--kernel must be one of {FAMILIES}, got {self.family!r}")
         if self.family == "rbf" and self.bandwidth is None:
             raise ValueError("rbf kernel requires a bandwidth; resolve one via median_bandwidth")
         if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:

@@ -38,14 +38,6 @@ def make_model(table: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     return np.column_stack([table, np.zeros(len(table)) if bias is None else bias])
 
 
-def corpus_pairs(documents: list[corpus.Document]) -> np.ndarray:
-    """All within-document adjacent pairs, shape (k, 2)."""
-    chunks = [pairs for pairs in map(corpus.adjacent_pairs, documents) if pairs.shape[0]]
-    if not chunks:
-        raise ValueError("no document long enough to form token pairs")
-    return np.concatenate(chunks, axis=0)
-
-
 def _shifted_logits(model: np.ndarray, sources: np.ndarray, out=None):
     """The sources' logit rows [e_u, 1] model^T, each shifted by its max, and [e_u, 1].
 

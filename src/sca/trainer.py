@@ -31,7 +31,7 @@ class TrainingError(Exception):
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of the training loop."""
+    """Hyperparameters of the training loop; validate names each as sca train spells it."""
 
     lr: float = 0.5
     batch_size: int = 32
@@ -45,21 +45,23 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ValueError("--lr must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError("--batch must be >= 1")
         if self.rho <= 0:
-            raise ValueError("rho must be positive")
+            raise ValueError("--rho must be positive")
         if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+            raise ValueError("--lambda must be non-negative")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise ValueError("--epochs must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.tol is not None and self.tol < 0:
+            raise ValueError("tol must be non-negative, or null to disable early stopping")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError("--seed must be non-negative")
         if self.spectral_mode not in PROJECTION_MODES:
-            raise ValueError(f"spectral_mode must be one of {PROJECTION_MODES}")
+            raise ValueError(f"--spectral-mode must be one of {PROJECTION_MODES}")
 
 
 @dataclass

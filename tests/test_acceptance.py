@@ -130,11 +130,8 @@ def test_criterion_4_coherence_direction(toy_runs):
     ups = []
     for seed in TOY_SEEDS:
         run = toy_runs[seed]
-        before = coherence.evaluate_coherence(
-            run["initial"], run["split"].train, run["spec"], 32, seed
-        )
-        after = coherence.evaluate_coherence(
-            run["trained"], run["split"].train, run["spec"], 32, seed
+        before, after = coherence.evaluate_coherence(
+            [run["initial"], run["trained"]], run["split"].train, run["spec"], 32, seed
         )
         ups.append(after > before)
     assert all(ups), f"coherence failed to increase on seeds {[s for s, u in zip(TOY_SEEDS, ups) if not u]}"

@@ -47,13 +47,15 @@ def _files(out):
 
 def _same_run(a, b):
     """Two runs of one config: the same file names, each file byte-identical but timing.json,
-    the one file that holds clock readings, and manifests equal once config.out is removed."""
+    the one file that holds clock readings, and manifests equal once config.out and eval's
+    model paths (copies of one model may sit in two run directories) are removed."""
     assert _files(a) == _files(b)
     differ = {name for name in _files(a) if (a / name).read_bytes() != (b / name).read_bytes()}
     assert differ <= {"timing.json", "manifest.json"}
     manifests = [json.loads((run / "manifest.json").read_text()) for run in (a, b)]
     for manifest in manifests:
-        del manifest["config"]["out"]
+        for key in ("out", "model", "before", "after"):
+            manifest["config"].pop(key, None)
     assert manifests[0] == manifests[1]
 
 
@@ -168,7 +170,7 @@ class TestTrain:
         (["--lambda", "nan"], None, 2, "--lambda"),
         (["--bandwidth", "nan"], None, 1, "bandwidth"),
         (["--bandwidth", "inf"], None, 1, "bandwidth"),
-        (["--checkpoint-every", "-1"], None, 1, "checkpoint_every"),
+        (["--checkpoint-every", "-1"], None, 1, "--checkpoint-every"),
         (["--kernel", "cosine", "--bandwidth", "wide"], None, 1, "bandwidth"),
         ([], {"sigma_init": float("nan")}, 1, "sigma_init"),
         ([], {"tol": float("nan")}, 1, "tol"),
@@ -177,21 +179,48 @@ class TestTrain:
         ([], {"tolerance": None, "windw": 3}, 1, "'tolerance'"),
         ([], {"threads": 2}, 1, "'threads'"),
         ([], [{"tol": None}], 1, "JSON object"),
+        # in range for the parser, out of range for the run: each names its knob as it is set
+        (["--lr", "-1"], None, 1, "--lr"),
+        (["--rho", "0"], None, 1, "--rho"),
+        (["--batch", "0"], None, 1, "--batch"),
+        (["--epochs", "0"], None, 1, "--epochs"),
+        (["--lambda", "-1"], None, 1, "--lambda"),
+        (["--seed", "-1"], None, 1, "--seed"),
+        (["--dim", "1"], None, 1, "--dim"),
+        (["--kernel", "gauss"], None, 1, "--kernel"),
+        (["--spectral-mode", "none"], None, 1, "--spectral-mode"),
+        (["--bandwidth", "0"], None, 1, "--bandwidth"),
+        ([], {"sigma_init": 0}, 1, "sigma_init"),
+        ([], {"window": 0}, 1, "window"),
+        ([], {"min_count": 0}, 1, "min_count"),
+        ([], {"ratios": [0.5, 0.5, 0.5]}, 1, "ratios"),
+        ([], {"tol": -1}, 1, "tol"),
+        (["eval", "--batch", "0"], None, 1, "--batch"),
+        (["eval", "--seed", "-1"], None, 1, "--seed"),
     ], ids=["lr_nan", "rho_inf", "lambda_nan", "bandwidth_nan", "bandwidth_inf",
             "checkpoint_every_negative", "cosine_bandwidth_text", "sigma_init_nan", "tol_nan",
-            "tol_text", "epochs_2.9", "unknown_key", "retired_threads_key", "not_an_object"])
-    def test_bad_value_exits_before_out(self, corpus_dir, tmp_path, capsys, flags, config, code,
-                                        named):
+            "tol_text", "epochs_2.9", "unknown_key", "retired_threads_key", "not_an_object",
+            "lr_negative", "rho_zero", "batch_zero", "epochs_zero", "lambda_negative",
+            "seed_negative", "dim_one", "kernel_unknown", "spectral_mode_unknown", "bandwidth_zero",
+            "sigma_init_zero", "window_zero", "min_count_zero", "ratios_sum", "tol_negative",
+            "eval_batch_zero", "eval_seed_negative"])
+    def test_bad_value_exits_before_out(self, corpus_dir, fresh_model, tmp_path, capsys, flags,
+                                        config, code, named):
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             flags = [*flags, "--config", str(tmp_path / "config.json")]
+        out = tmp_path / "out"
         try:
-            got = _train(corpus_dir, tmp_path / "out", flags)
+            if flags[:1] == ["eval"]:
+                got = cli.main([*flags, "--corpus", str(corpus_dir), "--model", str(fresh_model[0]),
+                                "--out", str(out)])
+            else:
+                got = _train(corpus_dir, out, flags)
         except SystemExit as exc:
             got = exc.code
         assert got == code
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert not out.exists()
 
     def test_missing_manifest_exits_one_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.manifest"
@@ -406,17 +435,24 @@ class TestTrain:
         assert json.loads((out / "reports" / "summary.json").read_text())["lambda"] is None
         assert json.loads((out / "manifest.json").read_text())["config"]["lambda"] is None
 
-    def test_coherence_evaluated_twice(self, corpus_dir, tmp_path, monkeypatch):
+    def test_coherence_evaluated_once(self, corpus_dir, tmp_path, monkeypatch):
+        # one draw of batches per command scores every model: train's initial and trained
+        # tables, and eval's before and after
         calls = []
         evaluate = coherence.evaluate_coherence
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return evaluate(*args, **kwargs)
+        def counted(tables, *args):
+            calls.append(len(tables))
+            return evaluate(tables, *args)
 
         monkeypatch.setattr(coherence, "evaluate_coherence", counted)
-        assert _train(corpus_dir, tmp_path / "count") == 0
-        assert len(calls) == 2  # coherence_initial and coherence_final
+        run = tmp_path / "run"
+        assert _train(corpus_dir, run) == 0
+        assert calls == [2]
+        models = ["--before", str(run / "initial_model.json"), "--after", str(run / "model.json")]
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *models, "--out", str(out)]) == 0
+        assert calls == [2, 2]
 
     def test_numeric_bandwidth_flag(self, corpus_dir, tmp_path):
         out = tmp_path / "bw"
@@ -555,6 +591,10 @@ def _unlisted(out):
             and not any(name == entry or name.startswith(entry + "/") for entry in listed)]
 
 
+# eval's two ways to name its models, as paths inside a train run
+EVAL_MODELS = [("--model", "model.json"), ("--before", "initial_model.json", "--after", "model.json")]
+
+
 class TestManifest:
     # with 4 epochs, checkpoint-every 5 writes no checkpoint, so none is listed
     @pytest.mark.parametrize("flags, listed", [
@@ -566,9 +606,7 @@ class TestManifest:
         artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
         assert ("checkpoints" in artifacts) == listed
 
-    @pytest.mark.parametrize("models", [("--model", "model.json"),
-                                        ("--before", "initial_model.json", "--after", "model.json")],
-                             ids=["model", "pair"])
+    @pytest.mark.parametrize("models", EVAL_MODELS, ids=["model", "pair"])
     def test_eval_lists_every_file(self, corpus_dir, train_run, tmp_path, models):
         run = train_run(*DEFAULT)
         flags = [str(run / arg) if arg.endswith(".json") else arg for arg in models]
@@ -784,6 +822,35 @@ class TestEval:
     def test_requires_model_arguments(self, corpus_dir, tmp_path):
         code = cli.main(["eval", "--corpus", str(corpus_dir), "--out", str(tmp_path / "y")])
         assert code == 1
+
+    def test_config_model_with_before_flag_exits_one_before_out(self, corpus_dir, fresh_model,
+                                                               tmp_path, capsys):
+        # a config's model and a flag's before are one eval's inputs: never both
+        path = str(fresh_model[0])
+        (tmp_path / "config.json").write_text(json.dumps({"model": path}))
+        base = ["eval", "--corpus", str(corpus_dir), "--config", str(tmp_path / "config.json")]
+        out = tmp_path / "eval"
+        for pair in (["--before", path], ["--before", path, "--after", path]):
+            assert cli.main([*base, *pair, "--out", str(out)]) == 1
+            assert "pass either --model, or both --before and --after" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("models", EVAL_MODELS, ids=["model", "pair"])
+    def test_rerun_from_its_manifest(self, corpus_dir, train_run, tmp_path, models):
+        # the manifest records the scored model paths, so it is the whole eval config
+        run = train_run(*DEFAULT)
+        flags = [str(run / arg) if arg.endswith(".json") else arg for arg in models]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(first)]) == 0
+        assert cli.main(["eval", "--config", str(first / "manifest.json"),
+                         "--out", str(second)]) == 0
+        _same_run(first, second)
+        configs = [json.loads((out / "manifest.json").read_text())["config"]
+                   for out in (first, second)]
+        assert {key for key in configs[0] if configs[0][key] != configs[1][key]} == {"out"}
+        given = {flag[2:]: path for flag, path in zip(flags[::2], flags[1::2])}
+        recorded = {key: configs[0][key] for key in ("model", "before", "after")}
+        assert recorded == {"model": None, "before": None, "after": None, **given}
 
 
 class TestValidationPart:

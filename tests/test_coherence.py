@@ -14,7 +14,7 @@ from oracles import (
     spectral_project,
     state_fields,
 )
-from sca import coherence
+from sca import coherence, corpus
 from sca.coherence import compute_batch_state
 from sca.kernel import KernelSpec
 
@@ -341,6 +341,17 @@ class TestEvaluateCoherence:
     def test_deterministic(self, toy_docs):
         table = np.random.default_rng(0).standard_normal((100, 8)) * 0.1
         spec = KernelSpec("rbf", 0.5)
-        a = coherence.evaluate_coherence(table, toy_docs, spec, 16, seed=5)
-        b = coherence.evaluate_coherence(table, toy_docs, spec, 16, seed=5)
-        assert a == b
+        a = coherence.evaluate_coherence([table], toy_docs, spec, 16, seed=5)
+        b = coherence.evaluate_coherence([table, table], toy_docs, spec, 16, seed=5)
+        assert a * 2 == b
+
+    def test_every_table_is_scored_on_the_same_batches(self, toy_docs):
+        rng = np.random.default_rng(1)
+        tables = [0.1 * rng.standard_normal((100, 8)) for _ in range(3)]
+        spec = KernelSpec("rbf", 0.5)
+        pools = corpus.token_pools(toy_docs)
+        batches = [corpus.sample_from_pools(pools, 16, 5, step)
+                   for step in range(coherence.EVAL_BATCHES)]
+        want = [float(np.mean([compute_batch_state(spec, table, ids).score for ids in batches]))
+                for table in tables]
+        assert coherence.evaluate_coherence(tables, toy_docs, spec, 16, seed=5) == want

@@ -6,9 +6,11 @@ already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. The signatures that benchmarks/child.py hooks into are
 pinned here too, and so are the one function that writes files (and makes directories), the
-one that reads a clock, and the CLI's use of the epoch logs as its record of batch scores.
+one that reads a clock, the CLI's use of the epoch logs as its record of batch scores, and
+KNOBS as the one source of train and eval flags.
 """
 
+import argparse
 import ast
 import inspect
 from pathlib import Path
@@ -162,6 +164,19 @@ def test_every_knob_is_in_the_readme():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     spelled = [f"--{k.name.replace('_', '-')}" if k.help else f"`{k.name}`" for k in cli.KNOBS]
     assert [word for word in spelled if word not in readme] == []
+
+
+def test_every_train_and_eval_flag_is_a_knob():
+    # one input path: a train or eval setting is a KNOBS row, so the config file and the
+    # manifest carry it too; a flag added with its own add_argument would bypass both
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("train", "eval"):
+        flags = {option for action in commands.choices[command]._actions
+                 for option in action.option_strings} - {"-h", "--help", "--config"}
+        knobs = {f"--{k.name.replace('_', '-')}" for k in cli.KNOBS
+                 if command in k.commands and k.help is not None}
+        assert flags == knobs
 
 
 def test_benchmark_hooks_keep_their_signatures():
