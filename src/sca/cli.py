@@ -1,4 +1,4 @@
-"""Command-line pipeline: train, gradcheck, eval."""
+"""Command-line pipeline: train, eval."""
 
 from __future__ import annotations
 
@@ -52,8 +52,6 @@ _number_or_null = _parser("a finite number or null", (*NUMBER, type(None)),
 # text ('median' or a number) is resolved by _resolve_kernel, as from the flag
 _bandwidth = _parser("a string or a finite number", NUMBER,
                      lambda v: v if isinstance(v, str) else float(v))
-# gradcheck's counts; range.index raises ValueError for a value below 1
-_count = _parser("a positive integer", (str,), lambda v: range(1, sys.maxsize).index(int(v)) + 1)
 _ratios = _parser("a list of finite numbers", (list, tuple), lambda v: tuple(map(_number, v)))
 
 # one train/eval setting: config and manifest key, and flag unless help is None (config file only)
@@ -73,8 +71,7 @@ KNOBS = (
     Knob("lr", _number, TrainConfig.lr, ("train",), "initial learning rate"),
     Knob("batch", _integer, TrainConfig.batch_size, BOTH, "batch size"),
     Knob("epochs", _integer, TrainConfig.max_epochs, ("train",), "maximum number of epochs"),
-    Knob("lambda", _number_or_null, None, BOTH,
-         "joint LM weight; omit: embeddings only (eval: a label for the summary)"),
+    Knob("lambda", _number_or_null, None, ("train",), "joint LM weight; omit: embeddings only"),
     Knob("seed", _integer, TrainConfig.seed, BOTH, "seed of the split, init and batches"),
     Knob("out", _text, None, BOTH, "output directory: new, or an empty directory"),
     Knob("checkpoint_every", _integer, 0, ("train",), "save the model every N epochs; 0: never"),
@@ -241,46 +238,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    eps = args.epsilon
-    m = args.batch
-    d = args.dim
-    errors, gaps = [], []  # reduced by np.max, which keeps a NaN where max() would drop it
-    for trial in range(args.trials):
-        rng = np.random.default_rng([args.seed, trial])
-        n = max(2 * m, 4)
-        table = rng.standard_normal((n, d))
-        ids = rng.integers(0, n, size=m)
-        spec = KernelSpec("rbf", kernel.median_bandwidth(table, seed=args.seed))
-        state = coherence.compute_batch_state(spec, table, ids)
-        # also check with the fields bounded at the median field norm, where s_i != 1
-        norms = [float(np.linalg.norm(e)) * float(np.linalg.norm(c))
-                 for e, c in zip(state.lefts, state.rights)]
-        rho = float(np.median(norms))
-        for checked in (state, *(coherence.compute_batch_state(spec, table, ids, rho, mode)
-                                 for mode in ("clip", "alg1"))):
-            grads = checked.gradients
-            for p in range(m):
-                fd = coherence.fd_gradient_detached(
-                    table, int(ids[p]), checked.rights[p], checked.mean, eps, checked.scales[p]
-                )
-                # floor guards stationary instances where fd is rounding residue
-                errors.append(np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-6))
-        token = int(ids[0])
-        fd_full = coherence.fd_gradient_full(spec, table, ids, token, eps)
-        semi = state.gradients[ids == token].sum(axis=0)
-        gaps.append(np.linalg.norm(semi - fd_full) / max(np.linalg.norm(fd_full), 1e-12))
-    max_detached, max_gap = float(np.max(errors)), float(np.max(gaps))
-    print(f"gradcheck: max relative error vs detached finite differences = {max_detached:.3e}")
-    print(f"gradcheck: diagnostic gap vs full-loss finite differences    = {max_gap:.3e}")
-    if max_detached < 1e-5:
-        print(f"gradcheck: PASS ({args.trials} instances unbounded and bounded at the median "
-              f"field norm in clip and alg1, d={d}, batch={m}, eps={eps:g})")
-        return 0
-    print(f"gradcheck: FAIL (threshold 1e-05)")
-    return 1
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "eval")
     paths = [cfg[key] for key in ("model", "before", "after") if cfg[key] is not None]
@@ -308,7 +265,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rare = report.rare_word_report(before, after, vocab)
         pca = report.pca_project(after)
         summary["rare_word_mean_delta"] = float(np.mean([a - b for _, _, b, a in rare]))
-    summary.update({"lambda": cfg["lambda"], "seed": cfg["seed"]})
+    summary["seed"] = cfg["seed"]
     summary["coherence_score_note"] = report.COHERENCE_SCORE_NOTE
     report.emit_reports(cfg["out"], [], rare, pca, vocab, summary)
     _write_manifest(Path(cfg["out"]), "eval", cfg)
@@ -333,14 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="ingest a corpus and train embeddings")
     _add_knob_flags(train, "train")
     train.set_defaults(func=cmd_train)
-
-    grad = sub.add_parser("gradcheck", help="verify the closed-form gradient numerically")
-    grad.add_argument("--seed", type=int, default=0)
-    grad.add_argument("--epsilon", type=float, default=1e-5)
-    grad.add_argument("--dim", type=_count, default=8)
-    grad.add_argument("--batch", type=_count, default=16)
-    grad.add_argument("--trials", type=_count, default=20)
-    grad.set_defaults(func=cmd_gradcheck)
 
     ev = sub.add_parser("eval", help="evaluate trained model files against a corpus")
     _add_knob_flags(ev, "eval")

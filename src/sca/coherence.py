@@ -1,16 +1,16 @@
 """Coherence loss over batch tensor fields, its closed-form gradient, the
-spectral bound, finite-difference checks, and the batch coherence score.
+spectral bound, and the batch coherence score.
 
 A token's field is the rank-1 outer product T_i = e_i c_i^T of its embedding
 with its kernel-weighted context vector, so its largest singular value is
 |e_i||c_i|. The loss is the summed squared Frobenius distance from each
 (spectrally bounded) field to the batch mean field. The closed-form gradient
-treats kernel weights, context vectors, and the mean field as constants (the
-update direction used in training); the full finite-difference gradient that
-re-derives everything per perturbation exists as a diagnostic.
-compute_batch_state never forms a field. At toy sizes its cost is its count
-of numpy calls: it works in place, skips the scale arithmetic inside the clip
-ball, and calls np.dot and ufunc reductions, cheaper to dispatch than @.
+treats kernel weights, context vectors, and the mean field as constants: it
+is the update direction used in training, not the gradient of the fully
+coupled loss. compute_batch_state never forms a field. At toy sizes its cost
+is its count of numpy calls: it works in place, skips the scale arithmetic
+inside the clip ball, and calls np.dot and ufunc reductions, cheaper to
+dispatch than @.
 """
 
 from __future__ import annotations
@@ -106,51 +106,6 @@ def compute_batch_state(
     denominators = field_norms * np.sqrt(np.vdot(M, M)) + SCORE_GUARD
     score = float(np.vdot(np.dot(A, M), C / denominators[:, None])) / m
     return BatchState(E, C, scales, M, loss, g, score)
-
-
-def _central_differences(f, e0: np.ndarray, eps: float) -> np.ndarray:
-    """Central differences of the scalar function f at the point e0, step eps."""
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError("eps must lie in [1e-7, 1e-3]")
-    grad = np.zeros_like(e0)
-    for k in range(e0.size):
-        plus = e0.copy()
-        minus = e0.copy()
-        plus[k] += eps
-        minus[k] -= eps
-        grad[k] = (f(plus) - f(minus)) / (2.0 * eps)
-    return grad
-
-
-def fd_gradient_detached(
-    table: np.ndarray, i: int, context: np.ndarray, mean: np.ndarray, eps: float = 1e-5,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Central differences of f(e) = |scale * outer(e, context) - mean|_F^2 at row i."""
-
-    def f(e: np.ndarray) -> float:
-        diff = scale * np.outer(e, context) - mean
-        return float(np.sum(diff * diff))
-
-    return _central_differences(f, np.array(table[i], dtype=float), eps)
-
-
-def fd_gradient_full(
-    spec: KernelSpec, table: np.ndarray, batch: np.ndarray, i: int, eps: float = 1e-5
-) -> np.ndarray:
-    """Central differences of the full batch loss as a function of row i.
-
-    Kernel rows, context vectors, and the mean field are all recomputed per
-    perturbation, so this is the true gradient of the discrete objective.
-    """
-    base = np.array(table, dtype=float)
-
-    def loss_at(e: np.ndarray) -> float:
-        snapshot = base.copy()
-        snapshot[i] = e
-        return compute_batch_state(spec, snapshot, batch).loss
-
-    return _central_differences(loss_at, base[i].copy(), eps)
 
 
 def evaluate_coherence(

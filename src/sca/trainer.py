@@ -81,12 +81,11 @@ def check_convergence(history: list[EpochLog], window: int, tol: float | None) -
 
     True once at least 2*window epochs exist and the mean loss of the
     latest window improved on the window ending one epoch earlier by less
-    than tol, relatively. A tol of None disables the rule.
+    than tol, relatively. A tol of None disables the rule. The window is
+    at least 1, as TrainConfig.validate checks before the first epoch.
     """
     if tol is None:
         return False
-    if window < 1:
-        raise ValueError("window must be >= 1")
     if len(history) < 2 * window:
         return False
     losses = [h.loss for h in history]
@@ -98,8 +97,6 @@ def check_convergence(history: list[EpochLog], window: int, tol: float | None) -
 
 def adapt_learning_rate(history: list[EpochLog], lr: float) -> float:
     """Halve the rate after a loss uptick, floored at LR_FLOOR."""
-    if not history:
-        raise ValueError("history is empty")
     if len(history) >= 2 and history[-1].loss > history[-2].loss:
         return max(lr / 2.0, LR_FLOOR)
     return lr

@@ -2,7 +2,8 @@
 
 Each one follows its definition directly, on one pair, one token, one dense
 (d, d) field or one dense (B, n) softmax delta at a time, and nothing here
-imports sca, so no oracle runs the code it checks. Embedding tables are
+imports sca, so no oracle runs the code it checks. Gradients are checked
+against central differences of these definitions. Embedding tables are
 plain (n, d) arrays and joint models plain (n, d+1) arrays [E | b], the
 bias as the last column; other program objects are read through their
 attributes only: spec.family and spec.bandwidth, and a batch state's
@@ -119,6 +120,60 @@ def coherence_score(fields: list[TensorField], mean: np.ndarray) -> float:
     numer = np.sum(stack * mean, axis=(1, 2))
     norms = np.sqrt(np.sum(stack * stack, axis=(1, 2)))
     return float(np.mean(numer / (norms * np.sqrt(np.sum(mean * mean)) + SCORE_GUARD)))
+
+
+def batch_loss(spec, table, batch, rho: float | None = None, mode: str = "clip") -> float:
+    """The coherence loss of a batch, every term rebuilt from the table.
+
+    Each token's context vector, its field (bounded by spectral_project when
+    rho is set) and the mean field are derived afresh, so this is the fully
+    coupled objective that training's detached direction descends.
+    """
+    fields = [TensorField(table[t], context_vector(spec, table, int(t), batch)) for t in batch]
+    if rho is not None:
+        fields = [spectral_project(f, rho, mode) for f in fields]
+    return sca_loss(fields, mean_field(fields))
+
+
+def _central_differences(f, e0: np.ndarray, eps: float) -> np.ndarray:
+    """Central differences of the scalar function f at the point e0, step eps."""
+    if not 1e-7 <= eps <= 1e-3:
+        raise ValueError("eps must lie in [1e-7, 1e-3]")
+    grad = np.zeros_like(e0)
+    for k in range(e0.size):
+        plus = e0.copy()
+        minus = e0.copy()
+        plus[k] += eps
+        minus[k] -= eps
+        grad[k] = (f(plus) - f(minus)) / (2.0 * eps)
+    return grad
+
+
+def fd_gradient_detached(table, i: int, context, mean, eps: float = 1e-5,
+                         scale: float = 1.0) -> np.ndarray:
+    """Central differences of f(e) = |scale * outer(e, context) - mean|_F^2 at row i."""
+
+    def f(e: np.ndarray) -> float:
+        diff = scale * np.outer(e, context) - mean
+        return float(np.sum(diff * diff))
+
+    return _central_differences(f, np.array(table[i], dtype=float), eps)
+
+
+def fd_gradient_full(spec, table, batch, i: int, eps: float = 1e-5) -> np.ndarray:
+    """Central differences of the unbounded batch_loss as a function of row i.
+
+    Kernel rows, context vectors, and the mean field are all recomputed per
+    perturbation, so this is the true gradient of the discrete objective.
+    """
+    base = np.array(table, dtype=float)
+
+    def loss_at(e: np.ndarray) -> float:
+        snapshot = base.copy()
+        snapshot[i] = e
+        return batch_loss(spec, snapshot, batch)
+
+    return _central_differences(loss_at, base[i].copy(), eps)
 
 
 def cosine(u, v) -> float:

@@ -615,43 +615,6 @@ class TestManifest:
         assert _unlisted(out) == []
 
 
-class TestGradcheck:
-    def test_default_passes(self, capsys):
-        assert cli.main(["gradcheck", "--trials", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "max relative error" in out
-        assert "gap vs full-loss" in out
-        assert "PASS" in out
-
-    def test_acceptance_flags_report_small_error(self, capsys):
-        assert cli.main(["gradcheck", "--epsilon", "1e-5", "--dim", "8", "--batch", "16"]) == 0
-        line = capsys.readouterr().out.splitlines()[0]
-        reported = float(line.rsplit("=", 1)[1])
-        assert reported < 1e-5
-
-    def test_perturbed_gradient_fails(self, capsys, monkeypatch):
-        compute = coherence.compute_batch_state
-
-        def one_nan(gradients):
-            gradients = gradients.copy()
-            gradients[0, 0] = np.nan
-            return gradients
-
-        # max(running, nan) keeps running, so a NaN error folded through max() would pass
-        for perturb, shows_nan in ((lambda g: g + 1e-3, False), (one_nan, True),
-                                   (lambda g: np.full_like(g, np.nan), True)):
-
-            def perturbed(*args, **kwargs):
-                state = compute(*args, **kwargs)
-                state.gradients = perturb(state.gradients)
-                return state
-
-            monkeypatch.setattr(coherence, "compute_batch_state", perturbed)
-            assert cli.main(["gradcheck", "--trials", "3"]) == 1
-            out = capsys.readouterr().out
-            assert "FAIL" in out and ("= nan" in out) == shows_nan
-
-
 @pytest.fixture(scope="module")
 def fresh_model(corpus_dir, tmp_path_factory):
     raw = corpus.read_manifest(corpus_dir)
@@ -710,7 +673,6 @@ class TestEval:
             "perplexity_heldout",
             "accuracy",
             "coherence_score",
-            "lambda",
             "seed",
         ):
             assert key in summary
@@ -789,20 +751,21 @@ class TestEval:
         assert str(broken) in capsys.readouterr().err
 
     def test_train_manifest_as_config(self, corpus_dir, fresh_model, tmp_path):
-        # a train manifest's knobs that eval does not take are accepted and ignored;
-        # its lambda is the summary's label
+        # a train manifest's knobs that eval does not take, dim and lambda, are accepted and
+        # ignored; eval's flag --lambda is unknown
         run = tmp_path / "run"
         assert _train(corpus_dir, run, extra=["--lambda", "0.5"]) == 0
         out = tmp_path / "eval"
         flags = ["--config", str(run / "manifest.json"), "--model", str(fresh_model[0])]
         assert cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert config["seed"] == 11 and config["batch"] == 8 and "dim" not in config
-        assert json.loads((out / "summary.json").read_text())["lambda"] == 0.5
-        unset = tmp_path / "unset"
-        flags = ["--model", str(fresh_model[0]), "--out", str(unset)]
-        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags]) == 0
-        assert json.loads((unset / "summary.json").read_text())["lambda"] is None
+        assert config["seed"] == 11 and config["batch"] == 8
+        assert "dim" not in config and "lambda" not in config
+        assert "lambda" not in json.loads((out / "summary.json").read_text())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--corpus", str(corpus_dir), *flags, "--lambda", "0.5",
+                      "--out", str(tmp_path / "flag")])
+        assert exc.value.code == 2
 
     def test_before_after_reproduces_the_train_reports(self, corpus_dir, train_run, tmp_path):
         run = train_run(*DEFAULT)
@@ -916,11 +879,13 @@ class TestInterface:
                 cli.main(["train", *flag])
             assert exc.value.code == 2
 
-    def test_non_positive_gradcheck_counts_exit_two(self, capsys):
-        for flag in (["--trials", "0"], ["--trials", "-3"], ["--dim", "0"], ["--batch", "0"]):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["gradcheck", *flag])
-            assert exc.value.code == 2
+    def test_train_and_eval_are_the_only_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert "{train,eval}" in capsys.readouterr().out
 
     def test_subcommand_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

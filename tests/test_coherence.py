@@ -8,13 +8,15 @@ from oracles import (
     TensorField,
     coherence_score,
     context_vector,
+    fd_gradient_detached,
+    fd_gradient_full,
     mean_field,
     sca_loss,
     spectral_norm,
     spectral_project,
     state_fields,
 )
-from sca import coherence, corpus
+from sca import coherence, corpus, kernel
 from sca.coherence import compute_batch_state
 from sca.kernel import KernelSpec
 
@@ -91,7 +93,7 @@ class TestBatchState:
             dense = np.array([2.0 * f.scale * (f.dense() - state.mean) @ f.right for f in fields])
             _assert_close(state.gradients, dense, scale)
             for p in range(min(batch.size, 3)):
-                fd = coherence.fd_gradient_detached(
+                fd = fd_gradient_detached(
                     table, int(batch[p]), state.rights[p], state.mean, 1e-3, state.scales[p]
                 )
                 _assert_close(state.gradients[p], fd, scale, tol=1e-12 if d < 100 else 1e-10)
@@ -221,19 +223,22 @@ class TestGradient:
         assert np.all(state.gradients == 0.0)
 
     def test_matches_detached_finite_differences(self):
-        for seed in range(20):
-            table, batch, state = _random_state(seed, n=10, d=5, m=6)
-            # the bound also runs halfway between the smallest and the largest field norm, so
-            # the largest field's s_i != 1 is covered by a margin, not by rounding
-            norms = [spectral_norm(f) for f in state_fields(state)]
-            rho = (min(norms) + max(norms)) / 2.0
+        # (n, d, m) with rbf at bandwidth 1, and at the median bandwidth with d 8, batch 16
+        shapes = [(10, 5, 6, False), (32, 8, 16, True)]
+        for (n, d, m, median), seed in itertools.product(shapes, range(20)):
+            table, batch, _ = _random_state(seed, n=n, d=d, m=m)
+            spec = KernelSpec("rbf", kernel.median_bandwidth(table, seed=seed)) if median else RBF
+            # the bound also runs at a field norm strictly inside the batch's range, the median
+            # or halfway between the extremes, so the largest field's s_i != 1 by a margin
+            norms = [spectral_norm(f) for f in state_fields(compute_batch_state(spec, table, batch))]
+            rho = float(np.median(norms)) if median else (min(norms) + max(norms)) / 2.0
             assert min(norms) < rho < max(norms)
             for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
-                state = compute_batch_state(RBF, table, batch, *bound)
+                state = compute_batch_state(spec, table, batch, *bound)
                 assert bound[0] is None or np.any(state.scales != 1.0)
                 grads = state.gradients
                 for p in range(batch.size):
-                    fd = coherence.fd_gradient_detached(
+                    fd = fd_gradient_detached(
                         table, int(batch[p]), state.rights[p], state.mean, 1e-5, state.scales[p]
                     )
                     rel = np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -252,7 +257,7 @@ class TestGradient:
 class TestDetachedOracle:
     def test_zero_context_gives_zero_vector(self):
         table = np.random.default_rng(10).standard_normal((3, 4))
-        fd = coherence.fd_gradient_detached(table, 0, np.zeros(4), np.zeros((4, 4)))
+        fd = fd_gradient_detached(table, 0, np.zeros(4), np.zeros((4, 4)))
         assert np.all(fd == 0.0)
 
     def test_matches_analytic_form(self):
@@ -260,7 +265,7 @@ class TestDetachedOracle:
         table = rng.standard_normal((5, 4))
         context = rng.standard_normal(4)
         mean = rng.standard_normal((4, 4))
-        fd = coherence.fd_gradient_detached(table, 1, context, mean, eps=1e-5)
+        fd = fd_gradient_detached(table, 1, context, mean, eps=1e-5)
         analytic = 2.0 * (np.outer(table[1], context) - mean) @ context
         rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
         assert rel < 1e-6
@@ -269,26 +274,26 @@ class TestDetachedOracle:
         table = np.ones((2, 2))
         for eps in (1e-8, 1e-2):
             with pytest.raises(ValueError):
-                coherence.fd_gradient_detached(table, 0, np.ones(2), np.zeros((2, 2)), eps=eps)
+                fd_gradient_detached(table, 0, np.ones(2), np.zeros((2, 2)), eps=eps)
 
 
 class TestFullOracle:
     def test_identical_embedding_batch_is_a_minimum(self):
         rng = np.random.default_rng(12)
         table = rng.standard_normal((4, 3))
-        fd = coherence.fd_gradient_full(RBF, table, np.full(5, 1), 1, eps=1e-5)
+        fd = fd_gradient_full(RBF, table, np.full(5, 1), 1, eps=1e-5)
         np.testing.assert_allclose(fd, 0.0, atol=1e-8)
 
     def test_single_member_batch_is_exactly_flat(self):
         rng = np.random.default_rng(13)
         table = rng.standard_normal((4, 3))
-        fd = coherence.fd_gradient_full(RBF, table, np.array([2]), 2, eps=1e-5)
+        fd = fd_gradient_full(RBF, table, np.array([2]), 2, eps=1e-5)
         assert np.all(fd == 0.0)
 
     def test_differs_from_detached_gradient_in_general(self):
         table, batch, state = _random_state(14, m=6, d=4)
         token = int(batch[0])
-        fd_full = coherence.fd_gradient_full(RBF, table, batch, token, eps=1e-5)
+        fd_full = fd_gradient_full(RBF, table, batch, token, eps=1e-5)
         semi = state.gradients[batch == token].sum(axis=0)
         assert np.linalg.norm(fd_full - semi) > 1e-6
 
@@ -297,9 +302,9 @@ class TestFullOracle:
         # halvings shrink D(eps) - D(eps/2) by ~4x
         table, batch, _ = _random_state(15, m=5, d=3)
         token = int(batch[0])
-        d1 = coherence.fd_gradient_full(RBF, table, batch, token, eps=8e-4)
-        d2 = coherence.fd_gradient_full(RBF, table, batch, token, eps=4e-4)
-        d3 = coherence.fd_gradient_full(RBF, table, batch, token, eps=2e-4)
+        d1 = fd_gradient_full(RBF, table, batch, token, eps=8e-4)
+        d2 = fd_gradient_full(RBF, table, batch, token, eps=4e-4)
+        d3 = fd_gradient_full(RBF, table, batch, token, eps=2e-4)
         ratio = np.linalg.norm(d1 - d2) / np.linalg.norm(d2 - d3)
         assert 3.0 < ratio < 5.5
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import spectral_project, state_fields
+from oracles import batch_loss, nll, spectral_norm, spectral_project, state_fields
 from sca import corpus, lm, trainer
 from sca.coherence import compute_batch_state
 from sca.embedding import init_embeddings
@@ -61,10 +61,6 @@ class TestAdaptLearningRate:
 
     def test_single_epoch_keeps_rate(self):
         assert trainer.adapt_learning_rate(_logs([1.0]), 0.3) == 0.3
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            trainer.adapt_learning_rate([], 0.1)
 
 
 class TestCheckFinite:
@@ -339,3 +335,52 @@ class TestGradientFlowStep:
         expected = _stepped(table, ids, state, config.lr)
         assert np.array_equal(trained, expected)
         assert logs[0].loss == state.loss
+
+
+class TestAppliedStepDescends:
+    # A whole-corpus batch and one epoch make each run one step. The detached direction is not
+    # the gradient of the batch loss, in which the kernel rows, context vectors, bounds and mean
+    # all move with the table, but a small step along it must lower that loss.
+
+    @pytest.mark.parametrize("spec", [RBF, KernelSpec("dot"), KernelSpec("cosine")],
+                             ids=lambda s: s.family)
+    @pytest.mark.parametrize("mode, binding", [("clip", False), ("clip", True), ("alg1", True)],
+                             ids=["unbounded", "clip", "alg1"])
+    def test_train_sca_lowers_the_coupled_batch_loss(self, toy_docs, toy_vocab, spec, mode,
+                                                     binding):
+        docs = [toy_docs[0], toy_docs[-1]]  # one document of each category
+        pools = corpus.token_pools(docs)
+        total = int(pools.masses.sum())
+        for seed in range(1, 6):
+            table = init_embeddings(len(toy_vocab), 8, seed=seed)
+            ids = corpus.sample_from_pools(pools, total, seed, 0)
+            norms = [spectral_norm(f) for f in state_fields(compute_batch_state(spec, table, ids))]
+            # the median field norm binds; the default rho lies above every field at init
+            rho = float(np.median(norms)) if binding else TrainConfig.rho
+            assert (rho < max(norms)) == binding
+            config = TrainConfig(lr=1e-3, batch_size=total, max_epochs=1, seed=seed, tol=None,
+                                 rho=rho, spectral_mode=mode)
+            trained, _ = trainer.train_sca(table, docs, spec, config)
+            before = batch_loss(spec, table, ids, rho, mode)
+            assert batch_loss(spec, trained, ids, rho, mode) < before
+
+    def test_train_joint_lowers_the_coupled_batch_loss(self, small_docs):
+        docs, vocab = small_docs
+        pools = corpus.bigram_pools(docs)
+        total = int(pools.masses.sum())
+        spec = KernelSpec("cosine")
+
+        def coupled(model, pairs, config):
+            # mean cross-entropy of the pairs plus lam times the coherence loss of their sources
+            ce = float(np.mean([nll(model, pair) for pair in pairs]))
+            sources = np.unique(pairs[:, 0])
+            bound = config.rho, config.spectral_mode
+            return ce + config.lam * batch_loss(spec, model[:, :-1], sources, *bound)
+
+        for seed in range(1, 6):
+            config = TrainConfig(lr=1e-3, batch_size=total, max_epochs=1, seed=seed, tol=None,
+                                 lam=0.5)
+            model = lm.make_model(init_embeddings(len(vocab), 8, seed=seed))
+            trained, _ = lm.train_joint(model, docs, spec, config)
+            pairs = corpus.sample_from_pools(pools, total, seed, 0)
+            assert coupled(trained, pairs, config) < coupled(model, pairs, config)
