@@ -193,20 +193,20 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"--checkpoint-every must be >= 0, got {checkpoint_every}")
     out = Path(cfg["out"])
 
-    def checkpoint(epoch, snapshot, _log):
+    def table_and_bias(model):  # a model file's parts: the joint [E | b] is split, a table is not
+        return (model[:, :-1], model[:, -1]) if joint else (model, None)
+
+    def checkpoint(epoch, model, _log):
         if checkpoint_every > 0 and epoch % checkpoint_every == 0:
-            table, bias = snapshot
+            table, bias = table_and_bias(model)
             path = out / "checkpoints" / f"epoch_{epoch:04d}.json"
             embedding.save_model(table, path, vocab.id_to_token, cfg["seed"], bias)
 
     log.info("training: %d tokens of vocabulary, dim %s, joint=%s", len(vocab), cfg["dim"], joint)
-    if joint:
-        model, logs = lm.train_joint(lm.make_model(initial), split.train, spec, config,
-                                     on_epoch=checkpoint)
-        trained, bias = model[:, :-1], model[:, -1]
-    else:
-        trained, logs = trainer.train_sca(initial, split.train, spec, config, on_epoch=checkpoint)
-        bias = None
+    train = lm.train_joint if joint else trainer.train_sca
+    model, logs = train(lm.make_model(initial) if joint else initial, split.train, spec, config,
+                        on_epoch=checkpoint)
+    trained, bias = table_and_bias(model)
 
     coherence_initial, coherence_final = coherence.evaluate_coherence(
         [initial, trained], split.train, spec, config.batch_size, config.seed

@@ -127,23 +127,23 @@ def train_joint(
     on_batch=None,
     on_epoch=None,
 ) -> tuple[np.ndarray, list[EpochLog]]:
-    """Cross-entropy plus lam times the coherence objective, on a copy of [E | b].
+    """Cross-entropy plus lam times the coherence objective, on [E | b].
 
     The coherence gradient is computed over the batch's distinct source
     tokens and added to their rows; with lam = 0 the coherence code path
-    is skipped, which is the pure cross-entropy baseline.
+    is skipped, which is the pure cross-entropy baseline. run_epochs trains
+    a copy, so the input model is left untouched; the trained [E | b] is
+    returned together with the per-epoch logs.
     """
     use_sca = config.lam != 0.0
     bound = (config.rho, config.spectral_mode)
-    work = model.copy()
-    table = work[:, :-1]
 
-    def step(pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
+    def step(work: np.ndarray, pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple:
         distinct = np.unique(pairs[:, 0], return_inverse=True)
         loss, grad = ce_batch_gradients(work, pairs, distinct)
         score = float("nan")
         if use_sca:
-            state = coherence.compute_batch_state(spec, table, distinct[0], *bound)
+            state = coherence.compute_batch_state(spec, work[:, :-1], distinct[0], *bound)
             grad[distinct[0], :-1] += config.lam * state.gradients
             loss += config.lam * state.loss
             score = state.score
@@ -152,6 +152,5 @@ def train_joint(
         np.subtract(work, grad, out=work)
         return loss, score
 
-    pools = corpus.bigram_pools(documents)
-    logs = trainer.run_epochs((table, work[:, -1]), pools, config, step, on_batch, on_epoch)
-    return work, logs
+    return trainer.run_epochs(model, corpus.bigram_pools(documents), config, step, on_batch,
+                              on_epoch)

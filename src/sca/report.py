@@ -32,34 +32,33 @@ COHERENCE_SCORE_NOTE = (
 
 @dataclass
 class PCAResult:
-    coordinates: np.ndarray  # (n, k)
-    eigenvalues: np.ndarray  # (k,)
-    components: np.ndarray  # (k, d)
+    coordinates: np.ndarray  # (n, 2)
+    eigenvalues: np.ndarray  # (2,)
+    components: np.ndarray  # (2, d)
 
 
-def pca_project(table: np.ndarray, k: int = 2) -> PCAResult:
-    """Project rows onto the top-k covariance eigenvectors.
+def pca_project(table: np.ndarray) -> PCAResult:
+    """Project rows onto the top two covariance eigenvectors.
 
     The eigenpairs come from one symmetric eigendecomposition of the d x d
     covariance, taken in descending eigenvalue order; each component's
-    sign is fixed so its largest-magnitude entry is positive.
+    sign is fixed so its largest-magnitude entry is positive. A dim-1 table,
+    which sca eval --before/--after accepts, has no second component.
     """
     X = np.asarray(table, dtype=float)
     n, d = X.shape
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n <= k:
-        raise ValueError(f"need more rows than components: n={n}, k={k}")
-    if k > d:
-        raise ValueError(f"cannot extract {k} components from dimension {d}")
+    if n <= 2:
+        raise ValueError(f"need more rows than components: n={n}, k=2")
+    if d < 2:
+        raise ValueError(f"cannot extract 2 components from dimension {d}")
     centered = X - X.mean(axis=0)
     eigenvalues, eigenvectors = np.linalg.eigh(centered.T @ centered / (n - 1))
-    components = eigenvectors[:, ::-1][:, :k].T
+    components = eigenvectors[:, ::-1][:, :2].T
     pivots = np.argmax(np.abs(components), axis=1)
-    components = components * np.sign(components[np.arange(k), pivots])[:, None]
+    components = components * np.sign(components[[0, 1], pivots])[:, None]
     return PCAResult(
         coordinates=centered @ components.T,
-        eigenvalues=eigenvalues[::-1][:k],
+        eigenvalues=eigenvalues[::-1][:2],
         components=components,
     )
 
@@ -156,7 +155,7 @@ def emit_reports(
             ["token", "frequency", "similarity_before", "similarity_after"], rare_rows
         )
     if pca is not None:
-        rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(pca.coordinates[:, :2])]
+        rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(pca.coordinates)]
         tables["pca"] = (["token", "x", "y"], rows)
     out = Path(out_dir)
     for name, (header, rows) in tables.items():

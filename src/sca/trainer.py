@@ -1,8 +1,9 @@
 """Mini-batch training loop for coherence alignment of an embedding table.
 
-run_epochs is the one epoch loop: it draws the batch schedule once and
-owns the adaptive learning rate, the windowed stopping rule and the
-observers; each trainer supplies a per-batch step. Both steps take the
+run_epochs is the one epoch loop: it copies the array being trained once,
+draws the batch schedule once and owns the adaptive learning rate, the
+windowed stopping rule, the epoch-end overflow check and the observers;
+each trainer supplies a per-batch step on that array. Both steps take the
 coherence part from the one batch pass, coherence.compute_batch_state, with
 the fields bounded by config.rho under config.spectral_mode, and run
 check_finite once on what they apply. train_sca's step is one explicit
@@ -112,27 +113,27 @@ def check_finite(loss: float, gradients: np.ndarray, epoch: int, batch: int) -> 
 
 
 def run_epochs(
-    snapshot: tuple[np.ndarray, np.ndarray | None],
+    model: np.ndarray,
     pools: corpus.Pools,
     config: TrainConfig,
-    step: Callable[[np.ndarray, float, int, int], tuple[float, float]],
+    step: Callable[[np.ndarray, np.ndarray, float, int, int], tuple[float, float]],
     on_batch=None,
     on_epoch=None,
-) -> list[EpochLog]:
-    """The epoch loop that every trainer runs; returns the per-epoch logs.
+) -> tuple[np.ndarray, list[EpochLog]]:
+    """The epoch loop that every trainer runs; returns the trained model and the per-epoch logs.
 
-    Draws the seeded batch schedule from the pools once, total // batch_size
-    stratified batches, and runs it every epoch, so epoch losses stay
-    directly comparable. step(batch, lr, epoch, b) updates the snapshot, a
-    (table, bias or None) pair, in place and returns the batch loss and coherence
-    score (NaN when no coherence term is trained). Training stops at max_epochs or
+    The model, the one array being trained, is copied once, so the input is left untouched.
+    Draws the seeded batch schedule from the pools once, total // batch_size stratified
+    batches, and runs it every epoch, so epoch losses stay directly comparable.
+    step(model, batch, lr, epoch, b) updates the copy in place and returns the batch loss and
+    coherence score (NaN when no coherence term is trained). Training stops at max_epochs or
     on the windowed convergence rule; the learning rate halves after a loss uptick.
 
-    on_batch(epoch, b, loss, score) and on_epoch(epoch, snapshot, log) are
-    optional observers. The config is validated, and one batch must fit in the pools
-    (TrainingError if not), before the first step. A step's overflow shows in the next step's
-    loss; the last step's is caught by one check that the trained snapshot's squared norm is
-    finite (TrainingError if not).
+    on_batch(epoch, b, loss, score) and on_epoch(epoch, model, log) are optional observers.
+    The config is validated, and one batch must fit in the pools (TrainingError if not), before
+    the first step. A step's overflow shows in the next step's loss; an epoch's last step's is
+    caught at the epoch end, before on_epoch, by one check that the model's squared norm is
+    finite (TrainingError if not), so no checkpoint holds such a model.
     """
     config.validate()
     total = int(pools.masses.sum())
@@ -142,6 +143,7 @@ def run_epochs(
         corpus.sample_from_pools(pools, config.batch_size, config.seed, b)
         for b in range(total // config.batch_size)
     ]
+    model = model.copy()
     logs: list[EpochLog] = []
     lr = config.lr
     for epoch in range(1, config.max_epochs + 1):
@@ -149,25 +151,23 @@ def run_epochs(
         losses = np.empty(len(schedule))
         scores = np.empty(len(schedule))
         for b, batch in enumerate(schedule):
-            loss, score = step(batch, lr, epoch, b)
+            loss, score = step(model, batch, lr, epoch, b)
             losses[b] = loss
             scores[b] = score
             if on_batch is not None:
                 on_batch(epoch, b, loss, score)
         seconds = time.perf_counter() - started
+        if not math.isfinite(float(np.vdot(model, model))):
+            raise TrainingError(f"the trained model overflows: its squared norm is not finite "
+                                f"after epoch {epoch}, batch {b}")
         logs.append(EpochLog(epoch, float(losses.mean()), float(scores.mean()), lr, seconds,
                              scores))
         if on_epoch is not None:
-            on_epoch(epoch, snapshot, logs[-1])
+            on_epoch(epoch, model, logs[-1])
         if check_convergence(logs, config.window, config.tol):
             break
         lr = adapt_learning_rate(logs, lr)
-    parts = [np.atleast_2d(part) for part in snapshot if part is not None]
-    # einsum reads a strided view in place, where vdot would copy it
-    if not math.isfinite(sum(float(np.einsum("ij,ij->", part, part)) for part in parts)):
-        raise TrainingError(f"the trained model overflows: its squared norm is not finite after "
-                            f"epoch {epoch}, batch {b}")
-    return logs
+    return model, logs
 
 
 def train_sca(
@@ -182,21 +182,19 @@ def train_sca(
 
     Runs the shared epoch loop (run_epochs) over stratified token batches;
     each step moves the batch tokens' rows along their coherence gradients,
-    a repeated token by the sum of its rows' steps. The input array is left
-    untouched: the steps update a copy, which is returned together with the
-    per-epoch logs. The coherence score passed to on_batch is that of the
-    bounded fields, at the same snapshot as the loss.
+    a repeated token by the sum of its rows' steps. run_epochs trains a copy,
+    so the input table is left untouched; the trained table is returned
+    together with the per-epoch logs. The coherence score passed to on_batch
+    is that of the bounded fields, at the same snapshot as the loss.
     """
-    work = table.copy()
-    flat, columns = work.reshape(-1), np.arange(work.shape[1])
+    columns = np.arange(table.shape[1])
 
-    def step(ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple[float, float]:
+    def step(work: np.ndarray, ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple:
         state = coherence.compute_batch_state(spec, work, ids, config.rho, config.spectral_mode)
         check_finite(state.loss, state.gradients, epoch, b)
         # a 1-D scatter onto the flat entries of the rows adds in the same order as a 2-D one
         entries = ids[:, None] * columns.size + columns
-        np.add.at(flat, entries.reshape(-1), state.gradients.reshape(-1) * -lr)
+        np.add.at(work.reshape(-1), entries.reshape(-1), state.gradients.reshape(-1) * -lr)
         return state.loss, state.score
 
-    logs = run_epochs((work, None), corpus.token_pools(documents), config, step, on_batch, on_epoch)
-    return work, logs
+    return run_epochs(table, corpus.token_pools(documents), config, step, on_batch, on_epoch)

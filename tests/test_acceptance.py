@@ -185,7 +185,7 @@ def test_criterion_7_oracle_equivalences():
     # PCA eigenvalues against an independent eigendecomposition of the covariance
     for trial in range(10):
         X = rng.standard_normal((40, int(rng.integers(3, 9))))
-        res = report.pca_project(X, k=2)
+        res = report.pca_project(X)
         centered = X - X.mean(axis=0)
         cov = centered.T @ centered / (X.shape[0] - 1)
         eigenvalues = np.linalg.eigh(cov)[0][::-1][:2]

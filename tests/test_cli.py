@@ -552,10 +552,15 @@ class TestReadmeExample:
             parts = ("train", "heldout", "validation")
             assert [payload[f"perplexity_{part}"] for part in parts] == [None] * 3
 
-    @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
+    @pytest.mark.parametrize("flags", [
+        (), ("--lambda", "0.5"),
+        ("--epochs", "3", "--checkpoint-every", "1"),
+        ("--epochs", "3", "--checkpoint-every", "1", "--lambda", "0.5"),
+    ], ids=["sca", "joint", "sca_checkpoints", "joint_checkpoints"])
     def test_overflowing_last_update_exits_one_without_out(self, tmp_path, capsys, flags):
-        # one batch per epoch: the only update leaves a finite table whose squared norm
-        # overflows, and no later step's loss shows it
+        # one batch per epoch: the first update leaves a finite table whose squared norm
+        # overflows. The check at epoch 1's end refuses it before any checkpoint is written,
+        # so no later epoch runs and no file holds the model
         manifest = _readme_corpus(tmp_path / "corpus")
         out = tmp_path / "run"
         args = ["--dim", "16", "--seed", "7", "--epochs", "1", "--batch", "150", "--lr", "1e308"]
@@ -896,6 +901,20 @@ class TestInterface:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("level, logged", [("info", True), ("debug", True), (None, False)],
+                             ids=["info", "debug", "unset"])
+    def test_sca_log_sets_the_log_level(self, corpus_dir, tmp_path, level, logged):
+        env = {key: value for key, value in os.environ.items() if key != "SCA_LOG"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if level is not None:
+            env["SCA_LOG"] = level
+        done = subprocess.run(
+            [sys.executable, "-m", "sca.cli", "train", "--corpus", str(corpus_dir), *TRAIN_ARGS,
+             "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert ("INFO:sca:training:" in done.stderr) == logged
 
     def test_runs_never_import_numpy_ma(self, tmp_path):
         # np.median, and np.quantile's default method, import numpy.ma (~14 ms) for their NaN

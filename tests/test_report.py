@@ -32,7 +32,7 @@ class TestPca:
         rng = np.random.default_rng(0)
         direction = rng.standard_normal(5)
         X = np.outer(rng.standard_normal(30), direction)
-        res = report.pca_project(X, k=2)
+        res = report.pca_project(X)
         assert np.max(np.abs(res.coordinates[:, 1])) < 1e-9
 
     def test_isometric_on_data_in_a_plane(self):
@@ -40,7 +40,7 @@ class TestPca:
         basis, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         coords_true = rng.standard_normal((25, 2))
         X = coords_true @ basis.T
-        res = report.pca_project(X, k=2)
+        res = report.pca_project(X)
         for i in range(0, 25, 5):
             for j in range(25):
                 want = np.linalg.norm(coords_true[i] - coords_true[j])
@@ -50,7 +50,7 @@ class TestPca:
     def test_explained_variance_ordering(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((40, 6)) * np.array([3.0, 1.5, 1.0, 0.5, 0.2, 0.1])
-        res = report.pca_project(X, k=2)
+        res = report.pca_project(X)
         assert res.eigenvalues[0] >= res.eigenvalues[1]
         assert np.var(res.coordinates[:, 0]) >= np.var(res.coordinates[:, 1])
 
@@ -58,14 +58,14 @@ class TestPca:
         rng = np.random.default_rng(3)
         for trial in range(5):
             X = rng.standard_normal((30, 7))
-            res = report.pca_project(X, k=2)
+            res = report.pca_project(X)
             eigenvalues, basis = _svd_oracle(X, 2)
             np.testing.assert_allclose(res.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
             assert _principal_angle(res.components, basis) < 1e-10
 
     def test_sign_convention(self):
         rng = np.random.default_rng(4)
-        res = report.pca_project(rng.standard_normal((20, 4)), k=2)
+        res = report.pca_project(rng.standard_normal((20, 4)))
         for component in res.components:
             assert component[np.argmax(np.abs(component))] > 0
 
@@ -74,11 +74,9 @@ class TestPca:
         # iterative solver to separate them quickly
         a = np.sqrt(1.0 - 1e-6)
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, a], [0.0, -a]])
-        for k in (1, 2):
-            res = report.pca_project(X, k=k)
-            eigenvalues, _ = _svd_oracle(X, k)
-            np.testing.assert_allclose(res.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
-        res = report.pca_project(X, k=2)
+        res = report.pca_project(X)
+        eigenvalues, _ = _svd_oracle(X, 2)
+        np.testing.assert_allclose(res.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
         for i in range(4):
             for j in range(4):
                 want = np.linalg.norm(X[i] - X[j])
@@ -87,7 +85,7 @@ class TestPca:
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
-            report.pca_project(np.ones((2, 3)), k=2)
+            report.pca_project(np.ones((2, 3)))
 
 
 class TestRareWords:

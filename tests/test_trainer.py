@@ -234,25 +234,65 @@ class TestTrainSca:
 
 
 class TestRunEpochs:
-    @pytest.mark.parametrize("part", [0, 1], ids=["table", "bias"])
-    def test_overflowing_last_step_names_the_epoch_and_batch(self, small_docs, part):
+    @pytest.mark.parametrize("width, column", [(6, 0), (7, -1)], ids=["table", "bias"])
+    def test_overflowing_last_step_names_the_epoch_and_batch(self, small_docs, width, column):
         # the last step leaves every entry finite and the squared norm overflowing, which no
-        # later step's loss can show
+        # later step's loss can show; the bias case writes the last column of a joint [E | b]
         docs, vocab = small_docs
-        snapshot = (np.zeros((len(vocab), 6)), np.zeros(len(vocab)))
         pools = corpus.token_pools(docs)
         config = TrainConfig(batch_size=8, max_epochs=2, tol=None)
         last = int(pools.masses.sum()) // config.batch_size - 1
 
-        def step(batch, lr, epoch, b):
-            if (epoch, b) == (2, last):
-                snapshot[part][:2] = 1e307
-            return 1.0, 0.0
+        def stepping(value):
+            def step(model, batch, lr, epoch, b):
+                if (epoch, b) == (2, last):
+                    model[:2, column] = value
+                return 1.0, 0.0
+
+            return step
 
         with pytest.raises(TrainingError, match=f"not finite after epoch 2, batch {last}"):
-            trainer.run_epochs(snapshot, pools, config, step)
-        snapshot[part][:2] = 1e153  # a squared norm near 1e307 is finite
-        assert len(trainer.run_epochs(snapshot, pools, config, lambda *_: (1.0, 0.0))) == 2
+            trainer.run_epochs(np.zeros((len(vocab), width)), pools, config, stepping(1e307))
+        # a squared norm near 1e307 is finite
+        trained, logs = trainer.run_epochs(np.zeros((len(vocab), width)), pools, config,
+                                           stepping(1e153))
+        assert len(logs) == 2 and trained[0, column] == 1e153
+
+    def test_overflow_in_an_early_epoch_stops_before_its_observer(self, small_docs):
+        # the check runs at every epoch end, before on_epoch, so no checkpoint holds such a model
+        docs, vocab = small_docs
+        pools = corpus.token_pools(docs)
+        config = TrainConfig(batch_size=8, max_epochs=2, tol=None)
+        last = int(pools.masses.sum()) // config.batch_size - 1
+        observed = []
+
+        def step(model, batch, lr, epoch, b):
+            if (epoch, b) == (1, last):
+                model[:2, 0] = 1e307
+            return 1.0, 0.0
+
+        with pytest.raises(TrainingError, match=f"not finite after epoch 1, batch {last}"):
+            trainer.run_epochs(np.zeros((len(vocab), 6)), pools, config, step,
+                               on_epoch=lambda epoch, *_: observed.append(epoch))
+        assert observed == []
+
+    def test_steps_and_observers_share_the_one_copy_that_is_returned(self, small_docs):
+        docs, vocab = small_docs
+        pools = corpus.token_pools(docs)
+        config = TrainConfig(batch_size=8, max_epochs=3, tol=None)
+        model = np.zeros((len(vocab), 6))
+        seen = []
+
+        def step(work, batch, lr, epoch, b):
+            seen.append(work)
+            work[0, 0] += 1.0
+            return 1.0, 0.0
+
+        trained, logs = trainer.run_epochs(model, pools, config, step,
+                                           on_epoch=lambda epoch, work, log: seen.append(work))
+        assert all(work is trained for work in seen) and trained is not model
+        assert trained[0, 0] == len(seen) - len(logs)  # one increment per step
+        assert not model.any()
 
 
 def _stepped(table, ids, state, dt):
