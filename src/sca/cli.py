@@ -132,14 +132,12 @@ def _resolve_kernel(cfg: dict, table: np.ndarray) -> KernelSpec:
 
 
 def _build_corpus(cfg: dict, reports: bool):
-    """Vocabulary, split, and the adjacent pairs of each scored part: train, test and (ratio > 0)
-    validation, each of which needs a document of 2+ tokens."""
-    raw = corpus.read_manifest(cfg["corpus"])
-    vocab = corpus.build_vocabulary(raw, min_count=cfg["min_count"])
+    """Vocabulary and split from one read_manifest call, and the adjacent pairs of each scored
+    part: train, test and (ratio > 0) validation, each of which needs a document of 2+ tokens."""
+    vocab, docs = corpus.read_manifest(cfg["corpus"], cfg["min_count"])
     if reports and len(vocab) < 3:  # a rare word needs a nearest neighbour, pca.csv three rows
         raise CorpusError(f"the vocabulary has {len(vocab)} entries; the reports need at least 3 "
                           "(the unknown token and two real tokens)")
-    docs = corpus.encode_documents(raw, vocab)
     split = corpus.stratified_split(docs, cfg["ratios"], seed=cfg["seed"])
     parts = ("train", "test", "validation") if cfg["ratios"][1] > 0 else ("train", "test")
     pairs = [[corpus.adjacent_pairs(doc) for doc in getattr(split, part)] for part in parts]

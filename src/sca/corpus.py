@@ -1,11 +1,12 @@
 """Corpus ingestion, vocabulary construction, and stratified sampling.
 
 Documents are category-tagged UTF-8 texts listed in a manifest file with
-one ``<category><TAB><path>`` line per document. Ingestion lowercases and
-splits text into word and punctuation tokens, builds a frequency-ordered
-vocabulary with a reserved unknown token, and produces integer-encoded
-documents that feed the document splitter and the batch samplers. Every
-sampling is seeded and reproducible. write_text is the one file writer.
+one ``<category><TAB><path>`` line per document. read_manifest is all of
+ingestion: it splits each lowercased text into word and punctuation tokens,
+builds a frequency-ordered vocabulary with a reserved unknown token, and
+returns it with the integer-encoded documents that feed the splitter and the
+pools (a list of arrays, one per category in sorted order). Every sampling is
+seeded and reproducible. write_text is the one file writer.
 """
 
 from __future__ import annotations
@@ -31,15 +32,6 @@ class CorpusError(Exception):
 
 
 @dataclass
-class RawDocument:
-    """A tokenized document before vocabulary encoding."""
-
-    doc_id: str
-    category: str
-    tokens: list[str]
-
-
-@dataclass
 class Document:
     """A vocabulary-encoded document."""
 
@@ -50,7 +42,7 @@ class Document:
 
 @dataclass
 class Vocabulary:
-    """Bijective token/id mapping with per-token corpus frequencies.
+    """Tokens in id order with their corpus frequencies.
 
     Ids are dense 0..n-1. Id 0 is the reserved unknown token; it absorbs
     every corpus token whose count fell below ``min_count`` and records
@@ -58,16 +50,11 @@ class Vocabulary:
     token count.
     """
 
-    token_to_id: dict[str, int]
     id_to_token: list[str]
     frequencies: np.ndarray
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def encode(self, tokens: list[str]) -> np.ndarray:
-        table = self.token_to_id
-        return np.array([table.get(t, UNK_ID) for t in tokens], dtype=np.int64)
 
 
 @dataclass
@@ -77,14 +64,6 @@ class SplitCorpus:
     train: list[Document]
     validation: list[Document]
     test: list[Document]
-
-
-@dataclass
-class Pools:
-    """Per-category sampling pools (token positions or bigram positions)."""
-
-    values: list[np.ndarray]
-    masses: np.ndarray
 
 
 def tokenize(text: str) -> list[str]:
@@ -103,17 +82,18 @@ def _decode_utf8(data: bytes, origin: str) -> str:
         raise CorpusError(f"{origin}: invalid UTF-8 at byte offset {exc.start}") from exc
 
 
-def read_manifest(manifest_path: str | Path) -> list[RawDocument]:
-    """Ingest every document listed in a manifest file.
+def read_manifest(manifest_path: str | Path,
+                  min_count: int = 1) -> tuple[Vocabulary, list[Document]]:
+    """Ingest every document listed in a manifest file: its vocabulary and encoded documents.
 
     Each non-empty manifest line is ``<category><TAB><path>`` with the path
-    resolved relative to the manifest's directory.
+    resolved relative to the manifest's directory. Tokens below min_count map to the unknown id.
     """
     manifest = Path(manifest_path)
     if not manifest.is_file():
         raise CorpusError(f"manifest not found: {manifest}")
     text = _decode_utf8(manifest.read_bytes(), str(manifest))
-    documents = []
+    listed = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -129,13 +109,18 @@ def read_manifest(manifest_path: str | Path) -> list[RawDocument]:
         tokens = tokenize(_decode_utf8(doc_path.read_bytes(), str(doc_path)))
         if not tokens:
             raise CorpusError(f"{doc_path}: document has no tokens")
-        documents.append(RawDocument(doc_id=rel_path.strip(), category=category, tokens=tokens))
-    if not documents:
+        listed.append((rel_path.strip(), category, tokens))
+    if not listed:
         raise CorpusError(f"{manifest}: no documents listed")
-    return documents
+    vocab = build_vocabulary([tokens for _, _, tokens in listed], min_count)
+    ids = {tok: i for i, tok in enumerate(vocab.id_to_token)}
+    return vocab, [
+        Document(doc_id, category, np.array([ids.get(t, UNK_ID) for t in tokens], dtype=np.int64))
+        for doc_id, category, tokens in listed
+    ]
 
 
-def build_vocabulary(documents: list[RawDocument], min_count: int = 1) -> Vocabulary:
+def build_vocabulary(token_lists: list[list[str]], min_count: int = 1) -> Vocabulary:
     """Build a vocabulary over every token with count >= min_count.
 
     Real tokens get ids in descending frequency order, ties broken
@@ -144,24 +129,15 @@ def build_vocabulary(documents: list[RawDocument], min_count: int = 1) -> Vocabu
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()
-    for doc in documents:
-        counts.update(doc.tokens)
+    for tokens in token_lists:
+        counts.update(tokens)
     if not counts:
         raise CorpusError("cannot build a vocabulary from an empty corpus")
     kept = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
     dropped_total = sum(c for c in counts.values() if c < min_count)
     id_to_token = [UNK_TOKEN] + kept
     frequencies = np.array([dropped_total] + [counts[t] for t in kept], dtype=np.int64)
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-    return Vocabulary(token_to_id=token_to_id, id_to_token=id_to_token, frequencies=frequencies)
-
-
-def encode_documents(documents: list[RawDocument], vocab: Vocabulary) -> list[Document]:
-    """Map raw tokens to ids, sending out-of-vocabulary tokens to unk."""
-    return [
-        Document(doc_id=d.doc_id, category=d.category, token_ids=vocab.encode(d.tokens))
-        for d in documents
-    ]
+    return Vocabulary(id_to_token=id_to_token, frequencies=frequencies)
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -225,8 +201,6 @@ def stratified_split(
         raise ValueError("at least one split ratio must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
-    if not documents:
-        raise CorpusError("no documents to split")
 
     by_category: dict[str, list[Document]] = {}
     for doc in documents:
@@ -244,23 +218,19 @@ def stratified_split(
     return SplitCorpus(train=buckets[0], validation=buckets[1], test=buckets[2])
 
 
-def _category_pools(documents: list[Document], rows, what: str) -> Pools:
+def _category_pools(documents: list[Document], rows) -> list[np.ndarray]:
     """Concatenate rows(doc) per category, categories sorted; a doc without rows adds none."""
     grouped: dict[str, list[np.ndarray]] = {}
     for doc in documents:
         values = rows(doc)
         if values.shape[0]:
             grouped.setdefault(doc.category, []).append(values)
-    if not grouped:
-        raise CorpusError(f"no document has {what} to sample from")
-    values = [np.concatenate(grouped[c], axis=0) for c in sorted(grouped)]
-    masses = np.array([v.shape[0] for v in values], dtype=np.int64)
-    return Pools(values=values, masses=masses)
+    return [np.concatenate(grouped[c], axis=0) for c in sorted(grouped)]
 
 
-def token_pools(documents: list[Document]) -> Pools:
+def token_pools(documents: list[Document]) -> list[np.ndarray]:
     """Group token occurrences by category for stratified batch sampling."""
-    return _category_pools(documents, lambda doc: doc.token_ids, "tokens")
+    return _category_pools(documents, lambda doc: doc.token_ids)
 
 
 def adjacent_pairs(doc: Document) -> np.ndarray:
@@ -269,29 +239,27 @@ def adjacent_pairs(doc: Document) -> np.ndarray:
     return np.stack([ids[:-1], ids[1:]], axis=1)
 
 
-def bigram_pools(documents: list[Document]) -> Pools:
+def bigram_pools(documents: list[Document]) -> list[np.ndarray]:
     """Group adjacent token pairs by category for stratified pair sampling."""
-    return _category_pools(documents, adjacent_pairs, "token pairs")
+    return _category_pools(documents, adjacent_pairs)
 
 
-def sample_from_pools(pools: Pools, batch_size: int, seed: int, step: int) -> np.ndarray:
-    """Draw a stratified batch from precomputed pools.
+def sample_from_pools(pools: list[np.ndarray], batch_size: int, seed: int,
+                      step: int) -> np.ndarray:
+    """Draw a stratified batch of batch_size >= 1 from precomputed pools.
 
     Per-category quotas are proportional to category mass, rounded by the
     largest-remainder rule, and drawn without replacement within the
-    category. Deterministic for a fixed (seed, step) pair.
+    category. Deterministic for a fixed (seed, step) pair, both non-negative.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if seed < 0 or step < 0:
-        raise ValueError("seed and step must be non-negative")
-    total = int(pools.masses.sum())
+    masses = np.array([len(values) for values in pools], dtype=np.int64)
+    total = int(masses.sum())
     if batch_size > total:
         raise CorpusError(f"batch size {batch_size} exceeds total count {total}")
-    quotas = largest_remainder_counts(batch_size * pools.masses / total, batch_size)
+    quotas = largest_remainder_counts(batch_size * masses / total, batch_size)
     rng = np.random.default_rng([seed, step])
     picks = []
-    for values, mass, quota in zip(pools.values, pools.masses, quotas):
+    for values, mass, quota in zip(pools, masses, quotas):
         if quota == 0:
             continue
         idx = rng.choice(int(mass), size=int(quota), replace=False)

@@ -114,7 +114,7 @@ def check_finite(loss: float, gradients: np.ndarray, epoch: int, batch: int) -> 
 
 def run_epochs(
     model: np.ndarray,
-    pools: corpus.Pools,
+    pools: list[np.ndarray],
     config: TrainConfig,
     step: Callable[[np.ndarray, np.ndarray, float, int, int], tuple[float, float]],
     on_batch=None,
@@ -136,7 +136,7 @@ def run_epochs(
     finite (TrainingError if not), so no checkpoint holds such a model.
     """
     config.validate()
-    total = int(pools.masses.sum())
+    total = sum(map(len, pools))
     if config.batch_size > total:
         raise TrainingError(f"batch size {config.batch_size} exceeds corpus size {total}")
     schedule = [

@@ -1,8 +1,9 @@
-"""Shared fixtures: a deterministic category-tagged toy corpus."""
+"""Shared fixtures: deterministic category-tagged corpora, ingested by corpus.read_manifest."""
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 
 # One BLAS thread per process, set before numpy loads its BLAS: the acceptance suite builds
 # its runs in a 2-process pool, and threaded BLAS in each process would oversubscribe the cores.
@@ -16,8 +17,11 @@ import pytest
 
 from sca import corpus
 
+# a document to write as a corpus file, before ingestion
+RawDocument = namedtuple("RawDocument", "doc_id category tokens")
 
-def make_toy_raw_docs(seed: int = 13) -> list[corpus.RawDocument]:
+
+def make_toy_raw_docs(seed: int = 13) -> list[RawDocument]:
     """Two-category corpus over 99 word types with a long-tail profile.
 
     Type r appears round(2510 / (r + 10)) times (251 down to 23), split
@@ -39,11 +43,11 @@ def make_toy_raw_docs(seed: int = 13) -> list[corpus.RawDocument]:
         for i in range(0, len(stream), 70):
             chunk = stream[i : i + 70]
             if len(chunk) >= 5:
-                docs.append(corpus.RawDocument(f"{category}-{i // 70:03d}", category, chunk))
+                docs.append(RawDocument(f"{category}-{i // 70:03d}", category, chunk))
     return docs
 
 
-def make_small_raw_docs() -> list[corpus.RawDocument]:
+def make_small_raw_docs() -> list[RawDocument]:
     """Small two-category corpus for fast CLI and trainer tests.
 
     Big enough that the default 0.8/0.1/0.1 split leaves every part
@@ -55,11 +59,11 @@ def make_small_raw_docs() -> list[corpus.RawDocument]:
     for k in range(20):
         category = "prose" if k % 2 == 0 else "dialog"
         tokens = [words[int(j)] for j in rng.integers(0, len(words), size=40)]
-        docs.append(corpus.RawDocument(f"{category}-{k}", category, tokens))
+        docs.append(RawDocument(f"{category}-{k}", category, tokens))
     return docs
 
 
-def write_corpus_files(raw_docs: list[corpus.RawDocument], root: Path) -> Path:
+def write_corpus_files(raw_docs: list[RawDocument], root: Path) -> Path:
     """Materialize raw documents as text files plus a manifest."""
     root.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -73,26 +77,24 @@ def write_corpus_files(raw_docs: list[corpus.RawDocument], root: Path) -> Path:
 
 
 @pytest.fixture(scope="session")
-def toy_raw_docs():
-    return make_toy_raw_docs()
+def toy_corpus(tmp_path_factory):
+    """(vocabulary, documents) of the toy corpus."""
+    manifest = write_corpus_files(make_toy_raw_docs(), tmp_path_factory.mktemp("toy"))
+    return corpus.read_manifest(manifest)
 
 
 @pytest.fixture(scope="session")
-def toy_vocab(toy_raw_docs):
-    return corpus.build_vocabulary(toy_raw_docs, min_count=1)
+def toy_vocab(toy_corpus):
+    return toy_corpus[0]
 
 
 @pytest.fixture(scope="session")
-def toy_docs(toy_raw_docs, toy_vocab):
-    return corpus.encode_documents(toy_raw_docs, toy_vocab)
+def toy_docs(toy_corpus):
+    return toy_corpus[1]
 
 
 @pytest.fixture(scope="session")
-def small_raw_docs():
-    return make_small_raw_docs()
-
-
-@pytest.fixture(scope="session")
-def small_docs(small_raw_docs):
-    vocab = corpus.build_vocabulary(small_raw_docs, min_count=1)
-    return corpus.encode_documents(small_raw_docs, vocab), vocab
+def small_docs(tmp_path_factory):
+    manifest = write_corpus_files(make_small_raw_docs(), tmp_path_factory.mktemp("small"))
+    vocab, docs = corpus.read_manifest(manifest)
+    return docs, vocab

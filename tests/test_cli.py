@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_small_raw_docs, make_toy_raw_docs, write_corpus_files
+from conftest import RawDocument, make_small_raw_docs, make_toy_raw_docs, write_corpus_files
 from oracles import batch_histograms, nll
 from sca import cli, coherence, corpus, embedding, lm, report, trainer
 
@@ -159,7 +159,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
     def test_initial_model_is_the_seeded_init(self, corpus_dir, train_run, flags):
-        vocab = corpus.build_vocabulary(corpus.read_manifest(corpus_dir), min_count=1)
+        vocab, _ = corpus.read_manifest(corpus_dir)
         table, names, bias = embedding.load_model(train_run(flags, {}) / "initial_model.json")
         assert names == vocab.id_to_token and bias is None
         assert table.tobytes() == embedding.init_embeddings(len(vocab), 6, 11, 0.1).tobytes()
@@ -194,6 +194,8 @@ class TestTrain:
         ([], {"window": 0}, 1, "window"),
         ([], {"min_count": 0}, 1, "min_count"),
         ([], {"ratios": [0.5, 0.5, 0.5]}, 1, "ratios"),
+        ([], {"ratios": [1.0]}, 1, "(train, validation, test) ratios"),
+        ([], {"ratios": [0, 0, 0]}, 1, "split ratio must be positive"),
         ([], {"tol": -1}, 1, "tol"),
         (["eval", "--batch", "0"], None, 1, "--batch"),
         (["eval", "--seed", "-1"], None, 1, "--seed"),
@@ -202,7 +204,8 @@ class TestTrain:
             "tol_text", "epochs_2.9", "unknown_key", "retired_threads_key", "not_an_object",
             "lr_negative", "rho_zero", "batch_zero", "epochs_zero", "lambda_negative",
             "seed_negative", "dim_one", "kernel_unknown", "spectral_mode_unknown", "bandwidth_zero",
-            "sigma_init_zero", "window_zero", "min_count_zero", "ratios_sum", "tol_negative",
+            "sigma_init_zero", "window_zero", "min_count_zero", "ratios_sum", "ratios_one",
+            "ratios_zero", "tol_negative",
             "eval_batch_zero", "eval_seed_negative"])
     def test_bad_value_exits_before_out(self, corpus_dir, fresh_model, tmp_path, capsys, flags,
                                         config, code, named):
@@ -227,6 +230,28 @@ class TestTrain:
         code = cli.main(["train", "--corpus", str(missing), "--out", str(tmp_path / "o")])
         assert code == 1
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("flags, keys", [
+        (["corpus"], []), (["out"], []), ([], ["corpus"]), ([], ["out"]), ([], []),
+    ], ids=["corpus_flag_only", "out_flag_only", "corpus_config_only", "out_config_only",
+            "neither"])
+    def test_missing_corpus_or_out_exits_one_and_creates_nothing(
+        self, corpus_dir, fresh_model, tmp_path, monkeypatch, capsys, command, flags, keys
+    ):
+        # flags and keys name the paths given on the command line and in a config file
+        paths = {"corpus": str(corpus_dir), "out": str(tmp_path / "out")}
+        args = [command, *(a for key in flags for a in (f"--{key}", paths[key]))]
+        if keys:
+            (tmp_path / "config.json").write_text(json.dumps({k: paths[k] for k in keys}))
+            args += ["--config", str(tmp_path / "config.json")]
+        if command == "eval":
+            args += ["--model", str(fresh_model[0])]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(args) == 1
+        assert f"{command} requires --corpus and --out" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_too_large_batch_exits_one_before_out(self, corpus_dir, tmp_path, capsys):
         # the small corpus' train part holds 640 tokens and 624 pairs
@@ -474,7 +499,7 @@ class TestTrain:
         (tmp_path / "config.json").write_text(json.dumps({"min_count": 1000}))
         cosine = ["--corpus", str(corpus_dir), "--config", str(tmp_path / "config.json"),
                   "--kernel", "cosine"]
-        names = corpus.build_vocabulary(corpus.read_manifest(one_type)).id_to_token
+        names = corpus.read_manifest(one_type)[0].id_to_token
         model = tmp_path / "model.json"
         embedding.save_model(embedding.init_embeddings(2, 4, seed=0), model, names, 0)
         paired = ["eval", "--corpus", str(one_type), "--before", str(model), "--after", str(model)]
@@ -499,7 +524,7 @@ class TestTrain:
 
 def _text_corpus(root, docs):
     """Manifest over (doc_id, category, text) documents, written as the README writes them."""
-    raw = [corpus.RawDocument(d, c, corpus.tokenize(text)) for d, c, text in docs]
+    raw = [RawDocument(d, c, corpus.tokenize(text)) for d, c, text in docs]
     return write_corpus_files(raw, root)
 
 
@@ -622,8 +647,7 @@ class TestManifest:
 
 @pytest.fixture(scope="module")
 def fresh_model(corpus_dir, tmp_path_factory):
-    raw = corpus.read_manifest(corpus_dir)
-    vocab = corpus.build_vocabulary(raw, min_count=1)
+    vocab, _ = corpus.read_manifest(corpus_dir)
     table = embedding.init_embeddings(len(vocab), 6, seed=0, scale=0.05)
     path = tmp_path_factory.mktemp("models") / "fresh.json"
     embedding.save_model(table, path, vocab.id_to_token, 0)
@@ -741,6 +765,18 @@ class TestEval:
             if flags[1] in map(str, malformed):
                 assert flags[1] in err
 
+    def test_dim_one_before_after_exits_one_before_out(self, corpus_dir, tmp_path, capsys):
+        # load_model accepts dim 1, but pca.csv needs a second component
+        vocab, _ = corpus.read_manifest(corpus_dir)
+        path = tmp_path / "dim1.json"
+        table = np.random.default_rng(0).normal(0.0, 0.1, size=(len(vocab), 1))
+        embedding.save_model(table, path, vocab.id_to_token, 0)
+        out = tmp_path / "eval"
+        flags = ["--before", str(path), "--after", str(path), "--out", str(out)]
+        assert cli.main(["eval", "--corpus", str(corpus_dir), *flags]) == 1
+        assert "cannot extract 2 components from dimension 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_model_exits_one_before_out(
         self, corpus_dir, fresh_model, tmp_path, capsys
     ):
@@ -827,8 +863,7 @@ class TestValidationPart:
         run = train_run(flags, {})
         table, _, bias = embedding.load_model(run / "model.json")
         model = np.column_stack([table, np.zeros(len(table)) if bias is None else bias])
-        raw = corpus.read_manifest(corpus_dir)
-        docs = corpus.encode_documents(raw, corpus.build_vocabulary(raw, min_count=1))
+        _, docs = corpus.read_manifest(corpus_dir)
         validation = corpus.stratified_split(docs, (0.8, 0.1, 0.1), seed=11).validation
         pairs = [(a, b) for doc in validation
                  for a, b in zip(doc.token_ids[:-1].tolist(), doc.token_ids[1:].tolist())]

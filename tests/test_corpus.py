@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from sca import corpus
-from sca.corpus import CorpusError, RawDocument
-
-
-def _raw(doc_id, category, tokens):
-    return RawDocument(doc_id, category, list(tokens))
+from sca.corpus import CorpusError
 
 
 class TestTokenize:
@@ -37,32 +33,28 @@ class TestTokenize:
 
 class TestBuildVocabulary:
     def test_min_count_filters(self):
-        docs = [_raw("d0", "c", ["a", "a", "a", "b"])]
-        vocab = corpus.build_vocabulary(docs, min_count=2)
+        vocab = corpus.build_vocabulary([["a", "a", "a", "b"]], min_count=2)
         assert vocab.id_to_token == [corpus.UNK_TOKEN, "a"]
-        assert vocab.token_to_id == {corpus.UNK_TOKEN: 0, "a": 1}
         # dropped counts are absorbed by the unknown token
         assert vocab.frequencies.tolist() == [1, 3]
 
     def test_min_count_one(self):
-        vocab = corpus.build_vocabulary([_raw("d0", "c", ["a"])], min_count=1)
+        vocab = corpus.build_vocabulary([["a"]], min_count=1)
         assert vocab.id_to_token == [corpus.UNK_TOKEN, "a"]
         assert vocab.frequencies.tolist() == [0, 1]
 
     def test_frequency_ties_break_lexicographically(self):
-        vocab = corpus.build_vocabulary([_raw("d0", "c", ["b", "a", "b", "a"])])
+        vocab = corpus.build_vocabulary([["b", "a", "b", "a"]])
         assert vocab.id_to_token == [corpus.UNK_TOKEN, "a", "b"]
 
     def test_frequencies_sum_to_corpus_token_count(self):
         rng = np.random.default_rng(3)
         tokens = [f"t{i}" for i in rng.integers(0, 30, size=500)]
-        docs = [_raw("d0", "c", tokens[:250]), _raw("d1", "c", tokens[250:])]
         for min_count in (1, 2, 5):
-            vocab = corpus.build_vocabulary(docs, min_count=min_count)
+            vocab = corpus.build_vocabulary([tokens[:250], tokens[250:]], min_count=min_count)
             assert int(vocab.frequencies.sum()) == 500
             assert vocab.id_to_token[0] == corpus.UNK_TOKEN
-            ids = sorted(vocab.token_to_id.values())
-            assert ids == list(range(len(vocab)))
+            assert len(set(vocab.id_to_token)) == len(vocab) == len(vocab.frequencies)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError):
@@ -70,11 +62,7 @@ class TestBuildVocabulary:
 
     def test_bad_min_count_rejected(self):
         with pytest.raises(ValueError):
-            corpus.build_vocabulary([_raw("d0", "c", ["a"])], min_count=0)
-
-    def test_encode_maps_oov_to_unk(self):
-        vocab = corpus.build_vocabulary([_raw("d0", "c", ["a", "a"])])
-        assert vocab.encode(["a", "zzz"]).tolist() == [1, 0]
+            corpus.build_vocabulary([["a"]], min_count=0)
 
 
 class TestStratifiedSplit:
@@ -169,6 +157,13 @@ class TestSampleBatch:
         with pytest.raises(CorpusError):
             corpus.sample_from_pools(corpus.token_pools(docs), 11, seed=0, step=0)
 
+    def test_no_pool_left_rejected(self):
+        # a one-token document has no adjacent pair, so no bigram pool is left to sample from
+        pools = corpus.bigram_pools([corpus.Document("a0", "a", np.zeros(1, dtype=np.int64))])
+        assert pools == []
+        with pytest.raises(CorpusError, match="exceeds total count 0"):
+            corpus.sample_from_pools(pools, 1, seed=0, step=0)
+
     def test_bigram_batch_shape_and_determinism(self):
         docs = [
             corpus.Document("a0", "a", np.arange(30, dtype=np.int64)),
@@ -182,15 +177,46 @@ class TestSampleBatch:
         assert np.all(one[:, 1] - one[:, 0] == 1)
 
 
+def _manifest(root, text, documents=()):
+    """Write the manifest text and each (name, text) document beside it."""
+    for name, body in documents:
+        (root / name).write_text(body, encoding="utf-8")
+    manifest = root / "m.tsv"
+    manifest.write_text(text, encoding="utf-8")
+    return manifest
+
+
 class TestManifestIngestion:
     def test_round_trip(self, tmp_path):
-        (tmp_path / "a.txt").write_text("Alpha beta, gamma.", encoding="utf-8")
-        (tmp_path / "b.txt").write_text("delta delta", encoding="utf-8")
-        manifest = tmp_path / "m.tsv"
-        manifest.write_text("lit\ta.txt\nconv\tb.txt\n", encoding="utf-8")
-        docs = corpus.read_manifest(manifest)
-        assert [d.category for d in docs] == ["lit", "conv"]
-        assert docs[0].tokens == ["alpha", "beta", ",", "gamma", "."]
+        # blank and whitespace-only lines, a lone tab among them, are skipped
+        manifest = _manifest(tmp_path, "\nlit\ta.txt\n  \n\t \nconv\tb.txt\n\n",
+                             [("a.txt", "Alpha beta, gamma."), ("b.txt", "delta delta")])
+        vocab, docs = corpus.read_manifest(manifest)
+        assert [(d.doc_id, d.category) for d in docs] == [("a.txt", "lit"), ("b.txt", "conv")]
+        assert [vocab.id_to_token[i] for i in docs[0].token_ids] == [
+            "alpha", "beta", ",", "gamma", "."]
+        assert vocab.id_to_token[docs[1].token_ids[0]] == "delta"
+        assert vocab.frequencies.tolist() == [0, 2, 1, 1, 1, 1, 1]
+
+    def test_min_count_maps_rare_tokens_to_unk(self, tmp_path):
+        manifest = _manifest(tmp_path, "c\ta.txt\nc\tb.txt\n",
+                             [("a.txt", "a a rare"), ("b.txt", "a b b")])
+        vocab, docs = corpus.read_manifest(manifest, min_count=2)
+        assert vocab.id_to_token == [corpus.UNK_TOKEN, "a", "b"]
+        assert [d.token_ids.tolist() for d in docs] == [[1, 1, 0], [1, 2, 2]]
+        assert vocab.frequencies.tolist() == [1, 3, 2]
+
+    @pytest.mark.parametrize("text, error", [
+        ("c\ta.txt\nno tab here\n", ":2: expected '<category>\\t<path>'"),
+        ("c\ta.txt\n\nc\ta.txt\n \ta.txt\n", ":4: empty category"),
+        ("c\ta.txt\nc\tabsent.txt\n", ":2: document not found"),
+        ("\n \n", ": no documents listed"),
+    ], ids=["no-tab", "empty-category", "missing-document", "no-documents"])
+    def test_bad_manifest_names_manifest_and_line(self, tmp_path, text, error):
+        manifest = _manifest(tmp_path, text, [("a.txt", "x y")])
+        with pytest.raises(CorpusError) as caught:
+            corpus.read_manifest(manifest)
+        assert str(caught.value).startswith(f"{manifest}{error}")
 
     def test_invalid_utf8_names_byte_offset(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -212,7 +238,7 @@ class TestManifestIngestion:
             corpus.read_manifest(manifest)
 
     def test_vocabulary_json(self, tmp_path):
-        vocab = corpus.build_vocabulary([_raw("d", "c", ["b", "a", "b"])])
+        vocab = corpus.build_vocabulary([["b", "a", "b"]])
         out = tmp_path / "vocab.json"
         corpus.write_vocabulary(vocab, out)
         import json

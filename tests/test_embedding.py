@@ -122,9 +122,7 @@ class TestNearestNeighbor:
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
-        vocab = corpus.build_vocabulary(
-            [corpus.RawDocument("d", "c", ["a", "b", "a"])], min_count=1
-        )
+        vocab = corpus.build_vocabulary([["a", "b", "a"]], min_count=1)
         table = embedding.init_embeddings(len(vocab), 4, seed=3)
         bias = np.array([0.5, -1.0, 0.25])
         path = tmp_path / "model.json"
@@ -142,6 +140,16 @@ class TestModelFile:
         loaded, _, bias = embedding.load_model(path)
         assert bias is None
         assert np.array_equal(loaded, table)
+
+    def test_ids_not_dense_rejected_with_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        embedding.save_model(embedding.init_embeddings(2, 3, seed=0), path, ["a", "b"], 0)
+        payload = json.loads(path.read_text())
+        payload["tokens"][1]["id"] = 2  # ids 0, 2
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="not dense 0..n-1") as exc:
+            embedding.load_model(path)
+        assert str(path) in str(exc.value)
 
     def test_non_finite_entries_rejected_with_path(self, tmp_path):
         table = embedding.init_embeddings(3, 2, seed=0)

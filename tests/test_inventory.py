@@ -4,10 +4,10 @@ A function, class or constant that no code in src/sca references is either
 left over (a setting nothing reads, a second copy of a job the program
 already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
-the code it checks. The signatures that benchmarks/child.py hooks into are
-pinned here too, and so are the one function that writes files (and makes directories), the
-one that reads a clock, the CLI's use of the epoch logs as its record of batch scores, and
-KNOBS as the one source of train and eval flags.
+the code it checks. The signatures that benchmarks/child.py hooks into and the
+names the benchmark traces are pinned here too, and so are the one function that writes files
+(and makes directories), the one that reads a clock, the CLI's use of the epoch logs as its
+record of batch scores, and KNOBS as the one source of train and eval flags.
 """
 
 import argparse
@@ -177,6 +177,50 @@ def test_every_train_and_eval_flag_is_a_knob():
         knobs = {f"--{k.name.replace('_', '-')}" for k in cli.KNOBS
                  if command in k.commands and k.help is not None}
         assert flags == knobs
+
+
+# traced names whose code is gone: their metrics read 0 until the benchmark retires or repoints
+# them; corpus.encode_documents' work now runs inside corpus.read_manifest, which ingest_s traces
+DEAD_TRACED_NAMES = {
+    "field.dense_mean", "coherence.batch_coherence", "trainer._project_scales",
+    "lm.corpus_perplexity", "lm.classification_accuracy", "corpus.encode_documents",
+}
+
+
+def _traced_names():
+    """The names benchmarks/run.py passes to calls, total and self_s, and the TRAINING, PRIVATE
+    and PEAK_SAMPLES names of benchmarks/child.py."""
+    run = ast.parse((ROOT / "benchmarks" / "run.py").read_text(encoding="utf-8"))
+    names = {
+        arg.value
+        for node in ast.walk(run)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("calls", "total", "self_s")
+        for arg in node.args
+        if isinstance(arg, ast.Constant)
+    }
+    child = ast.parse((ROOT / "benchmarks" / "child.py").read_text(encoding="utf-8"))
+    for node in child.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] in (
+            ["TRAINING"], ["PRIVATE"], ["PEAK_SAMPLES"]
+        ):
+            value = node.value
+            elements = value.keys if isinstance(value, ast.Dict) else value.elts
+            names.update(element.value for element in elements)
+    return names
+
+
+def test_every_traced_name_is_defined_or_known_dead():
+    # a metric whose traced function is renamed or deleted reads 0 without failing; this names it
+    defined = {
+        f"{module}.{name}"
+        for module, tree in _parse_modules().items()
+        for node in tree.body
+        for name in _defined_names(node)
+    }
+    traced = _traced_names()
+    assert "corpus.token_pools" in traced and "lm.train_joint" in traced
+    assert sorted(traced - defined) == sorted(DEAD_TRACED_NAMES)
 
 
 def test_benchmark_hooks_keep_their_signatures():

@@ -250,7 +250,7 @@ class TestJointTraining:
         # gradient plus lam times the coherence rows of the batch's distinct sources
         docs, vocab = small_docs
         pools = corpus.bigram_pools(docs)
-        total = int(pools.masses.sum())
+        total = sum(map(len, pools))
         config = TrainConfig(lr=0.3, batch_size=total, max_epochs=1, seed=4, tol=None, lam=0.5)
         model = lm.make_model(init_embeddings(len(vocab), 6, seed=2))
         model[:, -1] = np.random.default_rng(2).standard_normal(len(vocab))

@@ -92,7 +92,6 @@ class TestRareWords:
     def _vocab(self, freqs):
         tokens = [corpus.UNK_TOKEN] + [f"t{i}" for i in range(len(freqs))]
         return corpus.Vocabulary(
-            token_to_id={t: i for i, t in enumerate(tokens)},
             id_to_token=tokens,
             frequencies=np.array([0] + list(freqs), dtype=np.int64),
         )

@@ -224,7 +224,7 @@ class TestTrainSca:
             calls.clear()
             _, logs = train(init_embeddings(len(vocab), 6, seed=1))
             assert len(logs) == 3
-            assert len(calls) == int(pools(docs).masses.sum()) // config.batch_size
+            assert len(calls) == sum(map(len, pools(docs))) // config.batch_size
 
     def test_batch_larger_than_corpus_rejected(self):
         table = init_embeddings(3, 4, seed=0)
@@ -241,7 +241,7 @@ class TestRunEpochs:
         docs, vocab = small_docs
         pools = corpus.token_pools(docs)
         config = TrainConfig(batch_size=8, max_epochs=2, tol=None)
-        last = int(pools.masses.sum()) // config.batch_size - 1
+        last = sum(map(len, pools)) // config.batch_size - 1
 
         def stepping(value):
             def step(model, batch, lr, epoch, b):
@@ -263,7 +263,7 @@ class TestRunEpochs:
         docs, vocab = small_docs
         pools = corpus.token_pools(docs)
         config = TrainConfig(batch_size=8, max_epochs=2, tol=None)
-        last = int(pools.masses.sum()) // config.batch_size - 1
+        last = sum(map(len, pools)) // config.batch_size - 1
         observed = []
 
         def step(model, batch, lr, epoch, b):
@@ -367,7 +367,7 @@ class TestGradientFlowStep:
         # a one-batch, one-epoch train_sca applies exactly the Euler step
         docs, vocab = small_docs
         table = init_embeddings(len(vocab), 6, seed=2)
-        total = int(corpus.token_pools(docs).masses.sum())
+        total = sum(map(len, corpus.token_pools(docs)))
         config = TrainConfig(lr=0.3, batch_size=total, max_epochs=1, seed=4, tol=None)
         trained, logs = trainer.train_sca(table, docs, RBF, config)
         ids = corpus.sample_from_pools(corpus.token_pools(docs), total, config.seed, 0)
@@ -390,7 +390,7 @@ class TestAppliedStepDescends:
                                                      binding):
         docs = [toy_docs[0], toy_docs[-1]]  # one document of each category
         pools = corpus.token_pools(docs)
-        total = int(pools.masses.sum())
+        total = sum(map(len, pools))
         for seed in range(1, 6):
             table = init_embeddings(len(toy_vocab), 8, seed=seed)
             ids = corpus.sample_from_pools(pools, total, seed, 0)
@@ -407,7 +407,7 @@ class TestAppliedStepDescends:
     def test_train_joint_lowers_the_coupled_batch_loss(self, small_docs):
         docs, vocab = small_docs
         pools = corpus.bigram_pools(docs)
-        total = int(pools.masses.sum())
+        total = sum(map(len, pools))
         spec = KernelSpec("cosine")
 
         def coupled(model, pairs, config):
