@@ -35,7 +35,6 @@ class CorpusError(Exception):
 class Document:
     """A vocabulary-encoded document."""
 
-    doc_id: str
     category: str
     token_ids: np.ndarray
 
@@ -109,14 +108,14 @@ def read_manifest(manifest_path: str | Path,
         tokens = tokenize(_decode_utf8(doc_path.read_bytes(), str(doc_path)))
         if not tokens:
             raise CorpusError(f"{doc_path}: document has no tokens")
-        listed.append((rel_path.strip(), category, tokens))
+        listed.append((category, tokens))
     if not listed:
         raise CorpusError(f"{manifest}: no documents listed")
-    vocab = build_vocabulary([tokens for _, _, tokens in listed], min_count)
+    vocab = build_vocabulary([tokens for _, tokens in listed], min_count)
     ids = {tok: i for i, tok in enumerate(vocab.id_to_token)}
     return vocab, [
-        Document(doc_id, category, np.array([ids.get(t, UNK_ID) for t in tokens], dtype=np.int64))
-        for doc_id, category, tokens in listed
+        Document(category, np.array([ids.get(t, UNK_ID) for t in tokens], dtype=np.int64))
+        for category, tokens in listed
     ]
 
 
@@ -131,8 +130,6 @@ def build_vocabulary(token_lists: list[list[str]], min_count: int = 1) -> Vocabu
     counts: Counter[str] = Counter()
     for tokens in token_lists:
         counts.update(tokens)
-    if not counts:
-        raise CorpusError("cannot build a vocabulary from an empty corpus")
     kept = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
     dropped_total = sum(c for c in counts.values() if c < min_count)
     id_to_token = [UNK_TOKEN] + kept
@@ -197,8 +194,6 @@ def stratified_split(
         raise ValueError("expected (train, validation, test) ratios")
     if min(ratios) < 0:
         raise ValueError("split ratios must be non-negative")
-    if max(ratios) <= 0:
-        raise ValueError("at least one split ratio must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
 

@@ -78,13 +78,9 @@ def rare_word_report(
     if len(vocab) != len(table_before):
         raise ValueError("vocabulary does not match the tables")
     real_ids = [i for i in range(len(vocab)) if i != UNK_ID]
-    if not real_ids:
-        raise ValueError("vocabulary has no real tokens")
     # on integer frequencies "lower" keeps the interpolated quantile's rare set, minus numpy.ma
     threshold = float(np.quantile(vocab.frequencies[real_ids], RARE_QUANTILE, method="lower"))
     rare = [i for i in real_ids if vocab.frequencies[i] <= threshold]
-    if not rare:
-        raise ValueError("rare set is empty")
     rare.sort(key=lambda i: (int(vocab.frequencies[i]), vocab.id_to_token[i]))
     before = nearest_neighbor_similarity(table_before, rare)[1].tolist()
     after = nearest_neighbor_similarity(table_after, rare)[1].tolist()
@@ -102,8 +98,6 @@ def coherence_histograms(epoch_scores: list[np.ndarray]) -> list[list]:
     of each segment. Non-finite scores (unscored batches) are left out; the
     rest are clipped into [0, 1] so each lands in some bin and counts are conserved.
     """
-    if not epoch_scores:
-        raise ValueError("no batch scores to histogram")
     segments = np.array_split(np.arange(1, len(epoch_scores) + 1), HISTOGRAM_SEGMENTS)
     rows = []
     for segment in (s for s in segments if s.size):

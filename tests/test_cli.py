@@ -195,7 +195,7 @@ class TestTrain:
         ([], {"min_count": 0}, 1, "min_count"),
         ([], {"ratios": [0.5, 0.5, 0.5]}, 1, "ratios"),
         ([], {"ratios": [1.0]}, 1, "(train, validation, test) ratios"),
-        ([], {"ratios": [0, 0, 0]}, 1, "split ratio must be positive"),
+        ([], {"ratios": [0, 0, 0]}, 1, "split ratios must sum to 1"),
         ([], {"tol": -1}, 1, "tol"),
         (["eval", "--batch", "0"], None, 1, "--batch"),
         (["eval", "--seed", "-1"], None, 1, "--seed"),

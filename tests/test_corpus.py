@@ -56,10 +56,6 @@ class TestBuildVocabulary:
             assert vocab.id_to_token[0] == corpus.UNK_TOKEN
             assert len(set(vocab.id_to_token)) == len(vocab) == len(vocab.frequencies)
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(CorpusError):
-            corpus.build_vocabulary([])
-
     def test_bad_min_count_rejected(self):
         with pytest.raises(ValueError):
             corpus.build_vocabulary([["a"]], min_count=0)
@@ -67,13 +63,8 @@ class TestBuildVocabulary:
 
 class TestStratifiedSplit:
     def _docs(self, per_category):
-        docs = []
-        for cat, n in per_category.items():
-            for i in range(n):
-                docs.append(
-                    corpus.Document(f"{cat}{i}", cat, np.arange(3, dtype=np.int64))
-                )
-        return docs
+        return [corpus.Document(cat, np.arange(3, dtype=np.int64))
+                for cat, n in per_category.items() for _ in range(n)]
 
     def test_exact_allocation_single_category(self):
         split = corpus.stratified_split(self._docs({"c": 10}), (0.8, 0.1, 0.1), seed=0)
@@ -87,8 +78,8 @@ class TestStratifiedSplit:
         docs = self._docs({"a": 13, "b": 9})
         one = corpus.stratified_split(docs, (0.6, 0.2, 0.2), seed=42)
         two = corpus.stratified_split(docs, (0.6, 0.2, 0.2), seed=42)
-        assert [d.doc_id for d in one.train] == [d.doc_id for d in two.train]
-        assert [d.doc_id for d in one.test] == [d.doc_id for d in two.test]
+        assert [id(d) for d in one.train] == [id(d) for d in two.train]
+        assert [id(d) for d in one.test] == [id(d) for d in two.test]
 
     def test_partition_and_per_category_tolerance(self):
         rng = np.random.default_rng(11)
@@ -96,8 +87,8 @@ class TestStratifiedSplit:
         for seed in range(5):
             ratios = (0.7, 0.2, 0.1)
             split = corpus.stratified_split(docs, ratios, seed=seed)
-            ids = [d.doc_id for part in (split.train, split.validation, split.test) for d in part]
-            assert sorted(ids) == sorted(d.doc_id for d in docs)
+            ids = [id(d) for part in (split.train, split.validation, split.test) for d in part]
+            assert sorted(ids) == sorted(id(d) for d in docs)
             assert len(set(ids)) == len(docs)
             for cat, size in (("a", 23), ("b", 17), ("c", 5)):
                 for part, ratio in zip((split.train, split.validation, split.test), ratios):
@@ -115,8 +106,8 @@ class TestStratifiedSplit:
 class TestSampleBatch:
     def _two_category_docs(self, mass_a=75, mass_b=25):
         return [
-            corpus.Document("a0", "a", np.zeros(mass_a, dtype=np.int64)),
-            corpus.Document("b0", "b", np.ones(mass_b, dtype=np.int64)),
+            corpus.Document("a", np.zeros(mass_a, dtype=np.int64)),
+            corpus.Document("b", np.ones(mass_b, dtype=np.int64)),
         ]
 
     def test_quotas_follow_largest_remainder(self):
@@ -126,15 +117,15 @@ class TestSampleBatch:
         assert (batch == 0).sum() == 3 and (batch == 1).sum() == 1
 
     def test_single_category_plain_sample(self):
-        docs = [corpus.Document("a0", "a", np.arange(50, dtype=np.int64))]
+        docs = [corpus.Document("a", np.arange(50, dtype=np.int64))]
         batch = corpus.sample_from_pools(corpus.token_pools(docs), 10, seed=1, step=0)
         assert batch.shape == (10,)
         assert np.unique(batch).size == 10  # without replacement within category
 
     def test_deterministic_per_seed_and_step(self):
         docs = [
-            corpus.Document("a0", "a", np.arange(60, dtype=np.int64)),
-            corpus.Document("b0", "b", np.arange(60, 100, dtype=np.int64)),
+            corpus.Document("a", np.arange(60, dtype=np.int64)),
+            corpus.Document("b", np.arange(60, 100, dtype=np.int64)),
         ]
         one = corpus.sample_from_pools(corpus.token_pools(docs), 16, seed=9, step=3)
         two = corpus.sample_from_pools(corpus.token_pools(docs), 16, seed=9, step=3)
@@ -152,6 +143,13 @@ class TestSampleBatch:
             assert int(quotas.sum()) == B
             assert np.all(quotas >= 0) and np.all(quotas <= masses)
 
+    def test_zero_quota_category_takes_no_draw(self):
+        # quotas (0, 2): the one-token pool takes no draw, so the batch is the other pool's alone
+        rare, common = np.array([100], dtype=np.int64), np.arange(9, dtype=np.int64)
+        for seed, step in [(0, 0), (1, 5), (7, 2), (42, 9)]:
+            batch = corpus.sample_from_pools([rare, common], 2, seed, step)
+            assert np.array_equal(batch, corpus.sample_from_pools([common], 2, seed, step))
+
     def test_batch_too_large_rejected(self):
         docs = self._two_category_docs(5, 5)
         with pytest.raises(CorpusError):
@@ -159,15 +157,15 @@ class TestSampleBatch:
 
     def test_no_pool_left_rejected(self):
         # a one-token document has no adjacent pair, so no bigram pool is left to sample from
-        pools = corpus.bigram_pools([corpus.Document("a0", "a", np.zeros(1, dtype=np.int64))])
+        pools = corpus.bigram_pools([corpus.Document("a", np.zeros(1, dtype=np.int64))])
         assert pools == []
         with pytest.raises(CorpusError, match="exceeds total count 0"):
             corpus.sample_from_pools(pools, 1, seed=0, step=0)
 
     def test_bigram_batch_shape_and_determinism(self):
         docs = [
-            corpus.Document("a0", "a", np.arange(30, dtype=np.int64)),
-            corpus.Document("b0", "b", np.arange(20, dtype=np.int64)),
+            corpus.Document("a", np.arange(30, dtype=np.int64)),
+            corpus.Document("b", np.arange(20, dtype=np.int64)),
         ]
         one = corpus.sample_from_pools(corpus.bigram_pools(docs), 8, seed=2, step=0)
         two = corpus.sample_from_pools(corpus.bigram_pools(docs), 8, seed=2, step=0)
@@ -192,7 +190,7 @@ class TestManifestIngestion:
         manifest = _manifest(tmp_path, "\nlit\ta.txt\n  \n\t \nconv\tb.txt\n\n",
                              [("a.txt", "Alpha beta, gamma."), ("b.txt", "delta delta")])
         vocab, docs = corpus.read_manifest(manifest)
-        assert [(d.doc_id, d.category) for d in docs] == [("a.txt", "lit"), ("b.txt", "conv")]
+        assert [d.category for d in docs] == ["lit", "conv"]
         assert [vocab.id_to_token[i] for i in docs[0].token_ids] == [
             "alpha", "beta", ",", "gamma", "."]
         assert vocab.id_to_token[docs[1].token_ids[0]] == "delta"

@@ -48,7 +48,7 @@ class TestNll:
 
 
 def _one_doc(seq):
-    return [corpus.Document("d0", "c", np.asarray(seq, dtype=np.int64))]
+    return [corpus.Document("c", np.asarray(seq, dtype=np.int64))]
 
 
 def _perplexity(model, docs):
@@ -85,7 +85,7 @@ class TestPerplexity:
         # repeated sources in unsorted order; both pair sets have the 7
         # distinct sources {0, 1, 2, 3, 5, 7, 8}, so blocks of 3 end ragged
         seq = np.array([5, 2, 7, 5, 0, 2, 8, 5, 3, 7, 1, 2])
-        docs = [corpus.Document("d0", "c", seq[:6]), corpus.Document("d1", "c", seq[6:])]
+        docs = [corpus.Document("c", seq[:6]), corpus.Document("c", seq[6:])]
         pairs = _pairs(docs)
         monkeypatch.setattr(lm, "SOURCE_BLOCK", 3)
 
@@ -107,7 +107,7 @@ class TestPerplexity:
         rng = np.random.default_rng(5)
         n = 4000
         model = lm.make_model(0.1 * rng.standard_normal((n, 8)), rng.standard_normal(n))
-        docs = [corpus.Document(f"d{k}", "c", rng.integers(0, n, size=201)) for k in range(100)]
+        docs = [corpus.Document("c", rng.integers(0, n, size=201)) for _ in range(100)]
         tracemalloc.start()
         try:
             _perplexity(model, docs)
@@ -120,7 +120,7 @@ class TestPerplexity:
         # the one bigram (0 -> 1), repeated; a tied model can drive its
         # nll to zero through the bias alone
         docs = [
-            corpus.Document(f"d{k}", "c", np.array([0, 1], dtype=np.int64)) for k in range(40)
+            corpus.Document("c", np.array([0, 1], dtype=np.int64)) for _ in range(40)
         ]
         model = lm.make_model(init_embeddings(2, 4, seed=0))
         config = TrainConfig(lr=0.5, batch_size=8, max_epochs=80, seed=0, tol=None)

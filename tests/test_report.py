@@ -126,6 +126,31 @@ class TestRareWords:
         assert [row[0] for row in rows] == ["t4", "t3"]  # ascending frequency
         assert corpus.UNK_TOKEN not in {row[0] for row in rows}
 
+    def test_rare_set_holds_every_minimum_frequency_token(self):
+        # the "lower" quantile is an element of the frequencies, so the rare set is never empty
+        rng = np.random.default_rng(8)
+        for kind in ("tied", "low_outlier", "random"):
+            for _ in range(20):
+                n = int(rng.integers(2, 60))
+                if kind == "tied":
+                    freqs = np.full(n, rng.integers(1, 50))
+                elif kind == "low_outlier":
+                    freqs = rng.integers(20, 50, size=n)
+                    freqs[rng.integers(n)] = 1
+                else:
+                    freqs = rng.integers(1, 50, size=n)
+                table = init_embeddings(n + 1, 3, seed=int(rng.integers(1000)))
+                rows = report.rare_word_report(table, table, self._vocab(freqs))
+                assert rows
+                minimum = {f"t{i}" for i in np.flatnonzero(freqs == freqs.min())}
+                assert minimum <= {row[0] for row in rows}
+
+    def test_vocabulary_length_mismatch_rejected(self):
+        # a vocabulary shorter than the tables would silently score a subset of their rows
+        table = init_embeddings(4, 4, seed=0)
+        with pytest.raises(ValueError, match="vocabulary does not match"):
+            report.rare_word_report(table, table, self._vocab([3, 2]))
+
     def test_shape_mismatch_rejected(self):
         vocab = self._vocab([3, 2])
         a = init_embeddings(3, 4, seed=0)
@@ -153,10 +178,6 @@ class TestHistograms:
             "epochs 21-30",
             "epochs 31-40",
         ]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            report.coherence_histograms([])
 
     def test_non_finite_scores_are_left_out(self):
         scores = self._scores()

@@ -102,7 +102,7 @@ class TestConfig:
 
 
 def _repeated_token_docs(n_tokens=64):
-    return [corpus.Document("d0", "c", np.zeros(n_tokens, dtype=np.int64))]
+    return [corpus.Document("c", np.zeros(n_tokens, dtype=np.int64))]
 
 
 class TestInputsLeftAlone:
