@@ -161,18 +161,25 @@ def _write_manifest(out: Path, command: str, cfg: dict) -> None:
     report.write_json(out / "manifest.json", payload)
 
 
-def _metrics(table: np.ndarray, bias, pairs: list[np.ndarray]) -> dict:
-    """Perplexity and accuracy of each part that _build_corpus paired, from one scoring call."""
-    nlls, hits = lm.score_pairs(lm.make_model(table, bias), np.concatenate(pairs))
+def _score(tables, models, vocab, split, pairs, spec, cfg) -> tuple:
+    """The one report pass: each table's coherence over one draw of seeded batches; each
+    (table, bias) model's perplexity and accuracy on each part that _build_corpus paired, from
+    one scoring call; and, for a (before, after) pair of tables, the rare rows and after's PCA."""
+    scores = coherence.evaluate_coherence(tables, split.train, spec, cfg["batch"], cfg["seed"])
     ends = np.cumsum([len(p) for p in pairs])[:-1]
-    with np.errstate(over="ignore"):  # a mean nll above ~709.8 has no float perplexity: null
-        ppl = [float(np.exp(np.mean(part))) for part in np.split(nlls, ends)]
-    ppl = [None if p == math.inf else p for p in ppl] + [None]
-    acc = [float(np.mean(part)) for part in np.split(hits, ends)] + [None]
-    return {
-        "perplexity_train": ppl[0], "perplexity_heldout": ppl[1], "accuracy": acc[1],
-        "perplexity_validation": ppl[2], "accuracy_validation": acc[2],
-    }
+    metrics = []
+    for table, bias in models:
+        nlls, hits = lm.score_pairs(lm.make_model(table, bias), np.concatenate(pairs))
+        with np.errstate(over="ignore"):  # a mean nll above ~709.8 has no float perplexity: null
+            ppl = [float(np.exp(np.mean(part))) for part in np.split(nlls, ends)]
+        ppl = [None if p == math.inf else p for p in ppl] + [None]
+        acc = [float(np.mean(part)) for part in np.split(hits, ends)] + [None]
+        metrics.append(dict(perplexity_train=ppl[0], perplexity_heldout=ppl[1], accuracy=acc[1],
+                            perplexity_validation=ppl[2], accuracy_validation=acc[2]))
+    rare = pca = None
+    if len(tables) == 2:
+        rare, pca = report.rare_word_report(*tables, vocab), report.pca_project(tables[1])
+    return scores, metrics, rare, pca
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -206,9 +213,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                         on_epoch=checkpoint)
     trained, bias = table_and_bias(model)
 
-    coherence_initial, coherence_final = coherence.evaluate_coherence(
-        [initial, trained], split.train, spec, config.batch_size, config.seed
-    )
+    (coherence_initial, coherence_final), (metrics,), rare, pca = _score(
+        [initial, trained], [(trained, bias)], vocab, split, pairs, spec, cfg)
     summary = {
         "seed": config.seed,
         "lambda": cfg["lambda"],
@@ -220,11 +226,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         "coherence_initial": coherence_initial,
         "coherence_final": coherence_final,
         "coherence_score_note": report.COHERENCE_SCORE_NOTE,
-        **_metrics(trained, bias, pairs),
+        **metrics,
     }
-    rare = report.rare_word_report(initial, trained, vocab)
-    pca = report.pca_project(trained)
-
     embedding.save_model(trained, out / "model.json", vocab.id_to_token, cfg["seed"], bias)
     embedding.save_model(initial, out / "initial_model.json", vocab.id_to_token, cfg["seed"])
     corpus.write_vocabulary(vocab, out / "vocab.json")
@@ -253,15 +256,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # everything is computed before --out is created, so a bad model, kernel or batch leaves none
     models = [load_checked(p) for p in paths]
     spec = _resolve_kernel(cfg, models[0][0])
-    scores = coherence.evaluate_coherence([table for table, _ in models], split.train, spec,
-                                          cfg["batch"], cfg["seed"])
-    metrics = [{**_metrics(*m, pairs), "coherence_score": s} for m, s in zip(models, scores)]
+    scores, metrics, rare, pca = _score([table for table, _ in models], models, vocab, split,
+                                        pairs, spec, cfg)
+    metrics = [{**m, "coherence_score": s} for m, s in zip(metrics, scores)]
     summary = metrics[0] if single else {"before": metrics[0], "after": metrics[1]}
-    rare = pca = None
-    if not single:
-        (before, _), (after, _) = models
-        rare = report.rare_word_report(before, after, vocab)
-        pca = report.pca_project(after)
+    if rare is not None:
         summary["rare_word_mean_delta"] = float(np.mean([a - b for _, _, b, a in rare]))
     summary["seed"] = cfg["seed"]
     summary["coherence_score_note"] = report.COHERENCE_SCORE_NOTE

@@ -246,6 +246,7 @@ def sample_from_pools(pools: list[np.ndarray], batch_size: int, seed: int,
     Per-category quotas are proportional to category mass, rounded by the
     largest-remainder rule, and drawn without replacement within the
     category. Deterministic for a fixed (seed, step) pair, both non-negative.
+    A zero quota's choice(mass, size=0) advances no random state.
     """
     masses = np.array([len(values) for values in pools], dtype=np.int64)
     total = int(masses.sum())
@@ -253,10 +254,6 @@ def sample_from_pools(pools: list[np.ndarray], batch_size: int, seed: int,
         raise CorpusError(f"batch size {batch_size} exceeds total count {total}")
     quotas = largest_remainder_counts(batch_size * masses / total, batch_size)
     rng = np.random.default_rng([seed, step])
-    picks = []
-    for values, mass, quota in zip(pools, masses, quotas):
-        if quota == 0:
-            continue
-        idx = rng.choice(int(mass), size=int(quota), replace=False)
-        picks.append(values[idx])
+    picks = [values[rng.choice(int(mass), size=int(quota), replace=False)]
+             for values, mass, quota in zip(pools, masses, quotas)]
     return np.concatenate(picks, axis=0)

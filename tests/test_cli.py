@@ -808,8 +808,13 @@ class TestEval:
                       "--out", str(tmp_path / "flag")])
         assert exc.value.code == 2
 
-    def test_before_after_reproduces_the_train_reports(self, corpus_dir, train_run, tmp_path):
-        run = train_run(*DEFAULT)
+    # train scores its tables through the report function eval calls, so a joint run's bias
+    # column reaches the perplexity and accuracy keys on both sides
+    @pytest.mark.parametrize("recipe", [DEFAULT, (("--lambda", "0.5", "--kernel", "cosine"), {})],
+                             ids=["sca", "joint"])
+    def test_before_after_reproduces_the_train_reports(self, corpus_dir, train_run, tmp_path,
+                                                       recipe):
+        run = train_run(*recipe)
         out = tmp_path / "eval"
         flags = ["--config", str(run / "manifest.json"), "--before", str(run / "initial_model.json"),
                  "--after", str(run / "model.json")]
@@ -820,7 +825,8 @@ class TestEval:
         evaluated = json.loads((out / "summary.json").read_text())
         assert evaluated["before"]["coherence_score"] == trained["coherence_initial"]
         assert evaluated["after"]["coherence_score"] == trained["coherence_final"]
-        for key in ("perplexity_train", "perplexity_heldout", "accuracy"):
+        for key in ("perplexity_train", "perplexity_heldout", "accuracy", "perplexity_validation",
+                    "accuracy_validation"):
             assert evaluated["after"][key] == trained[key]
 
     def test_requires_model_arguments(self, corpus_dir, tmp_path):

@@ -162,6 +162,55 @@ class TestBatchState:
             compute_batch_state(spec, np.zeros((3, 4)), np.array([0, 1, 2]), 0.0, "clip")
 
 
+BOUNDS = [(None, "clip"), (1e-3, "clip"), (1e-3, "alg1")]
+
+
+def _repeated_batches(count=20, n=6, d=4, m=12):
+    """(table, ids) pairs whose batches of m ids over n rows repeat ids."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed + 700)
+        yield rng.standard_normal((n, d)), rng.integers(0, n, size=m)
+
+
+class TestExactIdentities:
+    # sum_i e_i . g_i = 2 sum_i <A_i, A_i - M> = 2L since sum_i (A_i - M) = 0, with the scales
+    # held fixed as the detached gradient holds them; kernel and bound see E only through inner
+    # products, so a rotation moves every quantity with it
+    @pytest.mark.parametrize("bound", BOUNDS, ids=["unbounded", "clip", "alg1"])
+    @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
+    def test_gradients_against_embeddings_sum_to_twice_the_loss(self, spec, bound):
+        for table, ids in _repeated_batches():
+            state = compute_batch_state(spec, table, ids, *bound)
+            assert bound[0] is None or np.all(state.scales != 1.0)
+            assert np.vdot(state.lefts, state.gradients) == pytest.approx(2.0 * state.loss,
+                                                                          rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, power", [(RBF, 4), (KernelSpec("dot"), 8), (KernelSpec("cosine"), 4)],
+        ids=["rbf", "dot", "cosine"],
+    )
+    def test_scaling_the_table_scales_the_loss_by_a_power(self, spec, power):
+        # T_i = e_i c_i^T has degree 2 in E, or 4 for dot, whose kernel has degree 2; rbf keeps
+        # its kernel only if the bandwidth scales with the table
+        for s in (0.3, 1.7):
+            scaled = KernelSpec("rbf", s * spec.bandwidth) if spec.family == "rbf" else spec
+            for table, ids in _repeated_batches():
+                state = compute_batch_state(spec, table, ids)
+                moved = compute_batch_state(scaled, s * table, ids)
+                assert moved.loss == pytest.approx(s**power * state.loss, rel=1e-12)
+                _assert_close(moved.gradients, s ** (power - 1) * state.gradients)
+
+    @pytest.mark.parametrize("bound", BOUNDS, ids=["unbounded", "clip", "alg1"])
+    @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
+    def test_rotating_the_table_rotates_the_gradients(self, spec, bound):
+        for k, (table, ids) in enumerate(_repeated_batches()):
+            Q = np.linalg.qr(np.random.default_rng(k).standard_normal((4, 4)))[0]
+            state = compute_batch_state(spec, table, ids, *bound)
+            moved = compute_batch_state(spec, table @ Q, ids, *bound)
+            assert moved.loss == pytest.approx(state.loss, rel=1e-12)
+            _assert_close(moved.gradients, state.gradients @ Q)
+
+
 class TestLoss:
     def test_single_member_batch_is_zero(self):
         table, _, state = _random_state(2, m=1)

@@ -6,8 +6,9 @@ already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. The signatures that benchmarks/child.py hooks into and the
 names the benchmark traces are pinned here too, and so are the one function that writes files
-(and makes directories), the one that reads a clock, the CLI's use of the epoch logs as its
-record of batch scores, and KNOBS as the one source of train and eval flags.
+(and makes directories), the one that reads a clock, the one report function of train and eval,
+the CLI's use of the epoch logs as its record of batch scores, and KNOBS as the one source of
+train and eval flags.
 """
 
 import argparse
@@ -142,6 +143,21 @@ def test_one_function_reads_a_clock():
     # clock readings reach a run directory only through EpochLog.seconds, which cli writes to
     # timing.json alone; a new reading must change this pin
     assert _called_in_src(_clock_callee) == {("trainer.run_epochs", "perf_counter")}
+
+
+REPORT_CALLS = ("evaluate_coherence", "score_pairs", "rare_word_report", "pca_project")
+
+
+def _report_callee(func):
+    """A call of a REPORT_CALLS name, bare or as an attribute."""
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name if name in REPORT_CALLS else None
+
+
+def test_one_function_scores_the_reports():
+    # cmd_train and cmd_eval both report through cli._score, so train's coherence and metric
+    # keys equal those of eval --before initial --after trained by construction
+    assert _called_in_src(_report_callee) == {("cli._score", name) for name in REPORT_CALLS}
 
 
 def test_cli_observes_no_batch():
