@@ -7,19 +7,23 @@ Cross-entropy gradients are analytic; joint training adds lam * (coherence
 gradient) over the batch's distinct source tokens. A lam of 0 skips the
 coherence machinery, so such a run is plain cross-entropy.
 
-A training step takes the batch's distinct sources once, for both terms.
-ce_batch_gradients returns (loss, grad), grad (n, d+1) like the model. It
-builds one exponentiated logit row per distinct source and folds the
-softmax's normalization into the small operands, so no normalized (B, n)
-matrix is formed; the one-hot targets are one subtraction per pair, the
-coherence rows are added onto the distinct sources, and the update runs in place.
+Each scheduled batch's distinct sources, each pair's index among them and
+their pair counts are found once per run, when run_epochs draws the
+schedule, and serve both terms of every step. ce_batch_gradients returns
+(loss, grad), grad (n, d+1) like the model. It builds one exponentiated
+logit row per distinct source and folds the softmax's normalization into the
+small operands, so no normalized (B, n) matrix is formed; the one-hot
+targets are one subtraction per pair, the coherence rows are added onto the
+distinct sources, and the update runs in place.
 
 Evaluation is one pass, score_pairs: a pair's nll and top-1 hit depend on
 its source only through its row of logits, so one vocabulary-wide row is
 built per distinct source, SOURCE_BLOCK sources at a time, and every pair's
 target logit and argmax are gathered from it. Both passes build their rows
-with _shifted_logits. Perplexity is exp of a part's mean nll, accuracy the
-mean of its hits.
+with _logits. Evaluation shifts every row by its max, so each row's max is
+exactly 0; training shifts only when some row's max leaves [-LOGIT_SPAN,
+LOGIT_SPAN], since the shift cancels from its loss and gradient. Perplexity
+is exp of a part's mean nll, accuracy the mean of its hits.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ from .kernel import KernelSpec
 from .trainer import EpochLog, TrainConfig
 
 SOURCE_BLOCK = 1024  # distinct sources per block of vocabulary-wide logit rows
+# Training leaves its logit rows unshifted while every row's max m lies in [-LOGIT_SPAN,
+# LOGIT_SPAN]. A row's largest exponential e^m is then in [1.6e-28, 6.2e27]: its total is at
+# least 1.6e-28, far above the smallest normal float (2.2e-308), and a total times B is at most
+# n B e^64, far below the largest float (1.8e308) for any n B under 1e280.
+LOGIT_SPAN = 64.0
 
 
 def make_model(table: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -38,16 +47,19 @@ def make_model(table: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     return np.column_stack([table, np.zeros(len(table)) if bias is None else bias])
 
 
-def _shifted_logits(model: np.ndarray, sources: np.ndarray, out=None):
-    """The sources' logit rows [e_u, 1] model^T, each shifted by its max, and [e_u, 1].
+def _logits(model: np.ndarray, sources: np.ndarray, span: float = 0.0, out=None):
+    """The sources' logit rows [e_u, 1] model^T, and [e_u, 1].
 
-    A row's max becomes exactly 0 and every smaller finite entry stays
-    strictly negative, so a finite row's argmax survives the shift.
+    Each row is shifted by its max unless every row's max lies in [-span, span]. At span 0 a
+    row's max becomes exactly 0 and every smaller finite entry stays strictly negative, so a
+    finite row's argmax survives the shift.
     """
     W = model[sources]
     W[:, -1] = 1.0
     Z = np.dot(W, model.T, out=out)
-    Z -= Z.max(axis=1)[:, None]
+    peaks = Z.max(axis=1)
+    if not np.all(np.abs(peaks) <= span):  # a NaN max fails the test, so its row is shifted
+        Z -= peaks[:, None]
     return Z, W
 
 
@@ -66,17 +78,23 @@ def score_pairs(model: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.nd
         block = unique[start:start + SOURCE_BLOCK]
         members = np.flatnonzero((inverse >= start) & (inverse < start + block.shape[0]))
         rows = inverse[members] - start
-        Z, _ = _shifted_logits(model, block)
+        Z, _ = _logits(model, block)
         hits[members] = np.argmax(Z, axis=1)[rows] == targets[members]
         log_norm = np.log(np.sum(np.exp(Z), axis=1))
         nlls[members] = log_norm[rows] - Z[rows, targets[members]]
     return nlls, hits
 
 
+def distinct_sources(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch's distinct sources, each pair's index among them, and each source's pair count."""
+    sources, inverse = np.unique(pairs[:, 0], return_inverse=True)
+    return sources, inverse, np.bincount(inverse)
+
+
 def ce_batch_gradients(
     model: np.ndarray,
     pairs: np.ndarray,
-    distinct: tuple[np.ndarray, np.ndarray] | None = None,
+    distinct: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Batch-mean cross-entropy loss and its analytic gradient.
 
@@ -84,35 +102,34 @@ def ce_batch_gradients(
     carry both the output-side term (p - y) e_w and the tied input-side
     term E^T (p - y) on the source rows; its last column is the bias's.
 
-    Each distinct source u gets one row Z_u = exp(logits_u - max), summing
-    to t_u. Subtracting t_u / count_u at each of u's pairs' targets (repeats
-    accumulate) and scaling by r_u = count_u / (t_u B) gives u's rows of
-    (P - Y) / B without a normalized (B, n) matrix. Output side and bias:
+    Each distinct source u gets one row Z_u = exp(logits_u - c_u), summing
+    to t_u, where c_u is 0 while every row's max lies in [-LOGIT_SPAN,
+    LOGIT_SPAN] and the row's max otherwise; the shift cancels from the loss
+    and from r_u. Subtracting t_u / count_u at each of u's pairs' targets
+    (repeats accumulate) and scaling by r_u = count_u / (t_u B) gives u's rows
+    of (P - Y) / B without a normalized (B, n) matrix. Output side and bias:
     Z^T [r e_u, r]. Input side: r (Z E), onto the distinct sources.
 
-    distinct, if given, is np.unique(pairs[:, 0], return_inverse=True).
+    distinct, if given, is distinct_sources(pairs).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     B = pairs.shape[0]
-    src, tgt = pairs[:, 0], pairs[:, 1]
-    if distinct is None:
-        distinct = np.unique(src, return_inverse=True)
-    sources, inverse = distinct
-    counts = np.bincount(inverse)
+    sources, inverse, counts = distinct_sources(pairs) if distinct is None else distinct
+    tgt = pairs[:, 1]
     n = model.shape[0]
-    # one (r, n) buffer holds the logits, shifted, then their exponentials; it is cut from B
-    # rows, so each step asks malloc for the same size and reuses the heap instead of growing
-    # and trimming it, which costs page faults
-    Z, W = _shifted_logits(model, sources, out=np.empty((B, n))[: sources.shape[0]])
+    # one (r, n) buffer holds the logits, then their exponentials; it is cut from B rows, so
+    # each step asks malloc for the same size and reuses the heap instead of growing and
+    # trimming it, which costs page faults
+    Z, W = _logits(model, sources, LOGIT_SPAN, out=np.empty((B, n))[: sources.shape[0]])
     picked = Z[inverse, tgt]
     np.exp(Z, out=Z)
     totals = np.dot(Z, np.ones(n))  # row sums; the matrix-vector product is faster than np.sum
-    loss = float(np.mean(np.log(totals)[inverse] - picked))
+    loss = float(np.add.reduce(np.log(totals)[inverse] - picked) / B)
     # a 2-D index, so an out-of-range target raises instead of reading the next row
     np.subtract.at(Z, (inverse, tgt), (totals / counts)[inverse])
     r = counts / (totals * B)
     W *= r[:, None]
-    grad = np.dot(Z.T, W)
+    grad = np.dot(W.T, Z).T  # an F-ordered (n, d+1) view; BLAS runs this shape faster than Z^T W
     inside = np.dot(Z, model)  # the whole model, not a strided view that np.dot would copy
     inside *= r[:, None]
     grad[sources, :-1] += inside[:, :-1]  # the sources are distinct: no accumulating scatter
@@ -138,8 +155,8 @@ def train_joint(
     use_sca = config.lam != 0.0
     bound = (config.rho, config.spectral_mode)
 
-    def step(work: np.ndarray, pairs: np.ndarray, lr: float, epoch: int, b: int) -> tuple:
-        distinct = np.unique(pairs[:, 0], return_inverse=True)
+    def step(work: np.ndarray, batch: tuple, lr: float, epoch: int, b: int) -> tuple:
+        pairs, distinct = batch
         loss, grad = ce_batch_gradients(work, pairs, distinct)
         score = float("nan")
         if use_sca:
@@ -153,4 +170,4 @@ def train_joint(
         return loss, score
 
     return trainer.run_epochs(model, corpus.bigram_pools(documents), config, step, on_batch,
-                              on_epoch)
+                              on_epoch, prepare=lambda pairs: (pairs, distinct_sources(pairs)))

@@ -116,15 +116,18 @@ def run_epochs(
     model: np.ndarray,
     pools: list[np.ndarray],
     config: TrainConfig,
-    step: Callable[[np.ndarray, np.ndarray, float, int, int], tuple[float, float]],
+    step: Callable[[np.ndarray, object, float, int, int], tuple[float, float]],
     on_batch=None,
     on_epoch=None,
+    prepare: Callable[[np.ndarray], object] = lambda batch: batch,
 ) -> tuple[np.ndarray, list[EpochLog]]:
     """The epoch loop that every trainer runs; returns the trained model and the per-epoch logs.
 
     The model, the one array being trained, is copied once, so the input is left untouched.
     Draws the seeded batch schedule from the pools once, total // batch_size stratified
-    batches, and runs it every epoch, so epoch losses stay directly comparable.
+    batches, and runs it every epoch, so epoch losses stay directly comparable. prepare maps
+    each drawn batch once to what the step receives as its batch, so work that depends on the
+    batch alone is done once per run, not once per epoch.
     step(model, batch, lr, epoch, b) updates the copy in place and returns the batch loss and
     coherence score (NaN when no coherence term is trained). Training stops at max_epochs or
     on the windowed convergence rule; the learning rate halves after a loss uptick.
@@ -140,7 +143,7 @@ def run_epochs(
     if config.batch_size > total:
         raise TrainingError(f"batch size {config.batch_size} exceeds corpus size {total}")
     schedule = [
-        corpus.sample_from_pools(pools, config.batch_size, config.seed, b)
+        prepare(corpus.sample_from_pools(pools, config.batch_size, config.seed, b))
         for b in range(total // config.batch_size)
     ]
     model = model.copy()
@@ -189,12 +192,13 @@ def train_sca(
     """
     columns = np.arange(table.shape[1])
 
-    def step(work: np.ndarray, ids: np.ndarray, lr: float, epoch: int, b: int) -> tuple:
+    def step(work: np.ndarray, batch: tuple, lr: float, epoch: int, b: int) -> tuple:
+        ids, flat = batch
         state = coherence.compute_batch_state(spec, work, ids, config.rho, config.spectral_mode)
         check_finite(state.loss, state.gradients, epoch, b)
         # a 1-D scatter onto the flat entries of the rows adds in the same order as a 2-D one
-        entries = ids[:, None] * columns.size + columns
-        np.add.at(work.reshape(-1), entries.reshape(-1), state.gradients.reshape(-1) * -lr)
+        np.add.at(work.reshape(-1), flat, state.gradients.reshape(-1) * -lr)
         return state.loss, state.score
 
-    return run_epochs(table, corpus.token_pools(documents), config, step, on_batch, on_epoch)
+    return run_epochs(table, corpus.token_pools(documents), config, step, on_batch, on_epoch,
+                      prepare=lambda ids: (ids, (ids[:, None] * columns.size + columns).ravel()))

@@ -228,6 +228,47 @@ class TestCeGradients:
                     gap = np.max(np.abs(grad[part] - want[part]))
                     assert gap <= 1e-12 * np.max(np.abs(want[part]))
 
+    # row maxima placed against LOGIT_SPAN by a common bias offset (every row moves with it), or
+    # by one source alone: a first coordinate that only that source's row and column carry
+    SPAN_CASES = {
+        "inside": (lambda peaks: lm.LOGIT_SPAN - 1e-6 - peaks.max(), "none"),
+        "just_above": (lambda peaks: lm.LOGIT_SPAN + 1e-6 - peaks.max(), "some"),
+        "just_below": (lambda peaks: -lm.LOGIT_SPAN - 1e-6 - peaks.min(), "some"),
+        "far_above": (lambda peaks: 1e3, "all"),
+        "far_below": (lambda peaks: -1e3, "all"),
+        "one_row": (None, "one"),
+    }
+
+    @pytest.mark.parametrize("case", list(SPAN_CASES))
+    def test_logit_span_matches_dense_oracle(self, case):
+        # training shifts its logit rows only when some row's max leaves [-LOGIT_SPAN,
+        # LOGIT_SPAN]; either way the loss and gradient are the unshifted softmax's
+        offset, expected = self.SPAN_CASES[case]
+        pairs = np.array([[3, 0], [5, 3], [3, 3], [1, 0], [5, 7], [3, 0], [9, 5], [3, 8]])
+        sources = np.unique(pairs[:, 0])
+        rng = np.random.default_rng(34)
+        for trial in range(5):
+            model = lm.make_model(rng.standard_normal((12, 6)), rng.standard_normal(12))
+            if offset is None:
+                model[:, 0] = 0.0
+                model[9, 0] = math.sqrt(1e3)
+            else:
+                logits = model[sources, :-1] @ model[:, :-1].T + model[:, -1]
+                model[:, -1] += offset(logits.max(axis=1))
+            logits = model[sources, :-1] @ model[:, :-1].T + model[:, -1]
+            out = np.abs(logits.max(axis=1)) > lm.LOGIT_SPAN
+            assert {"none": not out.any(), "some": 0 < out.sum() < out.size, "all": out.all(),
+                    "one": out.tolist() == [False, False, False, True]}[expected]
+            loss, grad = lm.ce_batch_gradients(model, pairs)
+            want_loss, want = ce_gradients(model, pairs)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            for part in (np.s_[:, :-1], np.s_[:, -1]):
+                gap = np.max(np.abs(grad[part] - want[part]))
+                assert gap <= 1e-12 * np.max(np.abs(want[part]))
+            # the per-batch invariants the training schedule computes once give the same bits
+            again, regrad = lm.ce_batch_gradients(model, pairs, lm.distinct_sources(pairs))
+            assert again == loss and np.array_equal(regrad, grad)
+
 
 class TestJointTraining:
     def test_lambda_zero_matches_baseline_bitwise(self, small_docs):

@@ -4,9 +4,11 @@ The reference re-derives the vocabulary, split, init, median bandwidth, seeded s
 trainers, lr halving and held-out perplexity from the generated documents alone, sharing no code
 with src/sca. Each case runs the program in-process through cli.main on the toy_sca workload with
 fewer epochs, embeddings only or in joint mode, and checks the three figures the benchmark's
-output check gates, at its tolerance.
+output check gates, at its tolerance. One joint recipe weights the coherence term enough that
+the epoch loss turns up, so the learning-rate halving is checked too.
 """
 
+import csv
 import dataclasses
 import json
 import sys
@@ -32,7 +34,11 @@ RECIPES = {
     "toy_sca": dataclasses.replace(TOY, epochs=10),
     "joint_cosine": dataclasses.replace(TOY, epochs=5, kernel="cosine", lam=0.5),
     "joint_rbf": dataclasses.replace(TOY, epochs=5, kernel="rbf", lam=0.5),
+    # a coherence weight large enough that the epoch loss turns up, so the rate halves
+    "joint_halving": dataclasses.replace(TOY, epochs=10, kernel="cosine", lam=2.0),
 }
+# the lowest learning rate in each recipe's loss_curve.csv, at both seeds; the others keep lr
+LOWEST_LR = {"joint_halving": TrainConfig.lr / 4}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -48,6 +54,9 @@ def test_run_matches_the_reference(tmp_path, recipe, seed):
     got = json.loads((out / "reports" / "summary.json").read_text(encoding="utf-8"))
     ref = reference(docs, workload, seed)
     assert got["epochs_run"] == workload.epochs
+    with open(out / "loss_curve.csv", encoding="utf-8", newline="") as fh:
+        rates = [float(row["lr"]) for row in csv.DictReader(fh)]
+    assert rates[0] == TrainConfig.lr and min(rates) == LOWEST_LR.get(recipe, TrainConfig.lr)
     for key in CHECKED:
         want = getattr(ref, key)
         assert abs(got[key] - want) <= RTOL * abs(want) + ATOL_SCALE * ref.loss_first, key
