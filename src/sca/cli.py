@@ -54,38 +54,75 @@ _bandwidth = _parser("a string or a finite number", NUMBER,
                      lambda v: v if isinstance(v, str) else float(v))
 _ratios = _parser("a list of finite numbers", (list, tuple), lambda v: tuple(map(_number, v)))
 
-# one train/eval setting: config and manifest key, and flag unless help is None (config file only)
-Knob = namedtuple("Knob", "name parse default commands help")
+# a knob's range: (phrase, test), the phrase ending "<knob> must be ..."
+POSITIVE = ("positive", lambda v: v > 0)
+AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+NON_NEGATIVE_OR_NULL = ("non-negative, or null", lambda v: v is None or v >= 0)
+
+
+def _one_of(choices: tuple[str, ...]) -> tuple:
+    return ("one of " + "/".join(choices), lambda v: v in choices)
+
+
+def _positive_or_median(value) -> bool:
+    """'median', or a number or numeric text in (0, inf); _resolve_kernel takes it from there."""
+    try:
+        return value == "median" or 0 < float(value) < math.inf
+    except ValueError:
+        return False
+
+
+# one train/eval setting: config and manifest key, flag unless help is None (config file only),
+# and the range its merged value must be in, unless accepts is None
+Knob = namedtuple("Knob", "name parse default commands help accepts", defaults=(None,))
 BOTH = ("train", "eval")
 KNOBS = (
     Knob("corpus", _text, None, BOTH, "manifest file: one '<category>\\t<path>' line per document"),
     Knob("model", _path_or_null, None, ("eval",), "single model JSON to evaluate"),
     Knob("before", _path_or_null, None, ("eval",), "model JSON before training"),
     Knob("after", _path_or_null, None, ("eval",), "model JSON after training"),
-    Knob("dim", _integer, 16, ("train",), "embedding dimension"),
-    Knob("kernel", _text, "rbf", BOTH, "kernel family: " + "/".join(kernel.FAMILIES)),
-    Knob("bandwidth", _bandwidth, "median", BOTH, "rbf bandwidth: a number or 'median'"),
-    Knob("rho", _number, TrainConfig.rho, ("train",), "spectral norm threshold"),
+    Knob("dim", _integer, 16, ("train",), "embedding dimension", (">= 2", lambda v: v >= 2)),
+    Knob("kernel", _text, "rbf", BOTH, "kernel family: " + "/".join(kernel.FAMILIES),
+         _one_of(kernel.FAMILIES)),
+    Knob("bandwidth", _bandwidth, "median", BOTH, "rbf bandwidth: a number or 'median'",
+         ("a positive number or 'median'", _positive_or_median)),
+    Knob("rho", _number, TrainConfig.rho, ("train",), "spectral norm threshold", POSITIVE),
     Knob("spectral_mode", _text, TrainConfig.spectral_mode, ("train",),
-         "spectral bound rule: " + "/".join(PROJECTION_MODES)),
-    Knob("lr", _number, TrainConfig.lr, ("train",), "initial learning rate"),
-    Knob("batch", _integer, TrainConfig.batch_size, BOTH, "batch size"),
-    Knob("epochs", _integer, TrainConfig.max_epochs, ("train",), "maximum number of epochs"),
-    Knob("lambda", _number_or_null, None, ("train",), "joint LM weight; omit: embeddings only"),
-    Knob("seed", _integer, TrainConfig.seed, BOTH, "seed of the split, init and batches"),
+         "spectral bound rule: " + "/".join(PROJECTION_MODES), _one_of(PROJECTION_MODES)),
+    Knob("lr", _number, TrainConfig.lr, ("train",), "initial learning rate", POSITIVE),
+    Knob("batch", _integer, TrainConfig.batch_size, BOTH, "batch size", AT_LEAST_ONE),
+    Knob("epochs", _integer, TrainConfig.max_epochs, ("train",), "maximum number of epochs",
+         AT_LEAST_ONE),
+    Knob("lambda", _number_or_null, None, ("train",), "joint LM weight; omit: embeddings only",
+         NON_NEGATIVE_OR_NULL),
+    Knob("seed", _integer, TrainConfig.seed, BOTH, "seed of the split, init and batches",
+         NON_NEGATIVE),
     Knob("out", _text, None, BOTH, "output directory: new, or an empty directory"),
-    Knob("checkpoint_every", _integer, 0, ("train",), "save the model every N epochs; 0: never"),
-    Knob("min_count", _integer, 1, BOTH, None),
-    Knob("ratios", _ratios, (0.8, 0.1, 0.1), BOTH, None),
-    Knob("sigma_init", _number, 0.1, ("train",), None),
-    Knob("window", _integer, TrainConfig.window, ("train",), None),
-    Knob("tol", _number_or_null, TrainConfig.tol, ("train",), None),
+    Knob("checkpoint_every", _integer, 0, ("train",), "save the model every N epochs; 0: never",
+         NON_NEGATIVE),
+    Knob("min_count", _integer, 1, BOTH, None, AT_LEAST_ONE),
+    Knob("ratios", _ratios, (0.8, 0.1, 0.1), BOTH, None,
+         ("three non-negative (train, validation, test) shares that sum to 1",
+          lambda r: len(r) == 3 and min(r) >= 0 and abs(sum(r) - 1.0) <= 1e-9)),
+    Knob("sigma_init", _number, 0.1, ("train",), None, POSITIVE),
+    Knob("window", _integer, TrainConfig.window, ("train",), None, AT_LEAST_ONE),
+    Knob("tol", _number_or_null, TrainConfig.tol, ("train",), None, NON_NEGATIVE_OR_NULL),
 )
 
 
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
 def _resolve_config(args: argparse.Namespace, command: str) -> dict:
-    """Merge defaults < config file < flags; each config value is parsed like its flag."""
+    """Merge defaults < config file < flags; each config value is parsed like its flag.
+
+    Every merged value is then checked against its knob's range, before the corpus is read; an
+    error names the knob as it was set: --lr for a flag, config <file>: lr for a file value.
+    """
     cfg = {k.name: k.default for k in KNOBS if command in k.commands}
+    named = {}  # how each value was set, when not by its default
     if args.config:
         payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if isinstance(payload, dict) and isinstance(payload.get("config"), dict):
@@ -96,19 +133,22 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
         for key, value in payload.items():
             if key not in knobs and key != "bandwidth_resolved":  # a manifest-only key
                 raise ValueError(f"config {args.config}: unknown key {key!r}")
+            named[key] = f"config {args.config}: {key}"
             try:
                 if key in cfg:
                     cfg[key] = knobs[key].parse(value)
             except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"config {args.config}: {key}: {exc}") from None
+                raise ValueError(f"{named[key]}: {exc}") from None
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg[key] = flag
+            cfg[key], named[key] = flag, _flag(key)
     if not cfg["corpus"] or not cfg["out"]:
         raise ValueError(f"{command} requires --corpus and --out")
-    # the split and eval's batches use these before any trainer validates its config
-    TrainConfig(batch_size=cfg["batch"], seed=cfg["seed"]).validate()
+    for knob in KNOBS:
+        if knob.name in cfg and knob.accepts and not knob.accepts[1](cfg[knob.name]):
+            raise ValueError(f"{named.get(knob.name, knob.name)} must be {knob.accepts[0]}, "
+                             f"got {cfg[knob.name]!r}")
     out = Path(cfg["out"])  # each run directory holds one run
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ValueError(f"--out {out} exists and is not an empty directory")
@@ -116,19 +156,12 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
 
 
 def _resolve_kernel(cfg: dict, table: np.ndarray) -> KernelSpec:
-    """The kernel spec; the bandwidth is checked whatever the family and used by rbf only."""
-    bandwidth = cfg["bandwidth"]
-    try:
-        valid = bandwidth == "median" or 0 < float(bandwidth) < math.inf
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ValueError(f"--bandwidth must be a positive number or 'median', got {bandwidth!r}")
+    """The kernel spec; rbf takes the bandwidth, a number or the table's median distance."""
     if cfg["kernel"] != "rbf":
         return KernelSpec(family=cfg["kernel"])
-    if bandwidth == "median":
+    if cfg["bandwidth"] == "median":
         return KernelSpec("rbf", kernel.median_bandwidth(table, seed=cfg["seed"]))
-    return KernelSpec("rbf", float(bandwidth))
+    return KernelSpec("rbf", float(cfg["bandwidth"]))
 
 
 def _build_corpus(cfg: dict, reports: bool):
@@ -194,8 +227,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         lam=cfg["lambda"] if joint else TrainConfig.lam,
     )
     checkpoint_every = cfg["checkpoint_every"]
-    if checkpoint_every < 0:
-        raise ValueError(f"--checkpoint-every must be >= 0, got {checkpoint_every}")
     out = Path(cfg["out"])
 
     def table_and_bias(model):  # a model file's parts: the joint [E | b] is split, a table is not
@@ -275,7 +306,7 @@ def _add_knob_flags(parser: argparse.ArgumentParser, command: str) -> None:
     for knob in KNOBS:
         if command in knob.commands and knob.help is not None:
             shown = "" if knob.default is None else f" (default {knob.default})"
-            parser.add_argument(f"--{knob.name.replace('_', '-')}", type=knob.parse,
+            parser.add_argument(_flag(knob.name), type=knob.parse,
                                 help=knob.help + shown)
 
 

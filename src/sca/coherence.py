@@ -45,12 +45,9 @@ def spectral_scales(sigma, rho: float, mode: str = "clip") -> np.ndarray:
 
     clip: rho / max(sigma, rho), so sigma_max <= rho and fields inside the
     ball keep scale exactly 1. alg1: 1 / max(sigma, rho), which maps an
-    out-of-bounds field to norm 1 and shrinks in-bounds fields by rho.
+    out-of-bounds field to norm 1 and shrinks in-bounds fields by rho. rho is positive and mode
+    one of PROJECTION_MODES, as cli.KNOBS checks.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if mode not in PROJECTION_MODES:
-        raise ValueError(f"unknown projection mode {mode!r}; expected one of {PROJECTION_MODES}")
     return (rho if mode == "clip" else 1.0) / np.maximum(sigma, rho)
 
 
@@ -82,8 +79,8 @@ def compute_batch_state(
     squares = np.add.reduce(EC * EC, axis=2)
     gamma, sigma = squares[1], np.multiply.reduce(np.sqrt(squares))  # |c_i|^2, |e_i||c_i|
     A, scales, field_norms, twice = E, np.ones(m), sigma, 2.0
-    # inside the clip ball every scale is exactly 1; elsewhere spectral_scales checks rho and mode
-    if rho is not None and not (mode == "clip" and rho > 0 and sigma.max() <= rho):
+    # inside the clip ball every scale is exactly 1
+    if rho is not None and not (mode == "clip" and sigma.max() <= rho):
         scales = spectral_scales(sigma, rho, mode)
         A, field_norms, twice = scales[:, None] * E, scales * sigma, 2.0 * scales[:, None]
         a = A - A[0]

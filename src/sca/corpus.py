@@ -125,8 +125,6 @@ def build_vocabulary(token_lists: list[list[str]], min_count: int = 1) -> Vocabu
     Real tokens get ids in descending frequency order, ties broken
     lexicographically; id 0 is the reserved unknown token.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()
     for tokens in token_lists:
         counts.update(tokens)
@@ -187,16 +185,9 @@ def stratified_split(
 
     Within each category the allocation follows the largest-remainder rule,
     so per-category counts stay within one document of the exact
-    proportional share. Deterministic for a fixed seed.
+    proportional share. Deterministic for a fixed seed. The three ratios
+    are non-negative and sum to 1, as cli.KNOBS checks.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3:
-        raise ValueError("expected (train, validation, test) ratios")
-    if min(ratios) < 0:
-        raise ValueError("split ratios must be non-negative")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
-
     by_category: dict[str, list[Document]] = {}
     for doc in documents:
         by_category.setdefault(doc.category, []).append(doc)

@@ -21,18 +21,11 @@ BANDWIDTH_PAIRS = 2000  # pair sample of median_bandwidth
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus bandwidth (rbf only, where it is required)."""
+    """Kernel family plus bandwidth (rbf only, where it is required); cli._resolve_kernel
+    builds every spec the program uses, from a checked family and bandwidth."""
 
     family: str
     bandwidth: float | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"--kernel must be one of {FAMILIES}, got {self.family!r}")
-        if self.family == "rbf" and self.bandwidth is None:
-            raise ValueError("rbf kernel requires a bandwidth; resolve one via median_bandwidth")
-        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 def kernel_block(spec: KernelSpec, X: np.ndarray) -> np.ndarray:

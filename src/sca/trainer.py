@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coherence, corpus
-from .coherence import PROJECTION_MODES
 from .kernel import KernelSpec
 
 LR_FLOOR = 1e-8
@@ -32,7 +31,7 @@ class TrainingError(Exception):
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of the training loop; validate names each as sca train spells it."""
+    """Hyperparameters of the training loop, each in the range that cli.KNOBS checks."""
 
     lr: float = 0.5
     batch_size: int = 32
@@ -43,26 +42,6 @@ class TrainConfig:
     tol: float | None = 1e-3  # None disables early stopping
     seed: int = 0
     spectral_mode: str = "clip"
-
-    def validate(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("--lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("--batch must be >= 1")
-        if self.rho <= 0:
-            raise ValueError("--rho must be positive")
-        if self.lam < 0:
-            raise ValueError("--lambda must be non-negative")
-        if self.max_epochs < 1:
-            raise ValueError("--epochs must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.tol is not None and self.tol < 0:
-            raise ValueError("tol must be non-negative, or null to disable early stopping")
-        if self.seed < 0:
-            raise ValueError("--seed must be non-negative")
-        if self.spectral_mode not in PROJECTION_MODES:
-            raise ValueError(f"--spectral-mode must be one of {PROJECTION_MODES}")
 
 
 @dataclass
@@ -83,7 +62,7 @@ def check_convergence(history: list[EpochLog], window: int, tol: float | None) -
     True once at least 2*window epochs exist and the mean loss of the
     latest window improved on the window ending one epoch earlier by less
     than tol, relatively. A tol of None disables the rule. The window is
-    at least 1, as TrainConfig.validate checks before the first epoch.
+    at least 1, as cli.KNOBS checks before the corpus is read.
     """
     if tol is None:
         return False
@@ -125,26 +104,23 @@ def run_epochs(
 
     The model, the one array being trained, is copied once, so the input is left untouched.
     Draws the seeded batch schedule from the pools once, total // batch_size stratified
-    batches, and runs it every epoch, so epoch losses stay directly comparable. prepare maps
-    each drawn batch once to what the step receives as its batch, so work that depends on the
-    batch alone is done once per run, not once per epoch.
+    batches but at least one, and runs it every epoch, so epoch losses stay directly
+    comparable. prepare maps each drawn batch once to what the step receives as its batch, so
+    work that depends on the batch alone is done once per run, not once per epoch.
     step(model, batch, lr, epoch, b) updates the copy in place and returns the batch loss and
     coherence score (NaN when no coherence term is trained). Training stops at max_epochs or
     on the windowed convergence rule; the learning rate halves after a loss uptick.
 
     on_batch(epoch, b, loss, score) and on_epoch(epoch, model, log) are optional observers.
-    The config is validated, and one batch must fit in the pools (TrainingError if not), before
-    the first step. A step's overflow shows in the next step's loss; an epoch's last step's is
-    caught at the epoch end, before on_epoch, by one check that the model's squared norm is
+    The config is in range, as cli.KNOBS checks; a batch larger than the pools fails at its one
+    draw (CorpusError). A step's overflow shows in the next step's loss; an epoch's last step's
+    is caught at the epoch end, before on_epoch, by one check that the model's squared norm is
     finite (TrainingError if not), so no checkpoint holds such a model.
     """
-    config.validate()
     total = sum(map(len, pools))
-    if config.batch_size > total:
-        raise TrainingError(f"batch size {config.batch_size} exceeds corpus size {total}")
     schedule = [
         prepare(corpus.sample_from_pools(pools, config.batch_size, config.seed, b))
-        for b in range(total // config.batch_size)
+        for b in range(max(total // config.batch_size, 1))
     ]
     model = model.copy()
     logs: list[EpochLog] = []

@@ -164,18 +164,20 @@ class TestTrain:
         assert names == vocab.id_to_token and bias is None
         assert table.tobytes() == embedding.init_embeddings(len(vocab), 6, 11, 0.1).tobytes()
 
+    # a value set by a flag is named by the flag (--lr), a config file value by the file and its
+    # key (config <file>: lr), so a message names a flag exactly when a flag set the value
     @pytest.mark.parametrize("flags, config, code, named", [
         (["--lr", "nan"], None, 2, "--lr"),
         (["--rho", "inf"], None, 2, "--rho"),
         (["--lambda", "nan"], None, 2, "--lambda"),
-        (["--bandwidth", "nan"], None, 1, "bandwidth"),
-        (["--bandwidth", "inf"], None, 1, "bandwidth"),
+        (["--bandwidth", "nan"], None, 1, "--bandwidth"),
+        (["--bandwidth", "inf"], None, 1, "--bandwidth"),
         (["--checkpoint-every", "-1"], None, 1, "--checkpoint-every"),
-        (["--kernel", "cosine", "--bandwidth", "wide"], None, 1, "bandwidth"),
-        ([], {"sigma_init": float("nan")}, 1, "sigma_init"),
-        ([], {"tol": float("nan")}, 1, "tol"),
-        ([], {"tol": "abc"}, 1, "tol"),
-        ([], {"epochs": 2.9}, 1, "epochs"),
+        (["--kernel", "cosine", "--bandwidth", "wide"], None, 1, "--bandwidth"),
+        ([], {"sigma_init": float("nan")}, 1, "config.json: sigma_init"),
+        ([], {"tol": float("nan")}, 1, "config.json: tol"),
+        ([], {"tol": "abc"}, 1, "config.json: tol"),
+        ([], {"epochs": 2.9}, 1, "config.json: epochs"),
         ([], {"tolerance": None, "windw": 3}, 1, "'tolerance'"),
         ([], {"threads": 2}, 1, "'threads'"),
         ([], [{"tol": None}], 1, "JSON object"),
@@ -190,39 +192,53 @@ class TestTrain:
         (["--kernel", "gauss"], None, 1, "--kernel"),
         (["--spectral-mode", "none"], None, 1, "--spectral-mode"),
         (["--bandwidth", "0"], None, 1, "--bandwidth"),
-        ([], {"sigma_init": 0}, 1, "sigma_init"),
-        ([], {"window": 0}, 1, "window"),
-        ([], {"min_count": 0}, 1, "min_count"),
-        ([], {"ratios": [0.5, 0.5, 0.5]}, 1, "ratios"),
-        ([], {"ratios": [1.0]}, 1, "(train, validation, test) ratios"),
-        ([], {"ratios": [0, 0, 0]}, 1, "split ratios must sum to 1"),
-        ([], {"tol": -1}, 1, "tol"),
+        ([], {"lr": -1}, 1, "config.json: lr"),
+        ([], {"rho": 0}, 1, "config.json: rho"),
+        ([], {"kernel": "gauss"}, 1, "config.json: kernel"),
+        ([], {"dim": 1}, 1, "config.json: dim"),
+        ([], {"sigma_init": 0}, 1, "config.json: sigma_init"),
+        ([], {"window": 0}, 1, "config.json: window"),
+        ([], {"min_count": 0}, 1, "config.json: min_count"),
+        ([], {"ratios": [0.5, 0.5, 0.5]}, 1, "config.json: ratios"),
+        ([], {"ratios": [1.0]}, 1, "config.json: ratios"),
+        ([], {"ratios": [0, 0, 0]}, 1, "config.json: ratios"),
+        ([], {"ratios": [1.2, -0.1, -0.1]}, 1, "config.json: ratios"),  # sums to 1
+        ([], {"tol": -1}, 1, "config.json: tol"),
+        # checked before the corpus is read, so a missing manifest is not what is reported
+        (["--corpus", "no-such.manifest", "--lr", "-1"], None, 1, "--lr"),
         (["eval", "--batch", "0"], None, 1, "--batch"),
         (["eval", "--seed", "-1"], None, 1, "--seed"),
+        (["eval", "--kernel", "gauss"], None, 1, "--kernel"),
+        (["eval", "--bandwidth", "0"], None, 1, "--bandwidth"),
+        (["eval"], {"min_count": 0}, 1, "config.json: min_count"),
+        (["eval"], {"ratios": [1.2, -0.1, -0.1]}, 1, "config.json: ratios"),
     ], ids=["lr_nan", "rho_inf", "lambda_nan", "bandwidth_nan", "bandwidth_inf",
             "checkpoint_every_negative", "cosine_bandwidth_text", "sigma_init_nan", "tol_nan",
             "tol_text", "epochs_2.9", "unknown_key", "retired_threads_key", "not_an_object",
             "lr_negative", "rho_zero", "batch_zero", "epochs_zero", "lambda_negative",
             "seed_negative", "dim_one", "kernel_unknown", "spectral_mode_unknown", "bandwidth_zero",
+            "config_lr_negative", "config_rho_zero", "config_kernel_unknown", "config_dim_one",
             "sigma_init_zero", "window_zero", "min_count_zero", "ratios_sum", "ratios_one",
-            "ratios_zero", "tol_negative",
-            "eval_batch_zero", "eval_seed_negative"])
+            "ratios_zero", "ratios_negative", "tol_negative", "lr_negative_missing_corpus",
+            "eval_batch_zero", "eval_seed_negative", "eval_kernel_unknown", "eval_bandwidth_zero",
+            "eval_min_count_zero", "eval_ratios_negative"])
     def test_bad_value_exits_before_out(self, corpus_dir, fresh_model, tmp_path, capsys, flags,
                                         config, code, named):
+        command, flags = (flags[0], flags[1:]) if flags[:1] == ["eval"] else ("train", flags)
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             flags = [*flags, "--config", str(tmp_path / "config.json")]
+        model = ["--model", str(fresh_model[0])] if command == "eval" else []
         out = tmp_path / "out"
-        try:
-            if flags[:1] == ["eval"]:
-                got = cli.main([*flags, "--corpus", str(corpus_dir), "--model", str(fresh_model[0]),
-                                "--out", str(out)])
-            else:
-                got = _train(corpus_dir, out, flags)
+        try:  # flags come last, so a row's --corpus replaces the corpus every other row reads
+            got = cli.main([command, "--corpus", str(corpus_dir), *model, "--out", str(out),
+                            *flags])
         except SystemExit as exc:
             got = exc.code
         assert got == code
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert ("--" in err) == named.startswith("--")
         assert not out.exists()
 
     def test_missing_manifest_exits_one_with_path(self, tmp_path, capsys):
@@ -262,7 +278,7 @@ class TestTrain:
             )
             assert code == 1
             assert not out.exists()
-            assert "exceeds corpus size" in capsys.readouterr().err
+            assert "exceeds total count" in capsys.readouterr().err
 
     def test_manifest_freezes_resolved_config(self, corpus_dir, tmp_path):
         out = tmp_path / "frozen"

@@ -153,13 +153,6 @@ class TestBatchState:
             # alg1 divides by max(sigma, rho), so it rescales every field inside the ball
             rescaled = compute_batch_state(spec, table, batch, rho, "alg1")
             assert np.all(rescaled.scales == 1.0 / rho) and rescaled.loss != free.loss
-            with pytest.raises(ValueError):
-                compute_batch_state(spec, table, batch, rho, "trim")
-        with pytest.raises(ValueError):
-            compute_batch_state(spec, table, batch, -largest, "clip")
-        # zero fields: every sigma is 0, so a bound of 0 could not bind, and is still refused
-        with pytest.raises(ValueError):
-            compute_batch_state(spec, np.zeros((3, 4)), np.array([0, 1, 2]), 0.0, "clip")
 
 
 BOUNDS = [(None, "clip"), (1e-3, "clip"), (1e-3, "alg1")]

@@ -9,7 +9,6 @@ from oracles import (
     spectral_norm,
     spectral_project,
 )
-from sca import coherence
 from sca.kernel import KernelSpec
 
 RBF = KernelSpec("rbf", 1.0)
@@ -179,9 +178,3 @@ class TestSpectralProject:
             twice = spectral_project(once, rho=1.0, mode="clip")
             assert spectral_norm(once) <= 1.0 * (1 + 1e-12)
             assert abs(twice.scale - once.scale) <= 1e-12 * max(abs(once.scale), 1.0)
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            coherence.spectral_scales(2.0, rho=0.0)
-        with pytest.raises(ValueError):
-            coherence.spectral_scales(2.0, rho=1.0, mode="trim")

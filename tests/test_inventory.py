@@ -7,13 +7,14 @@ in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. The signatures that benchmarks/child.py hooks into and the
 names the benchmark traces are pinned here too, and so are the one function that writes files
 (and makes directories), the one that reads a clock, the one report function of train and eval,
-the CLI's use of the epoch logs as its record of batch scores, and KNOBS as the one source of
-train and eval flags.
+the CLI's use of the epoch logs as its record of batch scores, KNOBS as the one source of
+train and eval flags, and cli.py as the one module whose messages name a flag.
 """
 
 import argparse
 import ast
 import inspect
+import re
 from pathlib import Path
 
 from sca import cli, coherence, lm, trainer
@@ -180,6 +181,32 @@ def test_every_knob_is_in_the_readme():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     spelled = [f"--{k.name.replace('_', '-')}" if k.help else f"`{k.name}`" for k in cli.KNOBS]
     assert [word for word in spelled if word not in readme] == []
+
+
+def _docstrings(tree):
+    """The docstring node of the module and of each class and function in it."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def test_only_cli_names_a_flag():
+    # a message that names a flag (--lr) belongs to the range check of that flag's knob, which
+    # cli._resolve_config runs once for every knob; docstrings may still mention flags
+    named = []
+    for module, tree in _parse_modules().items():
+        docs = _docstrings(tree)
+        named += [
+            f"{module}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docs and re.search(r"--[a-z]", node.value)
+        ]
+    assert sorted(name for name in named if not name.startswith("cli:")) == []
 
 
 def test_every_train_and_eval_flag_is_a_knob():

@@ -14,21 +14,6 @@ DOT = KernelSpec("dot")
 COS = KernelSpec("cosine")
 
 
-class TestSpec:
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec("poly")
-
-    def test_nonpositive_bandwidth_rejected(self):
-        for bandwidth in (None, 0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                KernelSpec("rbf", bandwidth)
-
-    def test_rbf_without_bandwidth_fails_at_eval(self):
-        with pytest.raises(ValueError, match="bandwidth"):
-            kernel_eval(KernelSpec("rbf"), np.ones(2), np.ones(2))
-
-
 class TestEval:
     def test_rbf_zero_distance_is_one(self):
         x = np.array([0.4, -2.0, 1.0])

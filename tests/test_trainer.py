@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import batch_loss, nll, spectral_norm, spectral_project, state_fields
-from sca import corpus, lm, trainer
+from sca import cli, corpus, lm, trainer
 from sca.coherence import compute_batch_state
+from sca.corpus import CorpusError
 from sca.embedding import init_embeddings
 from sca.kernel import KernelSpec
 from sca.trainer import EpochLog, TrainConfig, TrainingError
@@ -83,6 +84,12 @@ class TestCheckFinite:
 
 
 class TestConfig:
+    # TrainConfig checks nothing itself: the range of each field is that of the cli.KNOBS row
+    # that sets it, which the CLI checks before a run starts
+    KNOB = {"lr": "lr", "batch_size": "batch", "rho": "rho", "lam": "lambda",
+            "max_epochs": "epochs", "window": "window", "seed": "seed",
+            "spectral_mode": "spectral_mode"}
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -97,8 +104,11 @@ class TestConfig:
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TrainConfig(**kwargs).validate()
+        ((name, value),) = kwargs.items()
+        (knob,) = [k for k in cli.KNOBS if k.name == self.KNOB[name]]
+        _, accepts = knob.accepts
+        assert not accepts(value)
+        assert accepts(getattr(TrainConfig(), name))
 
 
 def _repeated_token_docs(n_tokens=64):
@@ -199,12 +209,6 @@ class TestTrainSca:
         with pytest.raises(TrainingError, match=r"epoch 1, batch \d+"):
             trainer.train_sca(table, docs, KernelSpec("rbf", 0.5), config)
 
-    def test_unresolved_bandwidth_rejected(self, small_docs):
-        docs, vocab = small_docs
-        table = init_embeddings(len(vocab), 6, seed=0)
-        with pytest.raises(ValueError, match="bandwidth"):
-            trainer.train_sca(table, docs, KernelSpec("rbf"), TrainConfig())
-
     def test_batch_schedule_drawn_once_per_run(self, small_docs, monkeypatch):
         docs, vocab = small_docs
         config = TrainConfig(batch_size=8, max_epochs=3, seed=1, tol=None, lam=0.5)
@@ -229,7 +233,7 @@ class TestTrainSca:
     def test_batch_larger_than_corpus_rejected(self):
         table = init_embeddings(3, 4, seed=0)
         config = TrainConfig(batch_size=100, max_epochs=1)
-        with pytest.raises(TrainingError, match="exceeds"):
+        with pytest.raises(CorpusError, match="batch size 100 exceeds total count 10"):
             trainer.train_sca(table, _repeated_token_docs(10), RBF, config)
 
 
