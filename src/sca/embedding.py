@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import write_text
 
-NN_BLOCK = 512  # queried rows per block of the (rows, n) cosine matrix
+BLOCK_ELEMENTS = 2**18  # float64 entries (2 MB) per block of each (rows, n) pass, here and in lm
 
 
 def init_embeddings(n: int, d: int, seed: int, scale: float = 0.1) -> np.ndarray:
@@ -24,7 +24,7 @@ def nearest_neighbor_similarity(
     """Most-cosine-similar other token of each of tokens, ties broken by smallest id.
 
     Returns (ids, sims), one entry per token, from the product of the
-    queried rows with the whole table, NN_BLOCK rows at a time.
+    queried rows with the whole table, max(1, BLOCK_ELEMENTS // n) rows at a time.
     """
     if len(table) < 2:
         raise ValueError("need at least two embeddings")
@@ -34,7 +34,8 @@ def nearest_neighbor_similarity(
         raise ValueError(f"zero-norm embedding row {int(zero_rows[0])}")
     tokens = np.asarray(tokens, dtype=np.int64)
     ids, best = [], []
-    for block in np.split(tokens, range(NN_BLOCK, tokens.shape[0], NN_BLOCK)):
+    rows = max(1, BLOCK_ELEMENTS // len(table))
+    for block in np.split(tokens, range(rows, tokens.shape[0], rows)):
         queries = np.arange(block.shape[0])
         sims = table[block] @ table.T
         sims /= np.outer(norms[block], norms)  # in place: two (block, n) arrays at most are alive

@@ -16,26 +16,23 @@ small operands, so no normalized (B, n) matrix is formed; the one-hot
 targets are one subtraction per pair, the coherence rows are added onto the
 distinct sources, and the update runs in place.
 
-Evaluation is one pass, score_pairs: a pair's nll and top-1 hit depend on
-its source only through its row of logits, so one vocabulary-wide row is
-built per distinct source, SOURCE_BLOCK sources at a time, and every pair's
-target logit and argmax are gathered from it. Both passes build their rows
-with _logits. Evaluation shifts every row by its max, so each row's max is
-exactly 0; training shifts only when some row's max leaves [-LOGIT_SPAN,
-LOGIT_SPAN], since the shift cancels from its loss and gradient. Perplexity
-is exp of a part's mean nll, accuracy the mean of its hits.
+Evaluation is one pass, score_pairs: a pair's nll and top-1 hit depend on its
+source only through its row of logits, so one vocabulary-wide row is built per
+distinct source, in blocks of embedding.BLOCK_ELEMENTS entries, and every pair's
+target logit and argmax are gathered from it. Both passes shift their rows (in
+_logits) only when some row's max leaves [-LOGIT_SPAN, LOGIT_SPAN], since the
+shift cancels. Perplexity is exp of a part's mean nll, accuracy its mean hit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import coherence, corpus, trainer
+from . import coherence, corpus, embedding, trainer
 from .kernel import KernelSpec
 from .trainer import EpochLog, TrainConfig
 
-SOURCE_BLOCK = 1024  # distinct sources per block of vocabulary-wide logit rows
-# Training leaves its logit rows unshifted while every row's max m lies in [-LOGIT_SPAN,
+# Logit rows stay unshifted while every row's max m lies in [-LOGIT_SPAN,
 # LOGIT_SPAN]. A row's largest exponential e^m is then in [1.6e-28, 6.2e27]: its total is at
 # least 1.6e-28, far above the smallest normal float (2.2e-308), and a total times B is at most
 # n B e^64, far below the largest float (1.8e308) for any n B under 1e280.
@@ -47,18 +44,18 @@ def make_model(table: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     return np.column_stack([table, np.zeros(len(table)) if bias is None else bias])
 
 
-def _logits(model: np.ndarray, sources: np.ndarray, span: float = 0.0, out=None):
+def _logits(model: np.ndarray, sources: np.ndarray, out=None):
     """The sources' logit rows [e_u, 1] model^T, and [e_u, 1].
 
-    Each row is shifted by its max unless every row's max lies in [-span, span]. At span 0 a
-    row's max becomes exactly 0 and every smaller finite entry stays strictly negative, so a
-    finite row's argmax survives the shift.
+    Each row is shifted by its max unless every row's max lies in [-LOGIT_SPAN, LOGIT_SPAN].
+    A shifted row's max becomes exactly 0 and every smaller finite entry stays strictly
+    negative, so a finite row's argmax survives the shift.
     """
     W = model[sources]
     W[:, -1] = 1.0
     Z = np.dot(W, model.T, out=out)
     peaks = Z.max(axis=1)
-    if not np.all(np.abs(peaks) <= span):  # a NaN max fails the test, so its row is shifted
+    if not np.all(np.abs(peaks) <= LOGIT_SPAN):  # a NaN max fails the test: its row is shifted
         Z -= peaks[:, None]
     return Z, W
 
@@ -67,21 +64,23 @@ def score_pairs(model: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.nd
     """Each pair's negative log-likelihood, and whether its target is the top-1 prediction.
 
     Argmax ties resolve to the smallest id. One row of logits is built per
-    distinct source, SOURCE_BLOCK sources at a time; the argmax and the
-    target logit are both read from the shifted row.
+    distinct source, max(1, embedding.BLOCK_ELEMENTS // n) at a time; the argmax
+    and the target logit are read from it before it is exponentiated in place.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    targets = pairs[:, 1]
     nlls, hits = np.empty(pairs.shape[0]), np.empty(pairs.shape[0], dtype=bool)
-    unique, inverse = np.unique(pairs[:, 0], return_inverse=True)
-    for start in range(0, unique.shape[0], SOURCE_BLOCK):
-        block = unique[start:start + SOURCE_BLOCK]
-        members = np.flatnonzero((inverse >= start) & (inverse < start + block.shape[0]))
-        rows = inverse[members] - start
+    sources, inverse, counts = distinct_sources(pairs)
+    by_source = np.argsort(inverse)
+    bounds = np.cumsum(np.concatenate([[0], counts]))  # u's pairs: by_source[bounds[u]:bounds[u+1]]
+    rows = max(1, embedding.BLOCK_ELEMENTS // model.shape[0])
+    for start in range(0, sources.shape[0], rows):
+        block = sources[start:start + rows]
+        members = by_source[bounds[start]:bounds[start + block.shape[0]]]
+        local, targets = inverse[members] - start, pairs[members, 1]
         Z, _ = _logits(model, block)
-        hits[members] = np.argmax(Z, axis=1)[rows] == targets[members]
-        log_norm = np.log(np.sum(np.exp(Z), axis=1))
-        nlls[members] = log_norm[rows] - Z[rows, targets[members]]
+        hits[members] = np.argmax(Z, axis=1)[local] == targets
+        picked = Z[local, targets]
+        nlls[members] = np.log(np.sum(np.exp(Z, out=Z), axis=1))[local] - picked
     return nlls, hits
 
 
@@ -120,7 +119,7 @@ def ce_batch_gradients(
     # one (r, n) buffer holds the logits, then their exponentials; it is cut from B rows, so
     # each step asks malloc for the same size and reuses the heap instead of growing and
     # trimming it, which costs page faults
-    Z, W = _logits(model, sources, LOGIT_SPAN, out=np.empty((B, n))[: sources.shape[0]])
+    Z, W = _logits(model, sources, out=np.empty((B, n))[: sources.shape[0]])
     picked = Z[inverse, tgt]
     np.exp(Z, out=Z)
     totals = np.dot(Z, np.ones(n))  # row sums; the matrix-vector product is faster than np.sum

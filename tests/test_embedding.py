@@ -99,7 +99,7 @@ class TestNearestNeighbor:
         table = rng.standard_normal((n, 8))
         tokens = rng.integers(0, n, size=23)  # blocks of 5: four full, one of 3; repeats allowed
         whole_ids, whole_sims = embedding.nearest_neighbor_similarity(table, tokens)
-        monkeypatch.setattr(embedding, "NN_BLOCK", 5)
+        monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", 5 * n)
         tracemalloc.start()
         try:
             ids, sims = embedding.nearest_neighbor_similarity(table, tokens)
@@ -107,7 +107,19 @@ class TestNearestNeighbor:
         finally:
             tracemalloc.stop()
         assert np.array_equal(ids, whole_ids) and np.array_equal(sims, whole_sims)
-        assert peak < 3 * embedding.NN_BLOCK * n * 8
+        assert peak < 3 * embedding.BLOCK_ELEMENTS * 8
+
+    def test_width_over_the_budget_takes_one_row_per_block(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        n = 3000
+        table = rng.standard_normal((n, 8))
+        tokens = rng.integers(0, n, size=23)
+        whole_ids, whole_sims = embedding.nearest_neighbor_similarity(table, tokens)
+        monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", n - 1)
+        ids, sims = embedding.nearest_neighbor_similarity(table, tokens)
+        # a one-row block is a matrix-vector product, whose rounding may differ in the last bit
+        assert np.array_equal(ids, whole_ids)
+        np.testing.assert_allclose(sims, whole_sims, rtol=1e-15, atol=0)
 
 
 class TestModelFile:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import ce_gradients, nll
-from sca import coherence, corpus, lm
+from sca import coherence, corpus, embedding, lm
 from sca.embedding import init_embeddings
 from sca.kernel import KernelSpec
 from sca.trainer import TrainConfig, TrainingError
@@ -87,7 +87,7 @@ class TestPerplexity:
         seq = np.array([5, 2, 7, 5, 0, 2, 8, 5, 3, 7, 1, 2])
         docs = [corpus.Document("c", seq[:6]), corpus.Document("c", seq[6:])]
         pairs = _pairs(docs)
-        monkeypatch.setattr(lm, "SOURCE_BLOCK", 3)
+        monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", 3 * 9)  # 3 rows of the 9-word vocabulary
 
         def oracle(pair_list):
             return math.exp(np.mean([nll(model, pair) for pair in pair_list]))
@@ -101,20 +101,6 @@ class TestPerplexity:
         argmaxes = np.array([np.argmax(E @ E[s] + bias) for s in pairs[:, 0]])
         assert _accuracy(model, pairs) == np.mean(argmaxes == pairs[:, 1])
         assert _accuracy(model, np.column_stack([pairs[:, 0], argmaxes])) == 1.0
-
-    def test_memory_stays_bounded_by_the_source_block(self):
-        # unblocked, one (pairs, n) logit matrix alone would take 20,000 * 4,000 * 8 B = 640 MB
-        rng = np.random.default_rng(5)
-        n = 4000
-        model = lm.make_model(0.1 * rng.standard_normal((n, 8)), rng.standard_normal(n))
-        docs = [corpus.Document("c", rng.integers(0, n, size=201)) for _ in range(100)]
-        tracemalloc.start()
-        try:
-            _perplexity(model, docs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * lm.SOURCE_BLOCK * n * 8
 
     def test_memorized_bigram_approaches_one(self):
         # the one bigram (0 -> 1), repeated; a tied model can drive its
@@ -133,7 +119,7 @@ class TestScorePairs:
         rng = np.random.default_rng(6)
         model = lm.make_model(rng.standard_normal((11, 4)), rng.standard_normal(11))
         pairs = rng.integers(0, 11, size=(40, 2))
-        monkeypatch.setattr(lm, "SOURCE_BLOCK", 4)  # ragged blocks over up to 11 sources
+        monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", 4 * 11)  # ragged blocks of 4 sources
         nlls, hits = lm.score_pairs(model, pairs)
         want = [nll(model, pair) for pair in pairs]
         np.testing.assert_allclose(nlls, want, rtol=1e-12, atol=1e-14)
@@ -141,6 +127,35 @@ class TestScorePairs:
         argmaxes = [np.argmax(E @ E[s] + bias) for s in pairs[:, 0]]
         assert hits.tolist() == [int(a) == t for a, t in zip(argmaxes, pairs[:, 1])]
 
+    def test_ragged_blocks_match_one_block_in_bounded_memory(self, monkeypatch):
+        # 300 sources in one block would take 300 * 4,000 * 8 B = 9.6 MB
+        rng = np.random.default_rng(5)
+        n = 4000
+        model = lm.make_model(0.1 * rng.standard_normal((n, 8)), rng.standard_normal(n))
+        pairs = np.column_stack([rng.integers(0, 300, 20_000), rng.integers(0, n, 20_000)])
+        monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", 300 * n)
+        whole_nlls, whole_hits = lm.score_pairs(model, pairs)
+        monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", 64 * n)  # four blocks of 64, one of 44
+        tracemalloc.start()
+        try:
+            nlls, hits = lm.score_pairs(model, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(nlls, whole_nlls) and np.array_equal(hits, whole_hits)
+        assert peak < 3 * embedding.BLOCK_ELEMENTS * 8
+
+    def test_width_over_the_budget_takes_one_row_per_block(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        n = 500
+        model = lm.make_model(0.3 * rng.standard_normal((n, 6)), rng.standard_normal(n))
+        pairs = np.column_stack([rng.integers(0, 40, 2000), rng.integers(0, n, 2000)])
+        whole_nlls, whole_hits = lm.score_pairs(model, pairs)
+        monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", n - 1)
+        nlls, hits = lm.score_pairs(model, pairs)
+        # a one-row block is a matrix-vector product, whose rounding may differ in the last bit
+        np.testing.assert_allclose(nlls, whole_nlls, rtol=1e-15, atol=0)
+        assert np.array_equal(hits, whole_hits)
 
     @pytest.mark.parametrize(
         "logits",
@@ -241,8 +256,9 @@ class TestCeGradients:
 
     @pytest.mark.parametrize("case", list(SPAN_CASES))
     def test_logit_span_matches_dense_oracle(self, case):
-        # training shifts its logit rows only when some row's max leaves [-LOGIT_SPAN,
-        # LOGIT_SPAN]; either way the loss and gradient are the unshifted softmax's
+        # training and evaluation shift their logit rows only when some row's max leaves
+        # [-LOGIT_SPAN, LOGIT_SPAN]; either way the loss, gradient, nlls and hits are the
+        # unshifted softmax's
         offset, expected = self.SPAN_CASES[case]
         pairs = np.array([[3, 0], [5, 3], [3, 3], [1, 0], [5, 7], [3, 0], [9, 5], [3, 8]])
         sources = np.unique(pairs[:, 0])
@@ -268,6 +284,11 @@ class TestCeGradients:
             # the per-batch invariants the training schedule computes once give the same bits
             again, regrad = lm.ce_batch_gradients(model, pairs, lm.distinct_sources(pairs))
             assert again == loss and np.array_equal(regrad, grad)
+            # score_pairs takes the four sources in one block: it shifts exactly when training does
+            nlls, hits = lm.score_pairs(model, pairs)
+            np.testing.assert_allclose(nlls, [nll(model, pair) for pair in pairs], rtol=1e-12)
+            dense = model[pairs[:, 0], :-1] @ model[:, :-1].T + model[:, -1]
+            assert hits.tolist() == (np.argmax(dense, axis=1) == pairs[:, 1]).tolist()
 
 
 class TestJointTraining:
