@@ -49,7 +49,7 @@ _integer = _parser("an integer", (str, int), int)
 _number = _parser("a finite number", NUMBER, float)
 _number_or_null = _parser("a finite number or null", (*NUMBER, type(None)),
                           lambda v: v if v is None else float(v))
-# text ('median' or a number) is resolved by _resolve_kernel, as from the flag
+# text ('median' or a number) is checked and converted by _resolve_config, as from the flag
 _bandwidth = _parser("a string or a finite number", NUMBER,
                      lambda v: v if isinstance(v, str) else float(v))
 _ratios = _parser("a list of finite numbers", (list, tuple), lambda v: tuple(map(_number, v)))
@@ -66,7 +66,7 @@ def _one_of(choices: tuple[str, ...]) -> tuple:
 
 
 def _positive_or_median(value) -> bool:
-    """'median', or a number or numeric text in (0, inf); _resolve_kernel takes it from there."""
+    """'median', or a number or numeric text in (0, inf); _resolve_config then makes it a float."""
     try:
         return value == "median" or 0 < float(value) < math.inf
     except ValueError:
@@ -149,6 +149,8 @@ def _resolve_config(args: argparse.Namespace, command: str) -> dict:
         if knob.name in cfg and knob.accepts and not knob.accepts[1](cfg[knob.name]):
             raise ValueError(f"{named.get(knob.name, knob.name)} must be {knob.accepts[0]}, "
                              f"got {cfg[knob.name]!r}")
+    if cfg["bandwidth"] != "median":  # numeric text from the flag, now checked
+        cfg["bandwidth"] = float(cfg["bandwidth"])
     out = Path(cfg["out"])  # each run directory holds one run
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ValueError(f"--out {out} exists and is not an empty directory")
@@ -161,7 +163,7 @@ def _resolve_kernel(cfg: dict, table: np.ndarray) -> KernelSpec:
         return KernelSpec(family=cfg["kernel"])
     if cfg["bandwidth"] == "median":
         return KernelSpec("rbf", kernel.median_bandwidth(table, seed=cfg["seed"]))
-    return KernelSpec("rbf", float(cfg["bandwidth"]))
+    return KernelSpec("rbf", cfg["bandwidth"])
 
 
 def _build_corpus(cfg: dict, reports: bool):

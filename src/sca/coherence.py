@@ -7,10 +7,11 @@ with its kernel-weighted context vector, so its largest singular value is
 (spectrally bounded) field to the batch mean field. The closed-form gradient
 treats kernel weights, context vectors, and the mean field as constants: it
 is the update direction used in training, not the gradient of the fully
-coupled loss. compute_batch_state never forms a field. At toy sizes its cost
-is its count of numpy calls: it works in place, skips the scale arithmetic
-inside the clip ball, and calls np.dot and ufunc reductions, cheaper to
-dispatch than @.
+coupled loss. compute_batch_state never forms a field; only an rbf batch is
+O(m^2) in memory (its kernel), dot and cosine are O(md + d^2). At toy sizes
+its cost is its count of numpy calls: it works in place, skips the scale
+arithmetic inside the clip ball, and calls np.dot and ufunc reductions,
+cheaper to dispatch than @.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def compute_batch_state(
     T_i = e_i c_i^T is bounded to s_i T_i, s_i = spectral_scales(|e_i||c_i|, rho, mode)
     (1 when rho is None, or in clip mode when every field is inside the ball). M, the loss
     sum |s_i T_i - M|^2, the gradients g_i = 2 s_i (s_i T_i - M) c_i and the score come from
-    A = s E and C in O(m^2 + md + d^2) memory, with T_i - T_0 in rank-2 form: identical rows
-    give exact zeros, and the loss cancels relative to the batch spread, not to |T|^2.
+    A = s E and C in O(md + d^2) memory past rbf's kernel, with T_i - T_0 in rank-2 form:
+    identical rows give exact zeros; the loss cancels relative to the batch spread, not |T|^2.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
@@ -71,10 +72,9 @@ def compute_batch_state(
     m = ids.size
     E, C = EC = np.empty((2, m, table.shape[1]))  # one buffer: one pass takes all row norms
     E[:] = table[ids]
-    K = kernel.kernel_block(spec, E)
     a = E - E[0]
-    np.dot(K, a, out=C)  # C = (K (E - E_0) + K 1 E_0^T) / m: equal rows of E give equal rows
-    C += np.multiply.outer(np.add.reduce(K, axis=1), E[0])
+    Ka, K1 = kernel.kernel_block(spec, E, a)  # C = (K a + K 1 E_0^T) / m, so a collapsed
+    np.add(Ka, np.multiply.outer(K1, E[0]), out=C)  # batch, whose a is 0, gets equal rows
     C /= m
     squares = np.add.reduce(EC * EC, axis=2)
     gamma, sigma = squares[1], np.multiply.reduce(np.sqrt(squares))  # |c_i|^2, |e_i||c_i|

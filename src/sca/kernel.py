@@ -1,9 +1,9 @@
 """Contextual-influence kernels over embedding vectors.
 
-All families are symmetric. kernel_block takes a batch's self-block from one
-Gram matrix; the rbf chain after it runs in place on two (m, m) buffers. Exact
-cases: the rbf diagonal is 1.0, rows equal to X[0] are at rbf distance 0, and
-a zero row has cosine 0.
+All families are symmetric. kernel_block gives a batch the kernel-weighted sums
+of its contexts. Only rbf builds the (m, m) kernel, so only rbf is O(m^2) in
+memory; dot and cosine are O(md + d^2). Exact cases: the rbf diagonal is 1.0,
+rows equal to X[0] are at rbf distance 0, and a zero row has cosine 0.
 """
 
 from __future__ import annotations
@@ -28,32 +28,28 @@ class KernelSpec:
     bandwidth: float | None = None
 
 
-def kernel_block(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """K(x_i, x_j) over the rows of X, shape (m, m), from the Gram matrix U U^T, U = X - X[0].
+def kernel_block(spec: KernelSpec, X: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """K a and K 1 over the rows of X, for the batch kernel K(x_i, x_j) and a = X - X[0].
 
-    Rows equal to X[0] become 0, so their entries are exactly constant. The
-    cosine takes its norms from the rows of X, so a zero row and column are exactly 0.
+    rbf takes K from the Gram matrix a a^T, so rows equal to X[0] are exactly constant. dot and
+    cosine never form K: K = H H^T, H = X or its unit rows, so K a = H (H^T a), and K 1 is
+    reduced row by row, so equal rows of X get bit-equal K 1. A zero cosine row stays 0.
     """
-    X = np.asarray(X, dtype=float)
-    z = X[0]
-    U = X - z
-    G = np.dot(U, U.T)
-    if spec.family != "rbf":
-        p = U @ z  # x_i . x_j = u_i . u_j + u_i . z + u_j . z + z . z
-        G += p[:, None] + p + z @ z
-    if spec.family == "dot":
-        return G
     if spec.family == "rbf":
+        G = np.dot(a, a.T)
         s = G.diagonal()
-        H = np.add.outer(s, s)  # |u_i - u_j|^2, then the kernel, in place on two (m, m) buffers
+        K = np.add.outer(s, s)  # |a_i - a_j|^2, then the kernel, in place on two (m, m) buffers
         G *= 2.0
-        H -= G
-        np.maximum(H, 0.0, out=H)
-        H /= -2.0 * spec.bandwidth * spec.bandwidth
-        return np.exp(H, out=H)
-    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-    denom = norms[:, None] * norms
-    return np.divide(G, denom, out=np.zeros_like(G), where=denom != 0.0)
+        K -= G
+        np.maximum(K, 0.0, out=K)
+        K /= -2.0 * spec.bandwidth * spec.bandwidth
+        np.exp(K, out=K)
+        return np.dot(K, a), np.add.reduce(K, axis=1)
+    H = X
+    if spec.family == "cosine":
+        norms = np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
+        H = np.divide(X, norms, out=np.zeros_like(X), where=norms != 0.0)
+    return np.dot(H, np.dot(H.T, a)), np.add.reduce(H * np.add.reduce(H), axis=1)
 
 
 def median_bandwidth(table: np.ndarray, seed: int = 0) -> float:

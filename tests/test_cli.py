@@ -499,6 +499,7 @@ class TestTrain:
         out = tmp_path / "bw"
         assert _train(corpus_dir, out, extra=["--bandwidth", "0.7"]) == 0
         payload = json.loads((out / "manifest.json").read_text())
+        assert payload["config"]["bandwidth"] == 0.7  # a number, as a config file would give it
         assert payload["config"]["bandwidth_resolved"] == 0.7
         bad = cli.main(
             ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "bad"),

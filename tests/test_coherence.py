@@ -117,17 +117,20 @@ class TestBatchState:
         assert np.linalg.norm(state.gradients - grads) <= 1e-12 * np.linalg.norm(grads)
 
     def test_memory_stays_quadratic_in_batch(self):
-        # the dense engine's (512, 512, 64) kernel broadcast alone took 134 MB
-        rng = np.random.default_rng(2)
-        table = rng.standard_normal((600, 64)) * 0.1
-        batch = rng.integers(0, 600, size=512)
-        tracemalloc.start()
-        try:
-            compute_batch_state(RBF, table, batch, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # the dense engine's (512, 512, 64) kernel broadcast alone took 134 MB; rbf holds two
+        # (m, m) buffers, and dot and cosine none: at m = 2048 one would take 32 MB
+        for spec, m, d, bound in ((RBF, 512, 64, 32), (KERNELS[1], 2048, 16, 4),
+                                  (KERNELS[2], 2048, 16, 4)):
+            rng = np.random.default_rng(2)
+            table = rng.standard_normal((600, d)) * 0.1
+            batch = rng.integers(0, 600, size=m)
+            tracemalloc.start()
+            try:
+                compute_batch_state(spec, table, batch, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, spec.family
 
     def test_rejects_bad_ids(self):
         table = np.ones((3, 2))

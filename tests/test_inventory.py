@@ -8,7 +8,8 @@ the code it checks. The signatures that benchmarks/child.py hooks into and the
 names the benchmark traces are pinned here too, and so are the one function that writes files
 (and makes directories), the one that reads a clock, the one report function of train and eval,
 the CLI's use of the epoch logs as its record of batch scores, KNOBS as the one source of
-train and eval flags, and cli.py as the one module whose messages name a flag.
+train and eval flags, cli.py as the one module whose messages name a flag, and kernel.py and
+cli.py as the only modules that compare against a kernel family name.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import inspect
 import re
 from pathlib import Path
 
-from sca import cli, coherence, lm, trainer
+from sca import cli, coherence, kernel, lm, trainer
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sca"
@@ -207,6 +208,25 @@ def test_only_cli_names_a_flag():
             and id(node) not in docs and re.search(r"--[a-z]", node.value)
         ]
     assert sorted(name for name in named if not name.startswith("cli:")) == []
+
+
+def test_only_kernel_and_cli_compare_against_a_family():
+    # the family decision lives in kernel.py, behind KernelSpec; cli.py only picks rbf's
+    # bandwidth when it resolves the spec, so no other module branches on a family name
+    def constants(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return [item.value for item in items if isinstance(item, ast.Constant)]
+
+    compared = [
+        f"{module}:{node.lineno}"
+        for module, tree in _parse_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and set(kernel.FAMILIES) & {value for operand in (node.left, *node.comparators)
+                                    for value in constants(operand)}
+    ]
+    assert sorted(name for name in compared if not name.startswith(("kernel:", "cli:"))) == []
+    assert any(name.startswith("cli:") for name in compared)  # the pin still sees a comparison
 
 
 def test_every_train_and_eval_flag_is_a_knob():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -51,42 +52,74 @@ class TestEval:
             assert (k == 1.0) == bool(np.array_equal(x, y))
 
 
+def _sums(spec, X):
+    """kernel_block's K a and K 1 for the batch X, a = X - X[0]."""
+    return kernel.kernel_block(spec, X, X - X[0])
+
+
 class TestBlock:
     @pytest.mark.parametrize("spec", [RBF, DOT, COS])
     def test_matches_eval(self, spec):
         X = np.random.default_rng(11).standard_normal((7, 5))
-        want = [[kernel_eval(spec, x, y) for y in X] for x in X]
-        np.testing.assert_allclose(kernel.kernel_block(spec, X), want, rtol=1e-13, atol=1e-14)
+        K = np.array([[kernel_eval(spec, x, y) for y in X] for x in X])
+        Ka, K1 = _sums(spec, X)
+        np.testing.assert_allclose(Ka, K @ (X - X[0]), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(K1, K.sum(axis=1), rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", [RBF, DOT, COS])
+    def test_equal_rows_give_equal_sums(self, spec):
+        # shapes up to (129, 32), since BLAS blocking changes with the shape. dot and cosine
+        # reduce K 1 row by row, so equal rows get bit-equal entries; BLAS rounds a product's
+        # edge rows (and rbf's Gram matrix) differently, so the rest agree only to rounding.
+        # A collapsed batch, whose a is 0, gets K a == 0 and one K 1 for every row exactly
+        rng = np.random.default_rng(17)
+        for m, d in itertools.product((2, 5, 12, 33, 70, 129), (2, 3, 6, 17, 32)):
+            X = rng.standard_normal((m, d))
+            for _ in range(2):
+                group = rng.choice(m, size=max(2, m // 3), replace=False)
+                X[group] = X[group[0]]
+            X[group[:2]] = X[0]  # a group that holds the anchor row
+            Ka, K1 = _sums(spec, X)
+            for i in range(m):
+                same = np.all(X == X[i], axis=1)
+                assert np.abs(Ka[same] - Ka[i]).max() <= 1e-14 * np.abs(Ka).max()
+                assert np.abs(K1[same] - K1[i]).max() <= 1e-14 * np.abs(K1).max()
+                assert spec.family == "rbf" or np.all(K1[same] == K1[i])
+            Ka, K1 = _sums(spec, np.tile(X[-1], (m, 1)))
+            assert np.all(Ka == 0.0) and np.all(K1 == K1[0])
 
     def test_rbf_self_block_diagonal_is_exactly_one(self):
-        X = np.random.default_rng(14).standard_normal((40, 9)) * 3.0
-        assert np.all(np.diag(kernel.kernel_block(RBF, X)) == 1.0)
+        # rows this far apart have off-diagonal kernels that underflow to 0, so K is the diagonal
+        X = np.random.default_rng(14).standard_normal((40, 9)) * 300.0
+        Ka, K1 = _sums(RBF, X)
+        assert np.all(K1 == 1.0) and np.array_equal(Ka, X - X[0])
 
     def test_rbf_rows_equal_to_the_first_are_exactly_one(self):
         rng = np.random.default_rng(15)
-        X = rng.standard_normal((12, 6))
+        X = rng.standard_normal((12, 6)) * 300.0
         same = [0, 3, 4, 9]
         X[same] = X[0]
-        assert np.all(kernel.kernel_block(RBF, X)[np.ix_(same, same)] == 1.0)
+        Ka, K1 = _sums(RBF, X)
+        assert np.all(K1[same] == len(same)) and np.all(Ka[same] == 0.0)
         collapsed = np.tile(X[1], (33, 1))
-        assert np.all(kernel.kernel_block(RBF, collapsed) == 1.0)
+        Ka, K1 = _sums(RBF, collapsed)
+        assert np.all(Ka == 0.0) and np.all(K1 == 33.0)
 
     def test_cosine_zero_row_gives_zero(self):
-        X = np.random.default_rng(16).standard_normal((5, 3))
-        X[2] = 0.0
-        block = kernel.kernel_block(COS, X)
-        assert np.all(block[2] == 0.0) and np.all(block[:, 2] == 0.0)
-        # a zero row anywhere, exactly and without a warning: its anchored Gram diagonal is a
-        # rounding residue, which can be negative, so the norms must come from the rows
+        # a zero row anywhere has cosine 0 with every row, exactly and without a warning: its
+        # own sums are 0, and its entry of a never reaches another row's K a
         for seed in range(300):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((rng.integers(2, 41), rng.integers(2, 41)))
             i = rng.integers(0, X.shape[0])
             X[i] = 0.0
+            a = X - X[0]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                block = kernel.kernel_block(COS, X)
-            assert np.all(block[i] == 0.0) and np.all(block[:, i] == 0.0)
+                Ka, K1 = kernel.kernel_block(COS, X, a)
+            assert np.all(Ka[i] == 0.0) and K1[i] == 0.0
+            a[i] = rng.standard_normal(X.shape[1])
+            assert np.array_equal(kernel.kernel_block(COS, X, a)[0], Ka)
 
 
 class TestMedianBandwidth:
