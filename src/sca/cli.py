@@ -1,10 +1,13 @@
-"""Command-line pipeline: train, eval."""
+"""Command-line pipeline: train, eval.
+
+Files are closed before main returns; at exit, gc.freeze keeps teardown off the run's objects."""
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
-import logging
 import math
 import os
 import sys
@@ -20,7 +23,8 @@ from .corpus import CorpusError
 from .kernel import KernelSpec
 from .trainer import TrainConfig, TrainingError
 
-log = logging.getLogger("sca")
+# at exit, objects still alive go to the permanent generation: teardown skips, not frees, them
+atexit.register(gc.freeze)
 
 
 def _parser(expected: str, accepts: tuple[type, ...], convert: Callable) -> Callable:
@@ -240,7 +244,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             path = out / "checkpoints" / f"epoch_{epoch:04d}.json"
             embedding.save_model(table, path, vocab.id_to_token, cfg["seed"], bias)
 
-    log.info("training: %d tokens of vocabulary, dim %s, joint=%s", len(vocab), cfg["dim"], joint)
+    if os.environ.get("SCA_LOG", "").lower() in ("debug", "info"):
+        print(f"INFO:sca:training: {len(vocab)} tokens of vocabulary, dim {cfg['dim']}, "
+              f"joint={joint}", file=sys.stderr)
     train = lm.train_joint if joint else trainer.train_sca
     model, logs = train(lm.make_model(initial) if joint else initial, split.train, spec, config,
                         on_epoch=checkpoint)
@@ -327,15 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level = os.environ.get("SCA_LOG", "").lower()
-    if level in ("debug", "info"):
-        logging.basicConfig(level=getattr(logging, level.upper()))
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _configure_logging()
     try:
         return args.func(args)
     except (CorpusError, TrainingError, ValueError, OSError, KeyError) as exc:

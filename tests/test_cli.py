@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -987,9 +988,45 @@ for name, extra in (("rbf", []), ("joint", ["--lambda", "0.5", "--kernel", "cosi
     assert cli.main(["train", *common, *extra, "--out", f"{root}/{name}"]) == 0
 models = ["--before", f"{root}/rbf/initial_model.json", "--after", f"{root}/rbf/model.json"]
 assert cli.main(["eval", "--corpus", manifest, *models, "--out", f"{root}/eval"]) == 0
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, "logging" in sys.modules)
 """
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         done = subprocess.run([sys.executable, "-c", script, str(manifest), str(tmp_path)],
                               env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.split()[-1] == "False"
+        assert done.stdout.split()[-2:] == ["False", "False"]
+
+    def test_exit_freezes_the_collector(self, tmp_path):
+        # exit callbacks run last-registered first, so a probe registered before sca is
+        # imported runs after sca's hook, and sees what the interpreter's teardown will see
+        manifest = write_corpus_files(make_toy_raw_docs(), tmp_path / "corpus")
+        script = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+from sca import cli
+manifest, out = sys.argv[1:]
+sys.exit(cli.main(["train", "--corpus", manifest, "--dim", "16", "--epochs", "2", "--out", out]))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = tmp_path / "run"
+        done = subprocess.run([sys.executable, "-c", script, str(manifest), str(out)],
+                              env=env, capture_output=True, text=True, check=True)
+        label, count = done.stdout.split()[-2:]
+        assert label == "frozen" and int(count) > 0
+        assert _unlisted(out) == []
+        assert {"model.json", "reports"} <= set(json.loads(
+            (out / "manifest.json").read_text())["artifacts"].values())
+
+    def test_no_output_relies_on_finalization(self, corpus_dir, tmp_path):
+        # objects frozen at exit are never finalized, so every file must be closed by then:
+        # a file object collected while open warns ResourceWarning
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run = tmp_path / "run"
+            assert _train(corpus_dir, run) == 0
+            models = ["--before", str(run / "initial_model.json"), "--after",
+                      str(run / "model.json")]
+            assert cli.main(["eval", "--corpus", str(corpus_dir), *models,
+                             "--out", str(tmp_path / "eval")]) == 0
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
