@@ -13,6 +13,7 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +96,8 @@ KNOBS = (
     Knob("spectral_mode", _text, TrainConfig.spectral_mode, ("train",),
          "spectral bound rule: " + "/".join(PROJECTION_MODES), _one_of(PROJECTION_MODES)),
     Knob("lr", _number, TrainConfig.lr, ("train",), "initial learning rate", POSITIVE),
-    Knob("batch", _integer, TrainConfig.batch_size, BOTH, "batch size", AT_LEAST_ONE),
-    Knob("epochs", _integer, TrainConfig.max_epochs, ("train",), "maximum number of epochs",
+    Knob("batch", _integer, TrainConfig.batch, BOTH, "batch size", AT_LEAST_ONE),
+    Knob("epochs", _integer, TrainConfig.epochs, ("train",), "maximum number of epochs",
          AT_LEAST_ONE),
     Knob("lambda", _number_or_null, None, ("train",), "joint LM weight; omit: embeddings only",
          NON_NEGATIVE_OR_NULL),
@@ -227,11 +228,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     initial = embedding.init_embeddings(len(vocab), cfg["dim"], cfg["seed"], cfg["sigma_init"])
     spec = _resolve_kernel(cfg, initial)
     joint = cfg["lambda"] is not None
-    config = TrainConfig(
-        lr=cfg["lr"], batch_size=cfg["batch"], rho=cfg["rho"], max_epochs=cfg["epochs"],
-        window=cfg["window"], tol=cfg["tol"], seed=cfg["seed"], spectral_mode=cfg["spectral_mode"],
-        lam=cfg["lambda"] if joint else TrainConfig.lam,
-    )
+    config = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name != "lam"},
+                         lam=cfg["lambda"] or 0.0)  # each field but lam is named as its knob
     checkpoint_every = cfg["checkpoint_every"]
     out = Path(cfg["out"])
 
@@ -308,28 +306,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_knob_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    """--config, then a flag for each of the command's knobs that has a help."""
-    parser.add_argument("--config", help="JSON config file (flags take precedence)")
-    for knob in KNOBS:
-        if command in knob.commands and knob.help is not None:
-            shown = "" if knob.default is None else f" (default {knob.default})"
-            parser.add_argument(_flag(knob.name), type=knob.parse,
-                                help=knob.help + shown)
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """train and eval each take --config, then a flag for each of their knobs that has a help."""
     parser = argparse.ArgumentParser(prog="sca", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sca {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    train = sub.add_parser("train", help="ingest a corpus and train embeddings")
-    _add_knob_flags(train, "train")
-    train.set_defaults(func=cmd_train)
-
-    ev = sub.add_parser("eval", help="evaluate trained model files against a corpus")
-    _add_knob_flags(ev, "eval")
-    ev.set_defaults(func=cmd_eval)
+    for command, handler, about in (
+        ("train", cmd_train, "ingest a corpus and train embeddings"),
+        ("eval", cmd_eval, "evaluate trained model files against a corpus"),
+    ):
+        child = sub.add_parser(command, help=about)
+        child.set_defaults(func=handler)
+        child.add_argument("--config", help="JSON config file (flags take precedence)")
+        for knob in KNOBS:
+            if command in knob.commands and knob.help is not None:
+                shown = "" if knob.default is None else f" (default {knob.default})"
+                child.add_argument(_flag(knob.name), type=knob.parse, help=knob.help + shown)
     return parser
 
 

@@ -106,11 +106,11 @@ def compute_batch_state(
 
 
 def evaluate_coherence(
-    tables: list[np.ndarray], documents: list, spec: KernelSpec, batch_size: int, seed: int
+    tables: list[np.ndarray], documents: list, spec: KernelSpec, batch: int, seed: int
 ) -> list[float]:
     """Each table's mean coherence score over the same EVAL_BATCHES seeded batches, drawn once."""
     pools = corpus.token_pools(documents)
-    batches = [corpus.sample_from_pools(pools, batch_size, seed, step)
+    batches = [corpus.sample_from_pools(pools, batch, seed, step)
                for step in range(EVAL_BATCHES)]
     return [float(np.mean([compute_batch_state(spec, table, ids).score for ids in batches]))
             for table in tables]

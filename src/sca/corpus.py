@@ -230,9 +230,8 @@ def bigram_pools(documents: list[Document]) -> list[np.ndarray]:
     return _category_pools(documents, adjacent_pairs)
 
 
-def sample_from_pools(pools: list[np.ndarray], batch_size: int, seed: int,
-                      step: int) -> np.ndarray:
-    """Draw a stratified batch of batch_size >= 1 from precomputed pools.
+def sample_from_pools(pools: list[np.ndarray], batch: int, seed: int, step: int) -> np.ndarray:
+    """Draw a stratified batch of batch >= 1 entries from precomputed pools.
 
     Per-category quotas are proportional to category mass, rounded by the
     largest-remainder rule, and drawn without replacement within the
@@ -241,9 +240,9 @@ def sample_from_pools(pools: list[np.ndarray], batch_size: int, seed: int,
     """
     masses = np.array([len(values) for values in pools], dtype=np.int64)
     total = int(masses.sum())
-    if batch_size > total:
-        raise CorpusError(f"batch size {batch_size} exceeds total count {total}")
-    quotas = largest_remainder_counts(batch_size * masses / total, batch_size)
+    if batch > total:
+        raise CorpusError(f"batch size {batch} exceeds total count {total}")
+    quotas = largest_remainder_counts(batch * masses / total, batch)
     rng = np.random.default_rng([seed, step])
     picks = [values[rng.choice(int(mass), size=int(quota), replace=False)]
              for values, mass, quota in zip(pools, masses, quotas)]

@@ -31,13 +31,13 @@ class TrainingError(Exception):
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of the training loop, each in the range that cli.KNOBS checks."""
+    """Training settings, each named as the cli.KNOBS row that checks its range (lam is lambda)."""
 
     lr: float = 0.5
-    batch_size: int = 32
+    batch: int = 32
     rho: float = 1.0
     lam: float = 0.0
-    max_epochs: int = 150
+    epochs: int = 150
     window: int = 10
     tol: float | None = 1e-3  # None disables early stopping
     seed: int = 0
@@ -103,13 +103,13 @@ def run_epochs(
     """The epoch loop that every trainer runs; returns the trained model and the per-epoch logs.
 
     The model, the one array being trained, is copied once, so the input is left untouched.
-    Draws the seeded batch schedule from the pools once, total // batch_size stratified
+    Draws the seeded batch schedule from the pools once, total // config.batch stratified
     batches but at least one, and runs it every epoch, so epoch losses stay directly
     comparable. prepare maps each drawn batch once to what the step receives as its batch, so
     work that depends on the batch alone is done once per run, not once per epoch.
     step(model, batch, lr, epoch, b) updates the copy in place and returns the batch loss and
-    coherence score (NaN when no coherence term is trained). Training stops at max_epochs or
-    on the windowed convergence rule; the learning rate halves after a loss uptick.
+    coherence score (NaN when no coherence term is trained). Training stops after config.epochs
+    epochs or on the windowed convergence rule; the learning rate halves after a loss uptick.
 
     on_batch(epoch, b, loss, score) and on_epoch(epoch, model, log) are optional observers.
     The config is in range, as cli.KNOBS checks; a batch larger than the pools fails at its one
@@ -119,13 +119,13 @@ def run_epochs(
     """
     total = sum(map(len, pools))
     schedule = [
-        prepare(corpus.sample_from_pools(pools, config.batch_size, config.seed, b))
-        for b in range(max(total // config.batch_size, 1))
+        prepare(corpus.sample_from_pools(pools, config.batch, config.seed, b))
+        for b in range(max(total // config.batch, 1))
     ]
     model = model.copy()
     logs: list[EpochLog] = []
     lr = config.lr
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         losses = np.empty(len(schedule))
         scores = np.empty(len(schedule))

@@ -30,7 +30,7 @@ def _toy_run(seed, toy_docs, n):
     split = corpus.stratified_split(toy_docs, (0.8, 0.1, 0.1), seed=seed)
     initial = init_embeddings(n, 16, seed=seed, scale=0.1)
     spec = KernelSpec("rbf", kernel.median_bandwidth(initial, seed=seed))
-    config = TrainConfig(batch_size=32, max_epochs=150, seed=seed, tol=None)
+    config = TrainConfig(batch=32, epochs=150, seed=seed, tol=None)
     started = time.perf_counter()
     trained, logs = trainer.train_sca(initial, split.train, spec, config)
     elapsed = time.perf_counter() - started
@@ -149,7 +149,7 @@ def test_criterion_5_rare_word_direction(toy_runs, toy_vocab):
 
 def test_criterion_6_lambda_zero_isolation(small_docs):
     docs, vocab = small_docs
-    config = TrainConfig(lr=0.2, batch_size=16, max_epochs=6, seed=9, tol=None, lam=0.0)
+    config = TrainConfig(lr=0.2, batch=16, epochs=6, seed=9, tol=None, lam=0.0)
     spec = KernelSpec("rbf", 0.5)
     baseline, base_logs = lm.train_joint(
         lm.make_model(init_embeddings(len(vocab), 8, seed=9)), docs, None, config
@@ -229,7 +229,7 @@ def test_criterion_8_invariance_suite(small_docs):
 
     # bitwise determinism of repeated seeded runs
     docs, vocab = small_docs
-    config = TrainConfig(batch_size=16, max_epochs=5, seed=17, tol=None)
+    config = TrainConfig(batch=16, epochs=5, seed=17, tol=None)
     first, first_logs = trainer.train_sca(
         init_embeddings(len(vocab), 8, seed=17), docs, spec, config
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -69,6 +70,12 @@ KNOB_CASES = [
     pytest.param(DEFAULT, (("--dim", "4"), {}), _read("model.json"), True, id="dim"),
     pytest.param(DEFAULT, (("--kernel", "cosine"), {}), _read("model.json"), True, id="kernel"),
     pytest.param(DEFAULT, (("--bandwidth", "0.7"), {}), _read("model.json"), True, id="bandwidth"),
+    # dot and cosine take no bandwidth: the flag is recorded in the manifest and changes nothing
+    *(
+        pytest.param((("--kernel", family), {}), (("--kernel", family, "--bandwidth", "0.5"), {}),
+                     _read("model.json"), False, id=f"bandwidth_{family}")
+        for family in ("cosine", "dot")
+    ),
     *(
         pytest.param(DEFAULT, (("--rho", rho, "--spectral-mode", mode), {}),
                      _read("model.json"), rho != "1", id=f"rho_{rho}_{mode}")
@@ -157,6 +164,43 @@ class TestTrain:
     @pytest.mark.parametrize("base, moved, read, acts", KNOB_CASES)
     def test_knob_acts(self, train_run, base, moved, read, acts):
         assert (read(train_run(*base)) != read(train_run(*moved))) == acts
+
+    def test_every_train_knob_has_a_case(self):
+        # a new train knob declares where it acts, or that it is inert, by a KNOB_CASES row
+        # whose id is its name or starts with its name and "_"; corpus and out are the run's input
+        # and output, not settings
+        ids = [case.id for case in KNOB_CASES]
+        missing = [k.name for k in cli.KNOBS if "train" in k.commands
+                   and k.name not in ("corpus", "out")
+                   and not any(i == k.name or i.startswith(k.name + "_") for i in ids)]
+        assert missing == []
+
+    def test_config_is_built_by_name(self, corpus_dir, tmp_path, monkeypatch):
+        # every TrainConfig field but lam is the train knob of its name, so a new field must be a
+        # knob, and the trainer receives each knob's value as the config file set it
+        names = [f.name for f in dataclasses.fields(trainer.TrainConfig) if f.name != "lam"]
+        assert set(names) <= {k.name for k in cli.KNOBS if "train" in k.commands}
+        values = {"lr": 0.3, "batch": 16, "rho": 0.5, "epochs": 2, "window": 3, "tol": 0.25,
+                  "seed": 5, "spectral_mode": "alg1", "lambda": 0.25}
+        assert sorted(values) == sorted([*names, "lambda"])
+        assert [n for n in names if values[n] == getattr(trainer.TrainConfig, n)] == []
+        configs = []
+
+        def observed(train):
+            def run(model, documents, spec, config, **kwargs):
+                configs.append(config)
+                return train(model, documents, spec, config, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(trainer, "train_sca", observed(trainer.train_sca))
+        monkeypatch.setattr(lm, "train_joint", observed(lm.train_joint))
+        (tmp_path / "config.json").write_text(json.dumps({**values, "dim": 6}))
+        assert cli.main(["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                         "--config", str(tmp_path / "config.json")]) == 0
+        (config,) = configs
+        values["lam"] = values.pop("lambda")
+        assert dataclasses.asdict(config) == values
 
     @pytest.mark.parametrize("flags", [(), ("--lambda", "0.5")], ids=["sca", "joint"])
     def test_initial_model_is_the_seeded_init(self, corpus_dir, train_run, flags):

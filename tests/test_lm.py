@@ -109,7 +109,7 @@ class TestPerplexity:
             corpus.Document("c", np.array([0, 1], dtype=np.int64)) for _ in range(40)
         ]
         model = lm.make_model(init_embeddings(2, 4, seed=0))
-        config = TrainConfig(lr=0.5, batch_size=8, max_epochs=80, seed=0, tol=None)
+        config = TrainConfig(lr=0.5, batch=8, epochs=80, seed=0, tol=None)
         trained, _ = lm.train_joint(model, docs, RBF, config)
         assert _perplexity(trained, docs) < 1.05
 
@@ -294,7 +294,7 @@ class TestCeGradients:
 class TestJointTraining:
     def test_lambda_zero_matches_baseline_bitwise(self, small_docs):
         docs, vocab = small_docs
-        config = TrainConfig(lr=0.2, batch_size=8, max_epochs=4, seed=6, tol=None, lam=0.0)
+        config = TrainConfig(lr=0.2, batch=8, epochs=4, seed=6, tol=None, lam=0.0)
         base_model, base_logs = lm.train_joint(
             lm.make_model(init_embeddings(len(vocab), 6, seed=6)), docs, None, config
         )
@@ -313,7 +313,7 @@ class TestJointTraining:
         docs, vocab = small_docs
         pools = corpus.bigram_pools(docs)
         total = sum(map(len, pools))
-        config = TrainConfig(lr=0.3, batch_size=total, max_epochs=1, seed=4, tol=None, lam=0.5)
+        config = TrainConfig(lr=0.3, batch=total, epochs=1, seed=4, tol=None, lam=0.5)
         model = lm.make_model(init_embeddings(len(vocab), 6, seed=2))
         model[:, -1] = np.random.default_rng(2).standard_normal(len(vocab))
         trained, logs = lm.train_joint(model, docs, RBF, config)
@@ -335,12 +335,12 @@ class TestJointTraining:
         docs, vocab = small_docs
         model = lm.make_model(init_embeddings(len(vocab), 6, seed=0))
         model[1, column] = np.nan
-        config = TrainConfig(batch_size=8, max_epochs=2, seed=0, tol=None, lam=lam)
+        config = TrainConfig(batch=8, epochs=2, seed=0, tol=None, lam=lam)
         with pytest.raises(TrainingError, match=r"epoch 1, batch 0$"):
             lm.train_joint(model, docs, RBF, config)
 
     def test_positive_lambda_raises_coherence(self, toy_docs):
-        config = TrainConfig(lr=0.3, batch_size=32, max_epochs=25, seed=4, tol=None, lam=0.5)
+        config = TrainConfig(lr=0.3, batch=32, epochs=25, seed=4, tol=None, lam=0.5)
         table = init_embeddings(100, 8, seed=4)
         spec = KernelSpec("rbf", 0.45)
         trained, logs = lm.train_joint(lm.make_model(table), toy_docs, spec, config)
@@ -352,7 +352,7 @@ class TestJointTraining:
     def test_heldout_perplexity_finite_for_both_settings(self, small_docs):
         docs, vocab = small_docs
         for lam in (0.0, 0.5):
-            config = TrainConfig(lr=0.2, batch_size=8, max_epochs=3, seed=1, tol=None, lam=lam)
+            config = TrainConfig(lr=0.2, batch=8, epochs=3, seed=1, tol=None, lam=lam)
             model, _ = lm.train_joint(
                 lm.make_model(init_embeddings(len(vocab), 6, seed=1)),
                 docs,

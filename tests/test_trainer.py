@@ -85,19 +85,18 @@ class TestCheckFinite:
 
 class TestConfig:
     # TrainConfig checks nothing itself: the range of each field is that of the cli.KNOBS row
-    # that sets it, which the CLI checks before a run starts
-    KNOB = {"lr": "lr", "batch_size": "batch", "rho": "rho", "lam": "lambda",
-            "max_epochs": "epochs", "window": "window", "seed": "seed",
-            "spectral_mode": "spectral_mode"}
+    # that sets it, which the CLI checks before a run starts; a field is named as its knob,
+    # but lam, since lambda is a Python keyword
+    KNOB = {"lam": "lambda"}
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"lr": 0.0},
-            {"batch_size": 0},
+            {"batch": 0},
             {"rho": -1.0},
             {"lam": -0.1},
-            {"max_epochs": 0},
+            {"epochs": 0},
             {"window": 0},
             {"seed": -1},
             {"spectral_mode": "none"},
@@ -105,7 +104,7 @@ class TestConfig:
     )
     def test_invalid_configs_rejected(self, kwargs):
         ((name, value),) = kwargs.items()
-        (knob,) = [k for k in cli.KNOBS if k.name == self.KNOB[name]]
+        (knob,) = [k for k in cli.KNOBS if k.name == self.KNOB.get(name, name)]
         _, accepts = knob.accepts
         assert not accepts(value)
         assert accepts(getattr(TrainConfig(), name))
@@ -123,7 +122,7 @@ class TestInputsLeftAlone:
         table = init_embeddings(len(vocab), 6, seed=4)
         bias = np.random.default_rng(4).standard_normal(len(vocab))
         kept = table.tobytes(), bias.tobytes()
-        config = TrainConfig(batch_size=8, max_epochs=2, seed=4, tol=None, lam=0.5)
+        config = TrainConfig(batch=8, epochs=2, seed=4, tol=None, lam=0.5)
         if joint:
             model = lm.make_model(table, bias)
             kept_model = model.tobytes()
@@ -140,14 +139,14 @@ class TestInputsLeftAlone:
 class TestTrainSca:
     def test_repeated_token_corpus_is_stationary(self):
         table = init_embeddings(3, 4, seed=0)
-        config = TrainConfig(batch_size=8, max_epochs=5, seed=1, tol=None)
+        config = TrainConfig(batch=8, epochs=5, seed=1, tol=None)
         trained, logs = trainer.train_sca(table, _repeated_token_docs(), RBF, config)
         assert [log.loss for log in logs] == [0.0] * 5
         assert np.array_equal(trained, table)
 
     def test_deterministic_for_fixed_seed(self, small_docs):
         docs, vocab = small_docs
-        config = TrainConfig(batch_size=8, max_epochs=4, seed=3, tol=None)
+        config = TrainConfig(batch=8, epochs=4, seed=3, tol=None)
         results = []
         for _ in range(2):
             table = init_embeddings(len(vocab), 6, seed=3)
@@ -161,11 +160,11 @@ class TestTrainSca:
         docs, vocab = small_docs
         table = init_embeddings(len(vocab), 6, seed=0)
         seen: set[int] = set()
-        config = TrainConfig(batch_size=8, max_epochs=1, seed=5, tol=None)
+        config = TrainConfig(batch=8, epochs=1, seed=5, tol=None)
 
         def collect(epoch, step, loss, score):
             ids = corpus.sample_from_pools(
-                corpus.token_pools(docs), config.batch_size, config.seed, step
+                corpus.token_pools(docs), config.batch, config.seed, step
             )
             seen.update(int(i) for i in ids)
 
@@ -177,7 +176,7 @@ class TestTrainSca:
     def test_early_stop_on_convergence(self, small_docs):
         docs, vocab = small_docs
         table = init_embeddings(len(vocab), 6, seed=2)
-        config = TrainConfig(batch_size=8, max_epochs=200, window=2, tol=0.5, seed=2)
+        config = TrainConfig(batch=8, epochs=200, window=2, tol=0.5, seed=2)
         _, logs = trainer.train_sca(table, docs, KernelSpec("rbf", 0.5), config)
         assert len(logs) < 200
 
@@ -196,7 +195,7 @@ class TestTrainSca:
     def test_alg1_mode_runs(self, small_docs):
         docs, vocab = small_docs
         table = init_embeddings(len(vocab), 6, seed=2)
-        config = TrainConfig(batch_size=8, max_epochs=3, seed=2, tol=None, spectral_mode="alg1")
+        config = TrainConfig(batch=8, epochs=3, seed=2, tol=None, spectral_mode="alg1")
         _, logs = trainer.train_sca(table, docs, KernelSpec("rbf", 0.5), config)
         assert all(np.isfinite(log.loss) for log in logs)
 
@@ -205,13 +204,13 @@ class TestTrainSca:
         docs, vocab = small_docs
         table = init_embeddings(len(vocab), 6, seed=0)
         table[1, 0] = np.inf  # most frequent real token, sampled immediately
-        config = TrainConfig(batch_size=8, max_epochs=2, seed=0, tol=None)
+        config = TrainConfig(batch=8, epochs=2, seed=0, tol=None)
         with pytest.raises(TrainingError, match=r"epoch 1, batch \d+"):
             trainer.train_sca(table, docs, KernelSpec("rbf", 0.5), config)
 
     def test_batch_schedule_drawn_once_per_run(self, small_docs, monkeypatch):
         docs, vocab = small_docs
-        config = TrainConfig(batch_size=8, max_epochs=3, seed=1, tol=None, lam=0.5)
+        config = TrainConfig(batch=8, epochs=3, seed=1, tol=None, lam=0.5)
         calls = []
         sample = corpus.sample_from_pools
 
@@ -228,11 +227,11 @@ class TestTrainSca:
             calls.clear()
             _, logs = train(init_embeddings(len(vocab), 6, seed=1))
             assert len(logs) == 3
-            assert len(calls) == sum(map(len, pools(docs))) // config.batch_size
+            assert len(calls) == sum(map(len, pools(docs))) // config.batch
 
     def test_batch_larger_than_corpus_rejected(self):
         table = init_embeddings(3, 4, seed=0)
-        config = TrainConfig(batch_size=100, max_epochs=1)
+        config = TrainConfig(batch=100, epochs=1)
         with pytest.raises(CorpusError, match="batch size 100 exceeds total count 10"):
             trainer.train_sca(table, _repeated_token_docs(10), RBF, config)
 
@@ -244,8 +243,8 @@ class TestRunEpochs:
         # later step's loss can show; the bias case writes the last column of a joint [E | b]
         docs, vocab = small_docs
         pools = corpus.token_pools(docs)
-        config = TrainConfig(batch_size=8, max_epochs=2, tol=None)
-        last = sum(map(len, pools)) // config.batch_size - 1
+        config = TrainConfig(batch=8, epochs=2, tol=None)
+        last = sum(map(len, pools)) // config.batch - 1
 
         def stepping(value):
             def step(model, batch, lr, epoch, b):
@@ -266,8 +265,8 @@ class TestRunEpochs:
         # the check runs at every epoch end, before on_epoch, so no checkpoint holds such a model
         docs, vocab = small_docs
         pools = corpus.token_pools(docs)
-        config = TrainConfig(batch_size=8, max_epochs=2, tol=None)
-        last = sum(map(len, pools)) // config.batch_size - 1
+        config = TrainConfig(batch=8, epochs=2, tol=None)
+        last = sum(map(len, pools)) // config.batch - 1
         observed = []
 
         def step(model, batch, lr, epoch, b):
@@ -283,7 +282,7 @@ class TestRunEpochs:
     def test_steps_and_observers_share_the_one_copy_that_is_returned(self, small_docs):
         docs, vocab = small_docs
         pools = corpus.token_pools(docs)
-        config = TrainConfig(batch_size=8, max_epochs=3, tol=None)
+        config = TrainConfig(batch=8, epochs=3, tol=None)
         model = np.zeros((len(vocab), 6))
         seen = []
 
@@ -372,7 +371,7 @@ class TestGradientFlowStep:
         docs, vocab = small_docs
         table = init_embeddings(len(vocab), 6, seed=2)
         total = sum(map(len, corpus.token_pools(docs)))
-        config = TrainConfig(lr=0.3, batch_size=total, max_epochs=1, seed=4, tol=None)
+        config = TrainConfig(lr=0.3, batch=total, epochs=1, seed=4, tol=None)
         trained, logs = trainer.train_sca(table, docs, RBF, config)
         ids = corpus.sample_from_pools(corpus.token_pools(docs), total, config.seed, 0)
         state = compute_batch_state(RBF, table, ids, config.rho, config.spectral_mode)
@@ -402,7 +401,7 @@ class TestAppliedStepDescends:
             # the median field norm binds; the default rho lies above every field at init
             rho = float(np.median(norms)) if binding else TrainConfig.rho
             assert (rho < max(norms)) == binding
-            config = TrainConfig(lr=1e-3, batch_size=total, max_epochs=1, seed=seed, tol=None,
+            config = TrainConfig(lr=1e-3, batch=total, epochs=1, seed=seed, tol=None,
                                  rho=rho, spectral_mode=mode)
             trained, _ = trainer.train_sca(table, docs, spec, config)
             before = batch_loss(spec, table, ids, rho, mode)
@@ -422,7 +421,7 @@ class TestAppliedStepDescends:
             return ce + config.lam * batch_loss(spec, model[:, :-1], sources, *bound)
 
         for seed in range(1, 6):
-            config = TrainConfig(lr=1e-3, batch_size=total, max_epochs=1, seed=seed, tol=None,
+            config = TrainConfig(lr=1e-3, batch=total, epochs=1, seed=seed, tol=None,
                                  lam=0.5)
             model = lm.make_model(init_embeddings(len(vocab), 8, seed=seed))
             trained, _ = lm.train_joint(model, docs, spec, config)
