@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, TrainingError, ValueError, OSError, KeyError) as exc:
+    except (CorpusError, TrainingError, ValueError, OSError) as exc:
         print(f"sca {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

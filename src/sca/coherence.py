@@ -16,8 +16,6 @@ cheaper to dispatch than @.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import corpus, kernel
@@ -26,19 +24,6 @@ from .kernel import KernelSpec
 SCORE_GUARD = 1e-12
 EVAL_BATCHES = 16  # seeded batches per evaluate_coherence call
 PROJECTION_MODES = ("clip", "alg1")
-
-
-@dataclass
-class BatchState:
-    """Everything derived from one batch against an embedding snapshot."""
-
-    lefts: np.ndarray  # (m, d) embeddings
-    rights: np.ndarray  # (m, d) context vectors
-    scales: np.ndarray  # (m,) spectral bound factors s_i
-    mean: np.ndarray  # (d, d) mean of the bounded fields
-    loss: float
-    gradients: np.ndarray  # (m, d) detached update directions
-    score: float  # coherence score of the bounded fields
 
 
 def spectral_scales(sigma, rho: float, mode: str = "clip") -> np.ndarray:
@@ -55,8 +40,8 @@ def spectral_scales(sigma, rho: float, mode: str = "clip") -> np.ndarray:
 def compute_batch_state(
     spec: KernelSpec, table: np.ndarray, token_ids: np.ndarray, rho: float | None = None,
     mode: str = "clip",
-) -> BatchState:
-    """The one batch pass: kernel rows, contexts, bounded fields, mean, loss, gradients, score.
+) -> tuple[float, np.ndarray, float]:
+    """The one batch pass; returns (loss, the (m, d) detached gradients, coherence score).
 
     T_i = e_i c_i^T is bounded to s_i T_i, s_i = spectral_scales(|e_i||c_i|, rho, mode)
     (1 when rho is None, or in clip mode when every field is inside the ball). M, the loss
@@ -78,7 +63,7 @@ def compute_batch_state(
     C /= m
     squares = np.add.reduce(EC * EC, axis=2)
     gamma, sigma = squares[1], np.multiply.reduce(np.sqrt(squares))  # |c_i|^2, |e_i||c_i|
-    A, scales, field_norms, twice = E, np.ones(m), sigma, 2.0
+    A, field_norms, twice = E, sigma, 2.0
     # inside the clip ball every scale is exactly 1
     if rho is not None and not (mode == "clip" and sigma.max() <= rho):
         scales = spectral_scales(sigma, rho, mode)
@@ -102,7 +87,7 @@ def compute_batch_state(
     # the score averages <A_i C_i^T, M> = A_i . M C_i over |A_i C_i^T| |M| + SCORE_GUARD
     denominators = field_norms * np.sqrt(np.vdot(M, M)) + SCORE_GUARD
     score = float(np.vdot(np.dot(A, M), C / denominators[:, None])) / m
-    return BatchState(E, C, scales, M, loss, g, score)
+    return loss, g, score
 
 
 def evaluate_coherence(
@@ -112,5 +97,5 @@ def evaluate_coherence(
     pools = corpus.token_pools(documents)
     batches = [corpus.sample_from_pools(pools, batch, seed, step)
                for step in range(EVAL_BATCHES)]
-    return [float(np.mean([compute_batch_state(spec, table, ids).score for ids in batches]))
+    return [float(np.mean([compute_batch_state(spec, table, ids)[2] for ids in batches]))
             for table in tables]

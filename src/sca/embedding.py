@@ -18,13 +18,11 @@ def init_embeddings(n: int, d: int, seed: int, scale: float = 0.1) -> np.ndarray
     return np.random.default_rng(seed).normal(0.0, scale, size=(n, d))
 
 
-def nearest_neighbor_similarity(
-    table: np.ndarray, tokens: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Most-cosine-similar other token of each of tokens, ties broken by smallest id.
+def nearest_neighbor_similarity(table: np.ndarray, tokens: list[int]) -> np.ndarray:
+    """Each of tokens' largest cosine similarity to another token, one entry per token.
 
-    Returns (ids, sims), one entry per token, from the product of the
-    queried rows with the whole table, max(1, BLOCK_ELEMENTS // n) rows at a time.
+    Taken from the product of the queried rows with the whole table,
+    max(1, BLOCK_ELEMENTS // n) rows at a time.
     """
     if len(table) < 2:
         raise ValueError("need at least two embeddings")
@@ -33,16 +31,15 @@ def nearest_neighbor_similarity(
     if zero_rows.size:
         raise ValueError(f"zero-norm embedding row {int(zero_rows[0])}")
     tokens = np.asarray(tokens, dtype=np.int64)
-    ids, best = [], []
+    best = []
     rows = max(1, BLOCK_ELEMENTS // len(table))
     for block in np.split(tokens, range(rows, tokens.shape[0], rows)):
         queries = np.arange(block.shape[0])
         sims = table[block] @ table.T
         sims /= np.outer(norms[block], norms)  # in place: two (block, n) arrays at most are alive
         sims[queries, block] = -np.inf
-        ids.append(np.argmax(sims, axis=1))
-        best.append(sims[queries, ids[-1]])
-    return np.concatenate(ids), np.concatenate(best)
+        best.append(sims.max(axis=1))
+    return np.concatenate(best)
 
 
 def save_model(

@@ -159,10 +159,10 @@ def train_joint(
         loss, grad = ce_batch_gradients(work, pairs, distinct)
         score = float("nan")
         if use_sca:
-            state = coherence.compute_batch_state(spec, work[:, :-1], distinct[0], *bound)
-            grad[distinct[0], :-1] += config.lam * state.gradients
-            loss += config.lam * state.loss
-            score = state.score
+            sca_loss, sca_grad, score = coherence.compute_batch_state(
+                spec, work[:, :-1], distinct[0], *bound)
+            grad[distinct[0], :-1] += config.lam * sca_grad
+            loss += config.lam * sca_loss
         trainer.check_finite(loss, grad, epoch, b)  # a non-finite term carries into the sums
         grad *= lr
         np.subtract(work, grad, out=work)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +29,8 @@ COHERENCE_SCORE_NOTE = (
 )
 
 
-@dataclass
-class PCAResult:
-    coordinates: np.ndarray  # (n, 2)
-    eigenvalues: np.ndarray  # (2,)
-    components: np.ndarray  # (2, d)
-
-
-def pca_project(table: np.ndarray) -> PCAResult:
-    """Project rows onto the top two covariance eigenvectors.
+def pca_project(table: np.ndarray) -> np.ndarray:
+    """The (n, 2) coordinates of the rows on the top two covariance eigenvectors.
 
     The eigenpairs come from one symmetric eigendecomposition of the d x d
     covariance, taken in descending eigenvalue order; each component's
@@ -52,15 +44,11 @@ def pca_project(table: np.ndarray) -> PCAResult:
     if d < 2:
         raise ValueError(f"cannot extract 2 components from dimension {d}")
     centered = X - X.mean(axis=0)
-    eigenvalues, eigenvectors = np.linalg.eigh(centered.T @ centered / (n - 1))
+    eigenvectors = np.linalg.eigh(centered.T @ centered / (n - 1))[1]
     components = eigenvectors[:, ::-1][:, :2].T
     pivots = np.argmax(np.abs(components), axis=1)
     components = components * np.sign(components[[0, 1], pivots])[:, None]
-    return PCAResult(
-        coordinates=centered @ components.T,
-        eigenvalues=eigenvalues[::-1][:2],
-        components=components,
-    )
+    return centered @ components.T
 
 
 def rare_word_report(
@@ -82,8 +70,8 @@ def rare_word_report(
     threshold = float(np.quantile(vocab.frequencies[real_ids], RARE_QUANTILE, method="lower"))
     rare = [i for i in real_ids if vocab.frequencies[i] <= threshold]
     rare.sort(key=lambda i: (int(vocab.frequencies[i]), vocab.id_to_token[i]))
-    before = nearest_neighbor_similarity(table_before, rare)[1].tolist()
-    after = nearest_neighbor_similarity(table_after, rare)[1].tolist()
+    before = nearest_neighbor_similarity(table_before, rare).tolist()
+    after = nearest_neighbor_similarity(table_after, rare).tolist()
     return [
         [vocab.id_to_token[i], int(vocab.frequencies[i]), b, a]
         for i, b, a in zip(rare, before, after)
@@ -128,7 +116,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def emit_reports(
     out_dir: str | Path, epoch_scores: list[np.ndarray], rare_rows: list[list] | None,
-    pca: PCAResult | None, vocab: Vocabulary, summary: dict,
+    pca: np.ndarray | None, vocab: Vocabulary, summary: dict,
 ) -> None:
     """Write the report files into out_dir.
 
@@ -149,7 +137,7 @@ def emit_reports(
             ["token", "frequency", "similarity_before", "similarity_after"], rare_rows
         )
     if pca is not None:
-        rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(pca.coordinates)]
+        rows = [[vocab.id_to_token[i], x, y] for i, (x, y) in enumerate(pca)]
         tables["pca"] = (["token", "x", "y"], rows)
     out = Path(out_dir)
     for name, (header, rows) in tables.items():

@@ -170,11 +170,12 @@ def train_sca(
 
     def step(work: np.ndarray, batch: tuple, lr: float, epoch: int, b: int) -> tuple:
         ids, flat = batch
-        state = coherence.compute_batch_state(spec, work, ids, config.rho, config.spectral_mode)
-        check_finite(state.loss, state.gradients, epoch, b)
+        loss, grad, score = coherence.compute_batch_state(
+            spec, work, ids, config.rho, config.spectral_mode)
+        check_finite(loss, grad, epoch, b)
         # a 1-D scatter onto the flat entries of the rows adds in the same order as a 2-D one
-        np.add.at(work.reshape(-1), flat, state.gradients.reshape(-1) * -lr)
-        return state.loss, state.score
+        np.add.at(work.reshape(-1), flat, grad.reshape(-1) * -lr)
+        return loss, score
 
     return run_epochs(table, corpus.token_pools(documents), config, step, on_batch, on_epoch,
                       prepare=lambda ids: (ids, (ids[:, None] * columns.size + columns).ravel()))

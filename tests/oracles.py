@@ -5,9 +5,8 @@ Each one follows its definition directly, on one pair, one token, one dense
 imports sca, so no oracle runs the code it checks. Gradients are checked
 against central differences of these definitions. Embedding tables are
 plain (n, d) arrays and joint models plain (n, d+1) arrays [E | b], the
-bias as the last column; other program objects are read through their
-attributes only: spec.family and spec.bandwidth, and a batch state's
-lefts, rights and scales.
+bias as the last column; a kernel spec is read through its attributes
+only, spec.family and spec.bandwidth.
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ class TensorField:
 
     def dense(self) -> np.ndarray:
         return self.scale * np.outer(self.left, self.right)
-
-
-def state_fields(state) -> list[TensorField]:
-    """The bounded fields s_i e_i c_i^T of a batch state, in factored form."""
-    return [TensorField(e, c, s) for e, c, s in zip(state.lefts, state.rights, state.scales)]
 
 
 def _kernel_row(spec, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -122,16 +116,21 @@ def coherence_score(fields: list[TensorField], mean: np.ndarray) -> float:
     return float(np.mean(numer / (norms * np.sqrt(np.sum(mean * mean)) + SCORE_GUARD)))
 
 
+def batch_fields(spec, table, batch, rho: float | None = None,
+                 mode: str = "clip") -> list[TensorField]:
+    """Each batch token's field e_t c_t^T, bounded by spectral_project when rho is set."""
+    fields = [TensorField(table[t], context_vector(spec, table, int(t), batch)) for t in batch]
+    return fields if rho is None else [spectral_project(f, rho, mode) for f in fields]
+
+
 def batch_loss(spec, table, batch, rho: float | None = None, mode: str = "clip") -> float:
     """The coherence loss of a batch, every term rebuilt from the table.
 
-    Each token's context vector, its field (bounded by spectral_project when
-    rho is set) and the mean field are derived afresh, so this is the fully
-    coupled objective that training's detached direction descends.
+    Each token's context vector, its field and the mean field are derived
+    afresh by batch_fields and mean_field, so this is the fully coupled
+    objective that training's detached direction descends.
     """
-    fields = [TensorField(table[t], context_vector(spec, table, int(t), batch)) for t in batch]
-    if rho is not None:
-        fields = [spectral_project(f, rho, mode) for f in fields]
+    fields = batch_fields(spec, table, batch, rho, mode)
     return sca_loss(fields, mean_field(fields))
 
 

@@ -84,6 +84,10 @@ KNOB_CASES = [
     ),
     pytest.param((("--rho", "0.001"), {}), (("--rho", "0.001", "--spectral-mode", "alg1"), {}),
                  _read("model.json"), True, id="spectral_mode"),
+    # lambda 0 skips the coherence term, so nothing reads the bound
+    pytest.param((("--lambda", "0"), {}),
+                 (("--lambda", "0", "--rho", "0.001", "--spectral-mode", "alg1"), {}),
+                 _read("model.json"), False, id="rho_lambda_zero"),
     pytest.param(DEFAULT, (("--lr", "0.1"), {}), _read("model.json"), True, id="lr"),
     pytest.param(DEFAULT, (("--batch", "16"), {}), _read("model.json"), True, id="batch"),
     pytest.param(DEFAULT, (("--epochs", "3"), {}), _epochs_run, True, id="epochs"),
@@ -980,6 +984,15 @@ class TestInterface:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
+
+    def test_a_key_error_is_a_bug_not_an_input_error(self, monkeypatch):
+        # main turns input errors into exit 1; no input raises KeyError, so one propagates
+        def broken(args, command):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "_resolve_config", broken)
+        with pytest.raises(KeyError):
+            cli.main(["train", "--corpus", "c", "--out", "o"])
 
     def test_unknown_flag_exits_two(self, capsys):
         for flag in (["--bogus"], ["--threads", "2"]):

@@ -6,15 +6,13 @@ import pytest
 
 from oracles import (
     TensorField,
+    batch_fields,
     coherence_score,
-    context_vector,
     fd_gradient_detached,
     fd_gradient_full,
     mean_field,
     sca_loss,
     spectral_norm,
-    spectral_project,
-    state_fields,
 )
 from sca import coherence, corpus, kernel
 from sca.coherence import compute_batch_state
@@ -35,6 +33,24 @@ def _assert_close(got, want, scale=None, tol=1e-12):
     """Agreement to tol relative to scale, by default the largest entry of want."""
     scale = float(np.max(np.abs(want))) if scale is None else scale
     assert float(np.max(np.abs(np.asarray(got) - want))) <= tol * scale
+
+
+def _assert_matches_oracle(result, spec, table, batch, rho=None, mode="clip"):
+    """The pass's (loss, gradients, score) against the oracle fields' loss, score and closed form.
+
+    Returns the oracle fields, their mean and the gradients' scale: the size of the terms,
+    2 s_i |T_i| |c_i|, since an m = 1 gradient is 0.
+    """
+    loss, gradients, score = result
+    fields = batch_fields(spec, table, batch, rho, mode)
+    mean = mean_field(fields)
+    total = sum(spectral_norm(f) ** 2 for f in fields)
+    assert loss == pytest.approx(sca_loss(fields, mean), rel=1e-12, abs=1e-12 * total)
+    assert score == pytest.approx(coherence_score(fields, mean), abs=1e-12)
+    scale = max(2.0 * spectral_norm(f) * np.linalg.norm(f.right) for f in fields)
+    dense = np.array([2.0 * f.scale * (f.dense() - mean) @ f.right for f in fields])
+    _assert_close(gradients, dense, scale)
+    return fields, mean, scale
 
 
 def _loss_oracle(dense_fields, mean):
@@ -66,37 +82,19 @@ class TestBatchState:
     )
     def test_pipeline_matches_per_token_operations(self, spec, n, d, batch):
         table = _table_with_zero_row(0, n, d)
-        unbounded = compute_batch_state(spec, table, batch)
         # half the largest field norm, so the bound binds for at least one field
-        rho = 0.5 * float(np.max([spectral_norm(f) for f in state_fields(unbounded)]))
+        rho = 0.5 * max(spectral_norm(f) for f in batch_fields(spec, table, batch))
         for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
-            state = compute_batch_state(spec, table, batch, *bound)
-            assert bound[0] is None or np.any(state.scales != 1.0)
-            contexts = np.array([context_vector(spec, table, int(t), batch) for t in batch])
-            _assert_close(state.rights, contexts)
-            fields = []
-            for e, c in zip(table[batch], contexts):
-                f = TensorField(e, c)
-                fields.append(f if bound[0] is None else spectral_project(f, *bound))
-            _assert_close(state.mean, mean_field(fields))
-            total = sum(spectral_norm(f) ** 2 for f in fields)
-            assert state.loss == pytest.approx(
-                sca_loss(fields, state.mean), rel=1e-12, abs=1e-12 * total
-            )
-            assert state.score == pytest.approx(
-                coherence_score(fields, state.mean), abs=1e-12
-            )
+            result = compute_batch_state(spec, table, batch, *bound)
             # the closed form on the dense fields, then central differences, which at d = 128
-            # resolve the gradient only to about 4e-12 (their rounding floor); both relative to
-            # the size of the terms, 2 s_i |T_i| |c_i|, since an m = 1 gradient is 0
-            scale = max(2.0 * spectral_norm(f) * np.linalg.norm(f.right) for f in fields)
-            dense = np.array([2.0 * f.scale * (f.dense() - state.mean) @ f.right for f in fields])
-            _assert_close(state.gradients, dense, scale)
+            # resolve the gradient only to about 4e-12 (their rounding floor)
+            fields, mean, scale = _assert_matches_oracle(result, spec, table, batch, *bound)
+            assert bound[0] is None or any(f.scale != 1.0 for f in fields)
             for p in range(min(batch.size, 3)):
                 fd = fd_gradient_detached(
-                    table, int(batch[p]), state.rights[p], state.mean, 1e-3, state.scales[p]
+                    table, int(batch[p]), fields[p].right, mean, 1e-3, fields[p].scale
                 )
-                _assert_close(state.gradients[p], fd, scale, tol=1e-12 if d < 100 else 1e-10)
+                _assert_close(result[1][p], fd, scale, tol=1e-12 if d < 100 else 1e-10)
 
     @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
     def test_near_collapsed_batch_matches_extended_precision(self, spec):
@@ -105,16 +103,18 @@ class TestBatchState:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(16)
         table = v + 1e-6 * rng.standard_normal((32, 16))
-        state = compute_batch_state(spec, table, np.arange(32))
-        lefts = state.lefts.astype(np.longdouble)
-        rights = state.rights.astype(np.longdouble)
-        stack = lefts[:, :, None] * rights[:, None, :]
+        got_loss, got_gradients, _ = compute_batch_state(spec, table, np.arange(32))
+        # the pass's own contexts, C = (K a + K 1 E_0^T) / m, so only the field arithmetic
+        # after them is held to extended precision
+        Ka, K1 = kernel.kernel_block(spec, table, table - table[0])
+        rights = ((Ka + np.multiply.outer(K1, table[0])) / 32).astype(np.longdouble)
+        stack = table.astype(np.longdouble)[:, :, None] * rights[:, None, :]
         diff = stack - stack.mean(axis=0)
         loss = np.sum(diff * diff)
         grads = 2.0 * np.einsum("ijk,ik->ij", diff, rights)
-        assert state.loss >= 0.0
-        assert abs(state.loss - loss) <= 1e-12 * loss
-        assert np.linalg.norm(state.gradients - grads) <= 1e-12 * np.linalg.norm(grads)
+        assert got_loss >= 0.0
+        assert abs(got_loss - loss) <= 1e-12 * loss
+        assert np.linalg.norm(got_gradients - grads) <= 1e-12 * np.linalg.norm(grads)
 
     def test_memory_stays_quadratic_in_batch(self):
         # the dense engine's (512, 512, 64) kernel broadcast alone took 134 MB; rbf holds two
@@ -146,16 +146,15 @@ class TestBatchState:
     @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
     def test_clip_bound_inside_the_ball_is_exact(self, spec):
         table, batch, free = _random_state(11, n=9, d=4, m=7, spec=spec)
-        largest = max(spectral_norm(f) for f in state_fields(free))
+        largest = max(spectral_norm(f) for f in batch_fields(spec, table, batch))
         for rho in ((1.0 + 1e-9) * largest, 2.0 * largest):
-            clipped = compute_batch_state(spec, table, batch, rho, "clip")
-            assert np.all(clipped.scales == 1.0)
-            assert clipped.loss == free.loss and clipped.score == free.score
-            assert np.array_equal(clipped.gradients, free.gradients)
-            assert np.array_equal(clipped.mean, free.mean)
+            loss, gradients, score = compute_batch_state(spec, table, batch, rho, "clip")
+            assert loss == free[0] and score == free[2]
+            assert np.array_equal(gradients, free[1])
             # alg1 divides by max(sigma, rho), so it rescales every field inside the ball
             rescaled = compute_batch_state(spec, table, batch, rho, "alg1")
-            assert np.all(rescaled.scales == 1.0 / rho) and rescaled.loss != free.loss
+            _assert_matches_oracle(rescaled, spec, table, batch, rho, "alg1")
+            assert rescaled[0] != free[0]
 
 
 BOUNDS = [(None, "clip"), (1e-3, "clip"), (1e-3, "alg1")]
@@ -176,10 +175,10 @@ class TestExactIdentities:
     @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
     def test_gradients_against_embeddings_sum_to_twice_the_loss(self, spec, bound):
         for table, ids in _repeated_batches():
-            state = compute_batch_state(spec, table, ids, *bound)
-            assert bound[0] is None or np.all(state.scales != 1.0)
-            assert np.vdot(state.lefts, state.gradients) == pytest.approx(2.0 * state.loss,
-                                                                          rel=1e-12)
+            loss, gradients, _ = compute_batch_state(spec, table, ids, *bound)
+            fields = batch_fields(spec, table, ids, *bound)
+            assert bound[0] is None or all(f.scale != 1.0 for f in fields)
+            assert np.vdot(table[ids], gradients) == pytest.approx(2.0 * loss, rel=1e-12)
 
     @pytest.mark.parametrize(
         "spec, power", [(RBF, 4), (KernelSpec("dot"), 8), (KernelSpec("cosine"), 4)],
@@ -191,27 +190,28 @@ class TestExactIdentities:
         for s in (0.3, 1.7):
             scaled = KernelSpec("rbf", s * spec.bandwidth) if spec.family == "rbf" else spec
             for table, ids in _repeated_batches():
-                state = compute_batch_state(spec, table, ids)
-                moved = compute_batch_state(scaled, s * table, ids)
-                assert moved.loss == pytest.approx(s**power * state.loss, rel=1e-12)
-                _assert_close(moved.gradients, s ** (power - 1) * state.gradients)
+                loss, gradients, _ = compute_batch_state(spec, table, ids)
+                moved_loss, moved_gradients, _ = compute_batch_state(scaled, s * table, ids)
+                assert moved_loss == pytest.approx(s**power * loss, rel=1e-12)
+                _assert_close(moved_gradients, s ** (power - 1) * gradients)
 
     @pytest.mark.parametrize("bound", BOUNDS, ids=["unbounded", "clip", "alg1"])
     @pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.family)
     def test_rotating_the_table_rotates_the_gradients(self, spec, bound):
         for k, (table, ids) in enumerate(_repeated_batches()):
             Q = np.linalg.qr(np.random.default_rng(k).standard_normal((4, 4)))[0]
-            state = compute_batch_state(spec, table, ids, *bound)
-            moved = compute_batch_state(spec, table @ Q, ids, *bound)
-            assert moved.loss == pytest.approx(state.loss, rel=1e-12)
-            _assert_close(moved.gradients, state.gradients @ Q)
+            loss, gradients, _ = compute_batch_state(spec, table, ids, *bound)
+            moved_loss, moved_gradients, _ = compute_batch_state(spec, table @ Q, ids, *bound)
+            assert moved_loss == pytest.approx(loss, rel=1e-12)
+            _assert_close(moved_gradients, gradients @ Q)
 
 
 class TestLoss:
     def test_single_member_batch_is_zero(self):
-        table, _, state = _random_state(2, m=1)
-        assert state.loss == 0.0
-        assert sca_loss(state_fields(state), state.mean) == 0.0
+        table, batch, (loss, _, _) = _random_state(2, m=1)
+        assert loss == 0.0
+        fields = batch_fields(RBF, table, batch)
+        assert sca_loss(fields, mean_field(fields)) == 0.0
 
     def test_identical_embedding_batch_is_exactly_zero(self):
         # every kernel, batch size up to 70 and several widths: BLAS blocking changes with the
@@ -221,29 +221,29 @@ class TestLoss:
             table = rng.standard_normal((4, d)) * 0.1
             collapsed = np.tile(table[2], (70, 1))
             for m in range(2, 71):
-                for state in (
+                for loss, gradients, _ in (
                     compute_batch_state(spec, table, np.full(m, 2), 0.01),
                     compute_batch_state(spec, collapsed, np.arange(m)),
                 ):
-                    assert state.loss == 0.0
-                    assert np.all(state.gradients == 0.0)
+                    assert loss == 0.0
+                    assert np.all(gradients == 0.0)
 
     def test_matches_double_sum_oracle(self):
-        _, _, state = _random_state(4, m=3, d=2)
-        want = _loss_oracle([f.dense() for f in state_fields(state)], state.mean)
-        assert state.loss == pytest.approx(want, rel=1e-12)
+        table, batch, (loss, _, _) = _random_state(4, m=3, d=2)
+        fields = batch_fields(RBF, table, batch)
+        want = _loss_oracle([f.dense() for f in fields], mean_field(fields))
+        assert loss == pytest.approx(want, rel=1e-12)
 
     def test_loss_nonnegative_and_permutation_invariant(self):
         for seed in range(10):
-            table, batch, state = _random_state(seed, m=7)
-            assert state.loss >= 0.0
+            table, batch, (loss, _, _) = _random_state(seed, m=7)
+            assert loss >= 0.0
             perm = np.random.default_rng(seed).permutation(batch)
-            state_perm = compute_batch_state(RBF, table, perm)
-            assert state_perm.loss == pytest.approx(state.loss, rel=1e-12)
+            assert compute_batch_state(RBF, table, perm)[0] == pytest.approx(loss, rel=1e-12)
 
     def test_positive_for_distinct_fields(self):
-        _, _, state = _random_state(5, m=4)
-        assert state.loss > 0.0
+        _, _, (loss, _, _) = _random_state(5, m=4)
+        assert loss > 0.0
 
     def test_arbitrary_scaled_fields_against_given_mean(self):
         rng = np.random.default_rng(6)
@@ -260,12 +260,12 @@ class TestGradient:
     def test_zero_at_stationary_point(self):
         rng = np.random.default_rng(7)
         table = rng.standard_normal((5, 4))
-        state = compute_batch_state(RBF, table, np.full(6, 3))
-        assert np.all(state.gradients == 0.0)
+        _, gradients, _ = compute_batch_state(RBF, table, np.full(6, 3))
+        assert np.all(gradients == 0.0)
 
     def test_zero_for_single_member_batch(self):
-        _, _, state = _random_state(8, m=1)
-        assert np.all(state.gradients == 0.0)
+        _, _, (_, gradients, _) = _random_state(8, m=1)
+        assert np.all(gradients == 0.0)
 
     def test_matches_detached_finite_differences(self):
         # (n, d, m) with rbf at bandwidth 1, and at the median bandwidth with d 8, batch 16
@@ -275,27 +275,28 @@ class TestGradient:
             spec = KernelSpec("rbf", kernel.median_bandwidth(table, seed=seed)) if median else RBF
             # the bound also runs at a field norm strictly inside the batch's range, the median
             # or halfway between the extremes, so the largest field's s_i != 1 by a margin
-            norms = [spectral_norm(f) for f in state_fields(compute_batch_state(spec, table, batch))]
+            norms = [spectral_norm(f) for f in batch_fields(spec, table, batch)]
             rho = float(np.median(norms)) if median else (min(norms) + max(norms)) / 2.0
             assert min(norms) < rho < max(norms)
             for bound in ((None, "clip"), (rho, "clip"), (rho, "alg1")):
-                state = compute_batch_state(spec, table, batch, *bound)
-                assert bound[0] is None or np.any(state.scales != 1.0)
-                grads = state.gradients
+                grads = compute_batch_state(spec, table, batch, *bound)[1]
+                fields = batch_fields(spec, table, batch, *bound)
+                assert bound[0] is None or any(f.scale != 1.0 for f in fields)
+                mean = mean_field(fields)
                 for p in range(batch.size):
                     fd = fd_gradient_detached(
-                        table, int(batch[p]), state.rights[p], state.mean, 1e-5, state.scales[p]
+                        table, int(batch[p]), fields[p].right, mean, 1e-5, fields[p].scale
                     )
                     rel = np.linalg.norm(grads[p] - fd) / max(np.linalg.norm(fd), 1e-12)
                     assert rel < 1e-5
 
     def test_closed_form_on_hand_state(self):
         # gradient of |e c^T - M|_F^2 in e is 2 (e c^T - M) c
-        _, batch, state = _random_state(9, m=3, d=2)
-        grads = state.gradients
-        for p in range(batch.size):
-            T = np.outer(state.lefts[p], state.rights[p])
-            want = 2.0 * (T - state.mean) @ state.rights[p]
+        table, batch, (_, grads, _) = _random_state(9, m=3, d=2)
+        fields = batch_fields(RBF, table, batch)
+        mean = mean_field(fields)
+        for p, f in enumerate(fields):
+            want = 2.0 * (np.outer(table[batch[p]], f.right) - mean) @ f.right
             np.testing.assert_allclose(grads[p], want, atol=1e-12)
 
 
@@ -336,10 +337,10 @@ class TestFullOracle:
         assert np.all(fd == 0.0)
 
     def test_differs_from_detached_gradient_in_general(self):
-        table, batch, state = _random_state(14, m=6, d=4)
+        table, batch, (_, gradients, _) = _random_state(14, m=6, d=4)
         token = int(batch[0])
         fd_full = fd_gradient_full(RBF, table, batch, token, eps=1e-5)
-        semi = state.gradients[batch == token].sum(axis=0)
+        semi = gradients[batch == token].sum(axis=0)
         assert np.linalg.norm(fd_full - semi) > 1e-6
 
     def test_second_order_accuracy(self):
@@ -383,8 +384,8 @@ class TestCoherenceScore:
 
     def test_bounded(self):
         for seed in range(20):
-            _, _, state = _random_state(seed + 100, m=6)
-            assert -1.0 - 1e-12 <= state.score <= 1.0 + 1e-12
+            _, _, (_, _, score) = _random_state(seed + 100, m=6)
+            assert -1.0 - 1e-12 <= score <= 1.0 + 1e-12
 
 
 class TestEvaluateCoherence:
@@ -402,6 +403,6 @@ class TestEvaluateCoherence:
         pools = corpus.token_pools(toy_docs)
         batches = [corpus.sample_from_pools(pools, 16, 5, step)
                    for step in range(coherence.EVAL_BATCHES)]
-        want = [float(np.mean([compute_batch_state(spec, table, ids).score for ids in batches]))
+        want = [float(np.mean([compute_batch_state(spec, table, ids)[2] for ids in batches]))
                 for table in tables]
         assert coherence.evaluate_coherence(tables, toy_docs, spec, 16, seed=5) == want

@@ -50,27 +50,21 @@ class TestCosine:
 
 
 def _nn_bruteforce(table, token):
-    best_id, best_sim = -1, -np.inf
-    for other in range(len(table)):
-        if other == token:
-            continue
-        sim = cosine(table[other], table[token])
-        if sim > best_sim:
-            best_id, best_sim = other, sim
-    return best_id, best_sim
+    """The largest cosine of token's row to any other row, by an exhaustive scan."""
+    return max(cosine(table[other], table[token]) for other in range(len(table)) if other != token)
 
 
 class TestNearestNeighbor:
     def test_duplicate_vector_gives_similarity_one(self):
         vectors = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]])
-        neighbors, sims = embedding.nearest_neighbor_similarity(vectors, [0])
-        assert neighbors[0] == 1
+        sims = embedding.nearest_neighbor_similarity(vectors, [0])
         assert sims[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_tokens_returns_the_other(self):
+        # the token's own similarity, 1, is left out
         vectors = np.array([[1.0, 0.0], [0.5, 0.5]])
-        neighbors, _ = embedding.nearest_neighbor_similarity(vectors, [0])
-        assert neighbors[0] == 1
+        sims = embedding.nearest_neighbor_similarity(vectors, [0])
+        assert sims[0] == pytest.approx(cosine(vectors[0], vectors[1]), abs=1e-12)
 
     def test_matches_bruteforce_scan(self):
         rng = np.random.default_rng(21)
@@ -78,11 +72,9 @@ class TestNearestNeighbor:
         tables.append(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))  # token 0 ties 1 and 2
         for table in tables:
             n = len(table)
-            ids, sims = embedding.nearest_neighbor_similarity(table, list(range(n)))
+            sims = embedding.nearest_neighbor_similarity(table, list(range(n)))
             for token in range(n):
-                want = _nn_bruteforce(table, token)
-                assert ids[token] == want[0]
-                assert sims[token] == pytest.approx(want[1], abs=1e-12)
+                assert sims[token] == pytest.approx(_nn_bruteforce(table, token), abs=1e-12)
 
     def test_zero_row_names_the_row(self):
         vectors = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
@@ -98,15 +90,15 @@ class TestNearestNeighbor:
         n = 3000
         table = rng.standard_normal((n, 8))
         tokens = rng.integers(0, n, size=23)  # blocks of 5: four full, one of 3; repeats allowed
-        whole_ids, whole_sims = embedding.nearest_neighbor_similarity(table, tokens)
+        whole = embedding.nearest_neighbor_similarity(table, tokens)
         monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", 5 * n)
         tracemalloc.start()
         try:
-            ids, sims = embedding.nearest_neighbor_similarity(table, tokens)
+            sims = embedding.nearest_neighbor_similarity(table, tokens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(ids, whole_ids) and np.array_equal(sims, whole_sims)
+        assert np.array_equal(sims, whole)
         assert peak < 3 * embedding.BLOCK_ELEMENTS * 8
 
     def test_width_over_the_budget_takes_one_row_per_block(self, monkeypatch):
@@ -114,12 +106,11 @@ class TestNearestNeighbor:
         n = 3000
         table = rng.standard_normal((n, 8))
         tokens = rng.integers(0, n, size=23)
-        whole_ids, whole_sims = embedding.nearest_neighbor_similarity(table, tokens)
+        whole = embedding.nearest_neighbor_similarity(table, tokens)
         monkeypatch.setattr(embedding, "BLOCK_ELEMENTS", n - 1)
-        ids, sims = embedding.nearest_neighbor_similarity(table, tokens)
+        sims = embedding.nearest_neighbor_similarity(table, tokens)
         # a one-row block is a matrix-vector product, whose rounding may differ in the last bit
-        assert np.array_equal(ids, whole_ids)
-        np.testing.assert_allclose(sims, whole_sims, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(sims, whole, rtol=1e-15, atol=0)
 
 
 class TestModelFile:

@@ -4,12 +4,13 @@ A function, class or constant that no code in src/sca references is either
 left over (a setting nothing reads, a second copy of a job the program
 already does) or a reference implementation; the references live
 in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
-the code it checks. The signatures that benchmarks/child.py hooks into and the
-names the benchmark traces are pinned here too, and so are the one function that writes files
-(and makes directories), the one that reads a clock, the one report function of train and eval,
-the CLI's use of the epoch logs as its record of batch scores, KNOBS as the one source of
-train and eval flags, cli.py as the one module whose messages name a flag, and kernel.py and
-cli.py as the only modules that compare against a kernel family name.
+the code it checks. Likewise every dataclass field is read in src/sca: a field that only tests
+read is a value the program computes and discards. The signatures that benchmarks/child.py
+hooks into and the names the benchmark traces are pinned here too, and so are the one function
+that writes files (and makes directories), the one that reads a clock, the one report function
+of train and eval, the CLI's use of the epoch logs as its record of batch scores, KNOBS as the
+one source of train and eval flags, cli.py as the one module whose messages name a flag, and
+kernel.py and cli.py as the only modules that compare against a kernel family name.
 """
 
 import argparse
@@ -72,6 +73,44 @@ def test_every_public_name_is_used_or_an_oracle():
         if qualified.split(".", 1)[1] not in referenced
     )
     assert unused == []
+
+
+def _dataclass_fields(modules):
+    """Class.field for each annotated field of every @dataclass class in src/sca."""
+    return {
+        f"{node.name}.{item.target.id}"
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in (d.func.id if isinstance(d, ast.Call) else d.id)
+            for d in node.decorator_list
+        )
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
+def _read_attributes(modules):
+    """Attribute names loaded anywhere in src/sca, other than as a called method (X.mean(...)
+    reads no field), and every string constant, as getattr reads a field by name."""
+    reads = set()
+    for tree in modules.values():
+        methods = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in methods):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    return reads
+
+
+def test_every_dataclass_field_is_read():
+    modules = _parse_modules()
+    fields = _dataclass_fields(modules)
+    assert {"TrainConfig.lr", "KernelSpec.bandwidth", "EpochLog.scores"} <= fields
+    reads = _read_attributes(modules)
+    assert sorted(f for f in fields if f.split(".", 1)[1] not in reads) == []
 
 
 def _calls(node, callee, function=None):

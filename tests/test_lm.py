@@ -321,11 +321,11 @@ class TestJointTraining:
         sources = np.unique(pairs[:, 0])
         assert len(sources) < len(pairs)  # repeated sources: a per-pair scatter would differ
         loss, grad = lm.ce_batch_gradients(model, pairs)
-        state = coherence.compute_batch_state(
+        sca_loss, sca_grad, _ = coherence.compute_batch_state(
             RBF, model[:, :-1], sources, config.rho, config.spectral_mode
         )
-        grad[sources, :-1] += config.lam * state.gradients
-        assert logs[0].loss == loss + config.lam * state.loss
+        grad[sources, :-1] += config.lam * sca_grad
+        assert logs[0].loss == loss + config.lam * sca_loss
         np.testing.assert_allclose(trained, model - config.lr * grad, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])

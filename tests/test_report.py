@@ -32,55 +32,62 @@ class TestPca:
         rng = np.random.default_rng(0)
         direction = rng.standard_normal(5)
         X = np.outer(rng.standard_normal(30), direction)
-        res = report.pca_project(X)
-        assert np.max(np.abs(res.coordinates[:, 1])) < 1e-9
+        coords = report.pca_project(X)
+        assert np.max(np.abs(coords[:, 1])) < 1e-9
 
     def test_isometric_on_data_in_a_plane(self):
         rng = np.random.default_rng(1)
         basis, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         coords_true = rng.standard_normal((25, 2))
         X = coords_true @ basis.T
-        res = report.pca_project(X)
+        coords = report.pca_project(X)
         for i in range(0, 25, 5):
             for j in range(25):
                 want = np.linalg.norm(coords_true[i] - coords_true[j])
-                got = np.linalg.norm(res.coordinates[i] - res.coordinates[j])
+                got = np.linalg.norm(coords[i] - coords[j])
                 assert got == pytest.approx(want, abs=1e-8)
 
     def test_explained_variance_ordering(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((40, 6)) * np.array([3.0, 1.5, 1.0, 0.5, 0.2, 0.1])
-        res = report.pca_project(X)
-        assert res.eigenvalues[0] >= res.eigenvalues[1]
-        assert np.var(res.coordinates[:, 0]) >= np.var(res.coordinates[:, 1])
+        coords = report.pca_project(X)
+        assert np.var(coords[:, 0]) >= np.var(coords[:, 1])
 
     def test_matches_full_eigendecomposition(self):
+        # a coordinate's sample variance is its component's eigenvalue, and the coordinates
+        # span the data's projection onto the top two right singular vectors
         rng = np.random.default_rng(3)
         for trial in range(5):
             X = rng.standard_normal((30, 7))
-            res = report.pca_project(X)
+            coords = report.pca_project(X)
             eigenvalues, basis = _svd_oracle(X, 2)
-            np.testing.assert_allclose(res.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
-            assert _principal_angle(res.components, basis) < 1e-10
+            np.testing.assert_allclose(coords.var(axis=0, ddof=1), eigenvalues, rtol=0, atol=1e-12)
+            projected = (X - X.mean(axis=0)) @ basis.T
+            assert _principal_angle(coords.T, projected.T) < 1e-10
 
     def test_sign_convention(self):
-        rng = np.random.default_rng(4)
-        res = report.pca_project(rng.standard_normal((20, 4)))
-        for component in res.components:
-            assert component[np.argmax(np.abs(component))] > 0
+        # each component's largest-magnitude entry is positive: the oracle's components, signed
+        # by that rule, give coordinates of the same signs
+        X = np.random.default_rng(4).standard_normal((20, 4))
+        coords = report.pca_project(X)
+        _, basis = _svd_oracle(X, 2)
+        pivots = basis[[0, 1], np.argmax(np.abs(basis), axis=1)]
+        want = (X - X.mean(axis=0)) @ (basis * np.sign(pivots)[:, None]).T
+        assert np.array_equal(np.sign(coords), np.sign(want))
+        np.testing.assert_allclose(coords, want, rtol=0, atol=1e-12)
 
     def test_near_degenerate_spectrum_matches_svd(self):
         # leading eigenvalues split by 1e-6 relative, far too close for an
         # iterative solver to separate them quickly
         a = np.sqrt(1.0 - 1e-6)
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, a], [0.0, -a]])
-        res = report.pca_project(X)
+        coords = report.pca_project(X)
         eigenvalues, _ = _svd_oracle(X, 2)
-        np.testing.assert_allclose(res.eigenvalues, eigenvalues, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coords.var(axis=0, ddof=1), eigenvalues, rtol=0, atol=1e-12)
         for i in range(4):
             for j in range(4):
                 want = np.linalg.norm(X[i] - X[j])
-                got = np.linalg.norm(res.coordinates[i] - res.coordinates[j])
+                got = np.linalg.norm(coords[i] - coords[j])
                 assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_too_few_rows_rejected(self):

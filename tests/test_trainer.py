@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import batch_loss, nll, spectral_norm, spectral_project, state_fields
+from oracles import (
+    batch_fields,
+    batch_loss,
+    coherence_score,
+    mean_field,
+    nll,
+    sca_loss,
+    spectral_norm,
+)
 from sca import cli, corpus, lm, trainer
 from sca.coherence import compute_batch_state
 from sca.corpus import CorpusError
@@ -185,12 +193,15 @@ class TestTrainSca:
         for mode in ("clip", "alg1"):
             table = rng.standard_normal((10, 5)) * 2.0
             ids = rng.integers(0, 10, size=8)
-            fields_before = state_fields(compute_batch_state(RBF, table, ids))
-            state = compute_batch_state(RBF, table, ids, rho=1.0, mode=mode)
-            assert np.any(state.scales != 1.0)
-            for i, f in enumerate(fields_before):
-                want = spectral_project(f, rho=1.0, mode=mode)
-                assert state.scales[i] == pytest.approx(want.scale, rel=1e-12)
+            loss, gradients, score = compute_batch_state(RBF, table, ids, rho=1.0, mode=mode)
+            # the fields bounded one at a time by spectral_project
+            fields = batch_fields(RBF, table, ids, 1.0, mode)
+            assert any(f.scale != 1.0 for f in fields)
+            mean = mean_field(fields)
+            assert loss == pytest.approx(sca_loss(fields, mean), rel=1e-12)
+            assert score == pytest.approx(coherence_score(fields, mean), abs=1e-12)
+            want = np.array([2.0 * f.scale * (f.dense() - mean) @ f.right for f in fields])
+            np.testing.assert_allclose(gradients, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_alg1_mode_runs(self, small_docs):
         docs, vocab = small_docs
@@ -298,13 +309,13 @@ class TestRunEpochs:
         assert not model.any()
 
 
-def _stepped(table, ids, state, dt):
+def _stepped(table, ids, gradients, dt):
     """A copy of the table after one explicit Euler step of length dt along batch ids' gradients.
 
     A token repeated in the batch moves by the sum of its rows' steps.
     """
     stepped = table.copy()
-    np.add.at(stepped, ids, -dt * state.gradients)
+    np.add.at(stepped, ids, -dt * gradients)
     return stepped
 
 
@@ -313,18 +324,16 @@ class TestGradientFlowStep:
         rng = np.random.default_rng(0)
         table = rng.standard_normal((4, 3))
         ids = np.full(6, 1)
-        state = compute_batch_state(RBF, table, ids)
-        stepped = _stepped(table, ids, state, dt=0.1)
+        stepped = _stepped(table, ids, compute_batch_state(RBF, table, ids)[1], dt=0.1)
         assert np.array_equal(stepped, table)
 
     def test_small_step_decreases_loss(self):
         rng = np.random.default_rng(1)
         table = rng.standard_normal((8, 4))
         batch = np.arange(6)
-        state = compute_batch_state(RBF, table, batch)
-        stepped = _stepped(table, batch, state, dt=1e-4)
-        after = compute_batch_state(RBF, stepped, batch)
-        assert after.loss < state.loss
+        loss, gradients, _ = compute_batch_state(RBF, table, batch)
+        stepped = _stepped(table, batch, gradients, dt=1e-4)
+        assert compute_batch_state(RBF, stepped, batch)[0] < loss
 
     def test_half_step_difference_shrinks_quadratically(self):
         rng = np.random.default_rng(2)
@@ -335,8 +344,8 @@ class TestGradientFlowStep:
             current = table
             step = dt / halves
             for _ in range(halves):
-                state = compute_batch_state(RBF, current, batch)
-                current = _stepped(current, batch, state, step)
+                gradients = compute_batch_state(RBF, current, batch)[1]
+                current = _stepped(current, batch, gradients, step)
             return current
 
         def gap(dt):
@@ -352,19 +361,19 @@ class TestGradientFlowStep:
         table = rng.standard_normal((12, 5))
         batch = rng.integers(0, 12, size=10)
         dt = 0.5
-        base = compute_batch_state(RBF, table, batch)
+        base_loss, base_gradients, _ = compute_batch_state(RBF, table, batch)
         while True:
-            stepped = _stepped(table, batch, base, dt)
-            if compute_batch_state(RBF, stepped, batch).loss < base.loss:
+            stepped = _stepped(table, batch, base_gradients, dt)
+            if compute_batch_state(RBF, stepped, batch)[0] < base_loss:
                 break
             dt /= 2.0
         current = table.copy()
         last = np.inf
         for _ in range(50):
-            state = compute_batch_state(RBF, current, batch)
-            assert state.loss < last
-            last = state.loss
-            current = _stepped(current, batch, state, dt)
+            loss, gradients, _ = compute_batch_state(RBF, current, batch)
+            assert loss < last
+            last = loss
+            current = _stepped(current, batch, gradients, dt)
 
     def test_one_batch_training_is_one_step(self, small_docs):
         # a one-batch, one-epoch train_sca applies exactly the Euler step
@@ -374,10 +383,10 @@ class TestGradientFlowStep:
         config = TrainConfig(lr=0.3, batch=total, epochs=1, seed=4, tol=None)
         trained, logs = trainer.train_sca(table, docs, RBF, config)
         ids = corpus.sample_from_pools(corpus.token_pools(docs), total, config.seed, 0)
-        state = compute_batch_state(RBF, table, ids, config.rho, config.spectral_mode)
-        expected = _stepped(table, ids, state, config.lr)
+        loss, gradients, _ = compute_batch_state(RBF, table, ids, config.rho, config.spectral_mode)
+        expected = _stepped(table, ids, gradients, config.lr)
         assert np.array_equal(trained, expected)
-        assert logs[0].loss == state.loss
+        assert logs[0].loss == loss
 
 
 class TestAppliedStepDescends:
@@ -397,7 +406,7 @@ class TestAppliedStepDescends:
         for seed in range(1, 6):
             table = init_embeddings(len(toy_vocab), 8, seed=seed)
             ids = corpus.sample_from_pools(pools, total, seed, 0)
-            norms = [spectral_norm(f) for f in state_fields(compute_batch_state(spec, table, ids))]
+            norms = [spectral_norm(f) for f in batch_fields(spec, table, ids)]
             # the median field norm binds; the default rho lies above every field at init
             rho = float(np.median(norms)) if binding else TrainConfig.rho
             assert (rho < max(norms)) == binding
