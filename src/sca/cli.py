@@ -269,7 +269,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     embedding.save_model(initial, out / "initial_model.json", vocab.id_to_token, cfg["seed"])
     corpus.write_vocabulary(vocab, out / "vocab.json")
     report.write_csv(out / "loss_curve.csv", ["epoch", "loss", "coherence", "lr"],
-                     [[e.epoch, e.loss, e.coherence, e.lr] for e in logs])
+                     [[e.epoch, e.loss, e.scores.mean(), e.lr] for e in logs])
     report.write_json(out / "timing.json", {"epoch_seconds": [e.seconds for e in logs]})
     report.emit_reports(out / "reports", [e.scores for e in logs], rare, pca, vocab, summary)
     _write_manifest(out, "train", {**cfg, "bandwidth_resolved": spec.bandwidth})

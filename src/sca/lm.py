@@ -154,7 +154,7 @@ def train_joint(
     use_sca = config.lam != 0.0
     bound = (config.rho, config.spectral_mode)
 
-    def step(work: np.ndarray, batch: tuple, lr: float, epoch: int, b: int) -> tuple:
+    def step(work: np.ndarray, batch: tuple, lr: float) -> tuple:
         pairs, distinct = batch
         loss, grad = ce_batch_gradients(work, pairs, distinct)
         score = float("nan")
@@ -163,10 +163,9 @@ def train_joint(
                 spec, work[:, :-1], distinct[0], *bound)
             grad[distinct[0], :-1] += config.lam * sca_grad
             loss += config.lam * sca_loss
-        trainer.check_finite(loss, grad, epoch, b)  # a non-finite term carries into the sums
         grad *= lr
         np.subtract(work, grad, out=work)
-        return loss, score
+        return loss, score, ...  # it wrote all of [E | b], which the finite check then covers
 
     return trainer.run_epochs(model, corpus.bigram_pools(documents), config, step, on_batch,
                               on_epoch, prepare=lambda pairs: (pairs, distinct_sources(pairs)))

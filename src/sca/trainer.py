@@ -2,11 +2,11 @@
 
 run_epochs is the one epoch loop: it copies the array being trained once,
 draws the batch schedule once and owns the adaptive learning rate, the
-windowed stopping rule, the epoch-end overflow check and the observers;
-each trainer supplies a per-batch step on that array. Both steps take the
-coherence part from the one batch pass, coherence.compute_batch_state, with
-the fields bounded by config.rho under config.spectral_mode, and run
-check_finite once on what they apply. train_sca's step is one explicit
+windowed stopping rule, the observers and the one finite check, run after
+every update on the rows that update wrote; each trainer supplies a
+per-batch step on that array. Both steps take the coherence part from the
+one batch pass, coherence.compute_batch_state, with the fields bounded by
+config.rho under config.spectral_mode. train_sca's step is one explicit
 Euler step of the gradient flow de/dt = -g at the current learning rate.
 """
 
@@ -26,7 +26,7 @@ LR_FLOOR = 1e-8
 
 
 class TrainingError(Exception):
-    """Raised when training hits a non-finite loss or gradient."""
+    """Raised when a step leaves a non-finite loss or model rows."""
 
 
 @dataclass
@@ -50,7 +50,6 @@ class EpochLog:
 
     epoch: int
     loss: float
-    coherence: float
     lr: float
     seconds: float
     scores: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
@@ -82,20 +81,20 @@ def adapt_learning_rate(history: list[EpochLog], lr: float) -> float:
     return lr
 
 
-def check_finite(loss: float, gradients: np.ndarray, epoch: int, batch: int) -> None:
-    """Raise TrainingError, naming the step, on a non-finite loss or gradient.
+def check_finite(loss: float, rows: np.ndarray, epoch: int, batch: int) -> None:
+    """Raise TrainingError, naming the step, unless the loss and the rows' squared norm are finite.
 
-    A NaN or an infinity shows in the largest or the smallest entry, neither of which overflows.
+    A NaN or an infinity in any entry makes the squared norm non-finite too.
     """
-    if not all(map(math.isfinite, (loss, gradients.max(), gradients.min()))):
-        raise TrainingError(f"non-finite loss or gradient at epoch {epoch}, batch {batch}")
+    if not (math.isfinite(loss) and math.isfinite(np.vdot(rows, rows))):
+        raise TrainingError(f"non-finite loss or model at epoch {epoch}, batch {batch}")
 
 
 def run_epochs(
     model: np.ndarray,
     pools: list[np.ndarray],
     config: TrainConfig,
-    step: Callable[[np.ndarray, object, float, int, int], tuple[float, float]],
+    step: Callable[[np.ndarray, object, float], tuple[float, float, object]],
     on_batch=None,
     on_epoch=None,
     prepare: Callable[[np.ndarray], object] = lambda batch: batch,
@@ -107,15 +106,15 @@ def run_epochs(
     batches but at least one, and runs it every epoch, so epoch losses stay directly
     comparable. prepare maps each drawn batch once to what the step receives as its batch, so
     work that depends on the batch alone is done once per run, not once per epoch.
-    step(model, batch, lr, epoch, b) updates the copy in place and returns the batch loss and
-    coherence score (NaN when no coherence term is trained). Training stops after config.epochs
-    epochs or on the windowed convergence rule; the learning rate halves after a loss uptick.
+    step(model, batch, lr) updates the copy in place and returns the batch loss, the coherence
+    score (NaN when no coherence term is trained) and an index of the model rows it wrote, which
+    check_finite checks at once, so a TrainingError names the step that broke the model and no
+    later step or observer sees it. Training stops after config.epochs epochs or on the windowed
+    convergence rule; the learning rate halves after a loss uptick.
 
     on_batch(epoch, b, loss, score) and on_epoch(epoch, model, log) are optional observers.
     The config is in range, as cli.KNOBS checks; a batch larger than the pools fails at its one
-    draw (CorpusError). A step's overflow shows in the next step's loss; an epoch's last step's
-    is caught at the epoch end, before on_epoch, by one check that the model's squared norm is
-    finite (TrainingError if not), so no checkpoint holds such a model.
+    draw (CorpusError).
     """
     total = sum(map(len, pools))
     schedule = [
@@ -130,17 +129,14 @@ def run_epochs(
         losses = np.empty(len(schedule))
         scores = np.empty(len(schedule))
         for b, batch in enumerate(schedule):
-            loss, score = step(model, batch, lr, epoch, b)
+            loss, score, written = step(model, batch, lr)
+            check_finite(loss, model[written], epoch, b)
             losses[b] = loss
             scores[b] = score
             if on_batch is not None:
                 on_batch(epoch, b, loss, score)
         seconds = time.perf_counter() - started
-        if not math.isfinite(float(np.vdot(model, model))):
-            raise TrainingError(f"the trained model overflows: its squared norm is not finite "
-                                f"after epoch {epoch}, batch {b}")
-        logs.append(EpochLog(epoch, float(losses.mean()), float(scores.mean()), lr, seconds,
-                             scores))
+        logs.append(EpochLog(epoch, float(losses.mean()), lr, seconds, scores))
         if on_epoch is not None:
             on_epoch(epoch, model, logs[-1])
         if check_convergence(logs, config.window, config.tol):
@@ -161,21 +157,21 @@ def train_sca(
 
     Runs the shared epoch loop (run_epochs) over stratified token batches;
     each step moves the batch tokens' rows along their coherence gradients,
-    a repeated token by the sum of its rows' steps. run_epochs trains a copy,
-    so the input table is left untouched; the trained table is returned
-    together with the per-epoch logs. The coherence score passed to on_batch
-    is that of the bounded fields, at the same snapshot as the loss.
+    a repeated token by the sum of its rows' steps, and names those rows as
+    written. run_epochs trains a copy, so the input table is left untouched;
+    the trained table is returned together with the per-epoch logs. The
+    coherence score passed to on_batch is that of the bounded fields, at the
+    same snapshot as the loss.
     """
     columns = np.arange(table.shape[1])
 
-    def step(work: np.ndarray, batch: tuple, lr: float, epoch: int, b: int) -> tuple:
+    def step(work: np.ndarray, batch: tuple, lr: float) -> tuple:
         ids, flat = batch
         loss, grad, score = coherence.compute_batch_state(
             spec, work, ids, config.rho, config.spectral_mode)
-        check_finite(loss, grad, epoch, b)
         # a 1-D scatter onto the flat entries of the rows adds in the same order as a 2-D one
         np.add.at(work.reshape(-1), flat, grad.reshape(-1) * -lr)
-        return loss, score
+        return loss, score, ids
 
     return run_epochs(table, corpus.token_pools(documents), config, step, on_batch, on_epoch,
                       prepare=lambda ids: (ids, (ids[:, None] * columns.size + columns).ravel()))

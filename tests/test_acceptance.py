@@ -246,7 +246,7 @@ def test_criterion_8_invariance_suite(small_docs):
 
 def test_criterion_9_convergence_detector():
     series = (23.5, 17.8, 12.9, 9.2, 6.7, 5.1, 4.9, 4.8)
-    logs = [EpochLog(i + 1, v, 0.0, 0.1, 0.0) for i, v in enumerate(series)]
+    logs = [EpochLog(i + 1, v, 0.1, 0.0) for i, v in enumerate(series)]
     for upto in range(1, len(series)):
         assert not trainer.check_convergence(logs[:upto], window=2, tol=0.05)
     assert trainer.check_convergence(logs, window=2, tol=0.05)

@@ -451,10 +451,10 @@ class TestTrain:
         whole = train_run((*flags, "--checkpoint-every", "1"), {})
         check_finite = trainer.check_finite
 
-        def failing(loss, gradients, epoch, batch):
+        def failing(loss, rows, epoch, batch):
             if epoch == 2:
                 raise trainer.TrainingError(f"injected failure at epoch {epoch}")
-            check_finite(loss, gradients, epoch, batch)
+            check_finite(loss, rows, epoch, batch)
 
         monkeypatch.setattr(trainer, "check_finite", failing)
         (tmp_path / "empty").mkdir()
@@ -647,17 +647,21 @@ class TestReadmeExample:
         (), ("--lambda", "0.5"),
         ("--epochs", "3", "--checkpoint-every", "1"),
         ("--epochs", "3", "--checkpoint-every", "1", "--lambda", "0.5"),
-    ], ids=["sca", "joint", "sca_checkpoints", "joint_checkpoints"])
+        ("--epochs", "2", "--batch", "8"), ("--epochs", "2", "--batch", "8", "--lambda", "0.5"),
+    ], ids=["sca", "joint", "sca_checkpoints", "joint_checkpoints", "sca_batches", "joint_batches"])
     def test_overflowing_last_update_exits_one_without_out(self, tmp_path, capsys, flags):
-        # one batch per epoch: the first update leaves a finite table whose squared norm
-        # overflows. The check at epoch 1's end refuses it before any checkpoint is written,
-        # so no later epoch runs and no file holds the model
+        # the first update leaves finite rows whose squared norm overflows. The check right after
+        # that update refuses them before any checkpoint is written, so no later epoch runs and
+        # no file holds the model; with several batches per epoch (--batch 8), batch 1 never
+        # runs on the overflowed model, so nothing warns
         manifest = _readme_corpus(tmp_path / "corpus")
         out = tmp_path / "run"
         args = ["--dim", "16", "--seed", "7", "--epochs", "1", "--batch", "150", "--lr", "1e308"]
-        assert cli.main(["train", "--corpus", str(manifest), *args, *flags,
-                         "--out", str(out)]) == 1
-        assert "squared norm is not finite after epoch 1, batch 0" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["train", "--corpus", str(manifest), *args, *flags,
+                             "--out", str(out)]) == 1
+        assert "non-finite loss or model at epoch 1, batch 0\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_split_without_test_document_exits_one_before_out(self, tmp_path, capsys):

@@ -7,10 +7,11 @@ in tests/oracles.py, which imports nothing from sca, so an oracle cannot run
 the code it checks. Likewise every dataclass field is read in src/sca: a field that only tests
 read is a value the program computes and discards. The signatures that benchmarks/child.py
 hooks into and the names the benchmark traces are pinned here too, and so are the one function
-that writes files (and makes directories), the one that reads a clock, the one report function
-of train and eval, the CLI's use of the epoch logs as its record of batch scores, KNOBS as the
-one source of train and eval flags, cli.py as the one module whose messages name a flag, and
-kernel.py and cli.py as the only modules that compare against a kernel family name.
+that writes files (and makes directories), the one that reads a clock, the one place that fails
+training (run_epochs, through check_finite), the one report function of train and eval, the
+CLI's use of the epoch logs as its record of batch scores, KNOBS as the one source of train and
+eval flags, cli.py as the one module whose messages name a flag, and kernel.py and cli.py as the
+only modules that compare against a kernel family name.
 """
 
 import argparse
@@ -184,6 +185,20 @@ def test_one_function_reads_a_clock():
     # clock readings reach a run directory only through EpochLog.seconds, which cli writes to
     # timing.json alone; a new reading must change this pin
     assert _called_in_src(_clock_callee) == {("trainer.run_epochs", "perf_counter")}
+
+
+def _failure_callee(func):
+    """A call of TrainingError or check_finite, bare or as an attribute."""
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name if name in ("TrainingError", "check_finite") else None
+
+
+def test_one_function_fails_training():
+    # run_epochs checks the loss and the rows each step wrote right after its update, so a
+    # failure names the step that broke the model; a second check site must change this pin
+    assert _called_in_src(_failure_callee) == {
+        ("trainer.check_finite", "TrainingError"), ("trainer.run_epochs", "check_finite"),
+    }
 
 
 REPORT_CALLS = ("evaluate_coherence", "score_pairs", "rare_word_report", "pca_project")

@@ -347,7 +347,7 @@ class TestJointTraining:
         before, after = coherence.evaluate_coherence([table, trained[:, :-1]], toy_docs, spec, 32,
                                                      seed=4)
         assert after > before
-        assert all(np.isfinite(l.coherence) for l in logs)
+        assert all(np.isfinite(l.scores).all() for l in logs)
 
     def test_heldout_perplexity_finite_for_both_settings(self, small_docs):
         docs, vocab = small_docs

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ RBF = KernelSpec("rbf", 1.0)
 
 
 def _logs(losses):
-    return [EpochLog(i + 1, float(v), 0.0, 0.1, 0.0) for i, v in enumerate(losses)]
+    return [EpochLog(i + 1, float(v), 0.1, 0.0) for i, v in enumerate(losses)]
 
 
 # loss series that drops steeply then flattens; the detector must fire at
@@ -78,17 +80,28 @@ class TestCheckFinite:
         with pytest.raises(TrainingError, match="epoch 3, batch 7"):
             trainer.check_finite(bad, np.ones((4, 3)), 3, 7)
         for i, j in np.ndindex(4, 3):
-            gradients = np.ones((4, 3))
-            gradients[i, j] = bad
+            rows = np.ones((4, 3))
+            rows[i, j] = bad
             with pytest.raises(TrainingError, match="epoch 3, batch 7"):
-                trainer.check_finite(1.0, gradients, 3, 7)
+                trainer.check_finite(1.0, rows, 3, 7)
 
     def test_largest_finite_values_pass(self):
-        # a plain sum of these overflows to inf, and a sum of squares overflows at once
-        for gradients in (np.full((64, 16), 1e308), np.full((64, 16), -1e308)):
-            gradients[::3] *= -1.0
-            trainer.check_finite(1e308, gradients, 1, 0)
-            trainer.check_finite(-1e308, np.abs(gradients), 1, 0)
+        # 128 entries of +-1e153 square to a sum of 1.28e308, below the largest float (1.8e308);
+        # entries of +-1e155 are finite, but each square (1e310) overflows the squared norm
+        for rows in (np.full((8, 16), 1e153), np.full((8, 16), -1e153)):
+            rows[::3] *= -1.0
+            trainer.check_finite(1e308, rows, 1, 0)
+            trainer.check_finite(-1e308, np.abs(rows), 1, 0)
+            with pytest.raises(TrainingError, match="epoch 1, batch 0"):
+                trainer.check_finite(1.0, rows * 100.0, 1, 0)
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(TrainingError, match="epoch 1, batch 0"):
+                    trainer.check_finite(bad, rows, 1, 0)
+                for i, j in np.ndindex(rows.shape):
+                    broken = rows.copy()
+                    broken[i, j] = bad
+                    with pytest.raises(TrainingError, match="epoch 1, batch 0"):
+                        trainer.check_finite(1.0, broken, 1, 0)
 
 
 class TestConfig:
@@ -160,7 +173,7 @@ class TestTrainSca:
             table = init_embeddings(len(vocab), 6, seed=3)
             spec = KernelSpec("rbf", 0.5)
             trained, logs = trainer.train_sca(table, docs, spec, config)
-            results.append((trained, [(l.loss, l.coherence, l.lr) for l in logs]))
+            results.append((trained, [(l.loss, l.scores.tolist(), l.lr) for l in logs]))
         assert np.array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
 
@@ -247,25 +260,39 @@ class TestTrainSca:
             trainer.train_sca(table, _repeated_token_docs(10), RBF, config)
 
 
+def _numbered(steps_per_epoch, step):
+    """A run_epochs step that calls step(model, epoch, b), counting the calls to know the step."""
+    calls = itertools.count()
+
+    def numbered(model, batch, lr):
+        epoch, b = divmod(next(calls), steps_per_epoch)
+        return step(model, epoch + 1, b)
+
+    return numbered
+
+
 class TestRunEpochs:
-    @pytest.mark.parametrize("width, column", [(6, 0), (7, -1)], ids=["table", "bias"])
-    def test_overflowing_last_step_names_the_epoch_and_batch(self, small_docs, width, column):
-        # the last step leaves every entry finite and the squared norm overflowing, which no
-        # later step's loss can show; the bias case writes the last column of a joint [E | b]
+    @pytest.mark.parametrize("width, column, written", [(6, 0, [0, 1]), (7, -1, ...)],
+                             ids=["table", "bias"])
+    def test_overflowing_last_step_names_the_epoch_and_batch(self, small_docs, width, column,
+                                                            written):
+        # the last step leaves every entry finite and the squared norm of the rows it wrote
+        # overflowing, which no later step's loss can show; the bias case writes the last
+        # column of a joint [E | b] and, as train_joint's step does, names the whole model
         docs, vocab = small_docs
         pools = corpus.token_pools(docs)
         config = TrainConfig(batch=8, epochs=2, tol=None)
         last = sum(map(len, pools)) // config.batch - 1
 
         def stepping(value):
-            def step(model, batch, lr, epoch, b):
+            def step(model, epoch, b):
                 if (epoch, b) == (2, last):
                     model[:2, column] = value
-                return 1.0, 0.0
+                return 1.0, 0.0, written
 
-            return step
+            return _numbered(last + 1, step)
 
-        with pytest.raises(TrainingError, match=f"not finite after epoch 2, batch {last}"):
+        with pytest.raises(TrainingError, match=f"at epoch 2, batch {last}$"):
             trainer.run_epochs(np.zeros((len(vocab), width)), pools, config, stepping(1e307))
         # a squared norm near 1e307 is finite
         trained, logs = trainer.run_epochs(np.zeros((len(vocab), width)), pools, config,
@@ -273,22 +300,24 @@ class TestRunEpochs:
         assert len(logs) == 2 and trained[0, column] == 1e153
 
     def test_overflow_in_an_early_epoch_stops_before_its_observer(self, small_docs):
-        # the check runs at every epoch end, before on_epoch, so no checkpoint holds such a model
+        # the check runs after every step, before on_batch and on_epoch, so no observer and no
+        # checkpoint sees such a model
         docs, vocab = small_docs
         pools = corpus.token_pools(docs)
         config = TrainConfig(batch=8, epochs=2, tol=None)
         last = sum(map(len, pools)) // config.batch - 1
-        observed = []
+        batches, epochs = [], []
 
-        def step(model, batch, lr, epoch, b):
+        def step(model, epoch, b):
             if (epoch, b) == (1, last):
                 model[:2, 0] = 1e307
-            return 1.0, 0.0
+            return 1.0, 0.0, slice(0, 2)
 
-        with pytest.raises(TrainingError, match=f"not finite after epoch 1, batch {last}"):
-            trainer.run_epochs(np.zeros((len(vocab), 6)), pools, config, step,
-                               on_epoch=lambda epoch, *_: observed.append(epoch))
-        assert observed == []
+        with pytest.raises(TrainingError, match=f"at epoch 1, batch {last}$"):
+            trainer.run_epochs(np.zeros((len(vocab), 6)), pools, config, _numbered(last + 1, step),
+                               on_batch=lambda epoch, b, *_: batches.append((epoch, b)),
+                               on_epoch=lambda epoch, *_: epochs.append(epoch))
+        assert batches == [(1, b) for b in range(last)] and epochs == []
 
     def test_steps_and_observers_share_the_one_copy_that_is_returned(self, small_docs):
         docs, vocab = small_docs
@@ -297,10 +326,10 @@ class TestRunEpochs:
         model = np.zeros((len(vocab), 6))
         seen = []
 
-        def step(work, batch, lr, epoch, b):
+        def step(work, batch, lr):
             seen.append(work)
             work[0, 0] += 1.0
-            return 1.0, 0.0
+            return 1.0, 0.0, 0
 
         trained, logs = trainer.run_epochs(model, pools, config, step,
                                            on_epoch=lambda epoch, work, log: seen.append(work))
